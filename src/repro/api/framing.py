@@ -64,7 +64,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -1024,23 +1024,69 @@ def summary_payload(merger: StreamingMerger) -> Dict[str, object]:
     return envelope
 
 
+class MergerCombiner:
+    """Combine per-source mergers in canonical order, paying only for new parts.
+
+    The combine is the left fold of :meth:`StreamingMerger.absorb` over the
+    live (non-empty) parts, so folding a list and later folding its
+    extension continues from the same state.  The combiner keeps that state:
+    a private :class:`StreamingMerger` plus the identity list of the parts
+    it has absorbed.  When the next part list still starts with that list,
+    only the new tail is absorbed; anything else (a part sorted in before
+    the prefix, a replaced part) rebuilds the fold from scratch.  Either
+    way the result is the fold of exactly the given parts, bit for bit.
+
+    A single live part passes through untouched — the two-level fold of one
+    source is bit-identical to its flat fold, so ``repro merge --framed``
+    over one file (and a one-client aggregation session) keeps exactly the
+    historical flat-fold result.  Parts are only ever read, never mutated.
+    """
+
+    def __init__(self, k: int) -> None:
+        self._k = check_positive_int(k, "k")
+        #: Parts absorbed by the most recent :meth:`combine` call.
+        self.last_absorbed = 0
+        self._reset()
+
+    def _reset(self) -> None:
+        """Drop the cached fold; the next :meth:`combine` rebuilds it."""
+        self._merger = StreamingMerger(self._k)
+        self._absorbed: List[StreamingMerger] = []
+
+    def combine(self, parts: Sequence[StreamingMerger]) -> StreamingMerger:
+        """The combined summary of ``parts``, in the given order.
+
+        The returned merger is owned by the combiner (or is the single live
+        part itself): read or release it, do not fold into it.
+        """
+        self.last_absorbed = 0
+        live = [part for part in parts if part.frames]
+        if len(live) == 1:
+            return live[0]
+        # Mergers define no __eq__, so list equality is part identity.
+        if live[:len(self._absorbed)] != self._absorbed:
+            self._reset()
+        try:
+            for part in live[len(self._absorbed):]:
+                self._merger.absorb(part)
+                self._absorbed.append(part)
+                self.last_absorbed += 1
+        except BaseException:
+            # absorb may fail half-way through its update; never reuse it.
+            self._reset()
+            raise
+        return self._merger
+
+
 def combine_mergers(parts: Sequence[StreamingMerger], k: int) -> StreamingMerger:
     """Combine per-source mergers into one summary, in the given order.
 
-    A single non-empty source passes through untouched — the two-level fold
-    of one source is bit-identical to its flat fold, so ``repro merge
-    --framed`` over one file (and a one-client aggregation session) keeps
-    exactly the historical flat-fold result.  Multiple sources are absorbed
-    in sequence order (the caller supplies the canonical ordering, e.g. CLI
-    argument order or client ordinals).
+    A one-shot :class:`MergerCombiner`: a single non-empty source passes
+    through untouched, multiple sources are absorbed in sequence order (the
+    caller supplies the canonical ordering, e.g. CLI argument order or
+    client ordinals).
     """
-    live = [part for part in parts if part.frames]
-    if len(live) == 1:
-        return live[0]
-    combined = StreamingMerger(k)
-    for part in live:
-        combined.absorb(part)
-    return combined
+    return MergerCombiner(k).combine(parts)
 
 
 def merge_frames(source, k: Optional[int] = None) -> StreamingMerger:

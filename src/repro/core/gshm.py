@@ -20,6 +20,7 @@ This module provides:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, Mapping, Optional, Tuple
@@ -81,6 +82,11 @@ def gshm_delta(sigma: float, tau: float, epsilon: float, l: int) -> float:
     return max(branch1, branch2, branch3, 0.0)
 
 
+#: Distinct ``(epsilon, delta, l, method, tolerance)`` calibrations kept by
+#: :func:`calibrate_gshm`; one entry is two floats, so the bound is tiny.
+CALIBRATION_CACHE_SIZE = 256
+
+
 def calibrate_gshm(epsilon: float, delta: float, l: int,
                    method: str = "exact",
                    tolerance: float = 1e-4) -> Tuple[float, float]:
@@ -91,15 +97,28 @@ def calibrate_gshm(epsilon: float, delta: float, l: int,
     ``tau = sqrt(2 ln(2 l/delta)) sigma``.  ``method="exact"`` keeps the loose
     ratio ``tau/sigma`` but shrinks sigma by bisection against the exact
     Theorem 23 predicate, which is noticeably tighter (experiment E9).
+
+    The pair depends only on the arguments, and the exact bisection costs
+    about 20 O(l) evaluations of :func:`gshm_delta` (tens of milliseconds
+    at ``l = 1024``), so results are memoized in a bounded cache keyed on
+    the validated, normalized arguments: ``1`` and ``1.0`` (or a NumPy
+    scalar) share one entry, and invalid arguments raise on every call.
     """
     eps = check_epsilon(epsilon)
     d = check_delta(delta)
     count = check_positive_int(l, "l")
+    if method not in ("exact", "loose"):
+        raise ParameterError(f"method must be 'exact' or 'loose', got {method!r}")
+    return _calibrate_gshm_cached(eps, d, count, method, float(tolerance))
+
+
+@functools.lru_cache(maxsize=CALIBRATION_CACHE_SIZE)
+def _calibrate_gshm_cached(eps: float, d: float, count: int, method: str,
+                           tolerance: float) -> Tuple[float, float]:
+    """The uncached calibration of already-validated arguments."""
     sigma_loose, tau_loose = gshm_loose_parameters(eps, d, count)
     if method == "loose":
         return sigma_loose, tau_loose
-    if method != "exact":
-        raise ParameterError(f"method must be 'exact' or 'loose', got {method!r}")
     ratio = tau_loose / sigma_loose
     if gshm_delta(sigma_loose, tau_loose, eps, count) > d * (1.0 + 1e-9):
         # The loose parameters are proven for epsilon < 1; for larger epsilon

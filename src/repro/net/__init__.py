@@ -47,9 +47,9 @@ off, or absent (property-tested in ``tests/property/test_obs_equivalence``).
 
 A release triggered over the network is bit-identical (keys, values, dict
 order) to ``repro merge --framed`` over the same exports with the same seed:
-both fold each source through its own merger and combine the summaries with
-:func:`~repro.api.framing.combine_mergers` in canonical (ordinal) order —
-and, with ``repro serve --wal-dir``, that identity survives kill -9 at any
+both fold each source through its own merger and combine the summaries
+through :class:`~repro.api.framing.MergerCombiner` in canonical (ordinal)
+order (the server keeps the fold between releases) — and, with ``repro serve --wal-dir``, that identity survives kill -9 at any
 byte of the conversation: committed sessions replay from their spools in
 recorded commit order.
 """

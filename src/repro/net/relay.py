@@ -24,9 +24,12 @@ Ordering: the root sorts sessions by ``(ordinal, commit order)``, so each
 forwarded session is assigned a *root ordinal* that embeds the leaf's
 position: origin ordinal ``o`` of leaf ``L`` maps to ``L*STRIDE + o``;
 sessions without a usable ordinal get ``L*STRIDE + ANON_OFFSET + counter``
-in commit order.  With leaf-major ordinal assignment (leaf 0 owns clients
-0..M-1, leaf 1 owns M..2M-1, ...) the root's canonical order is exactly
-the flat server's.
+in commit order.  The counter band ``[ANON_OFFSET, STRIDE)`` is finite: a
+session that would need a counter past it is refused at BYE with
+``ordinal_space_exhausted`` and never committed, because an ordinal outside
+the leaf's band would silently reorder the root's release.  With
+leaf-major ordinal assignment (leaf 0 owns clients 0..M-1, leaf 1 owns
+M..2M-1, ...) the root's canonical order is exactly the flat server's.
 
 Durability: with a WAL (``--wal-dir``), every forward batch is spooled to
 ``wal_dir/forward/fwd-<index>.frames`` (atomic tmp+fsync+rename) *before*
@@ -54,7 +57,7 @@ from ..api.framing import (
     summary_payload,
     write_stream_header,
 )
-from ..exceptions import FramingError, NetworkError, ParameterError
+from ..exceptions import FramingError, NetworkError, ParameterError, ProtocolError
 from .backoff import Backoff, retry_async
 from .client import AggregatorClient, transient_push_error
 from .server import AggregatorServer
@@ -67,6 +70,20 @@ STRIDE = 1 << 20
 ANON_OFFSET = STRIDE // 2
 
 FORWARD_POLICIES = ("commit", "release")
+
+
+def _anonymous(ordinal: Optional[int]) -> bool:
+    """Whether a session's root ordinal comes from the leaf's counter band."""
+    return ordinal is None or not 0 <= ordinal < ANON_OFFSET
+
+
+def _ordinal_space_exhausted(relay_ordinal: int) -> ProtocolError:
+    error = ProtocolError(
+        f"relay {relay_ordinal} has handed out all {STRIDE - ANON_OFFSET} "
+        "root ordinals of its anonymous band; sessions without an ordinal "
+        f"in [0, {ANON_OFFSET}) are refused")
+    error.code = "ordinal_space_exhausted"
+    return error
 
 
 @dataclass
@@ -158,6 +175,9 @@ class RelayAggregatorServer(AggregatorServer):
         self._batched_seqs: Set[int] = set()
         self._next_batch = 0
         self._next_anon = 0
+        # Committed sessions that will draw from the anonymous band when
+        # they are staged; reserved at commit so the band never overflows.
+        self._anon_reserved = 0
         self._last_backoff: Optional[float] = None
         self._forward_error: Optional[str] = None
 
@@ -230,7 +250,20 @@ class RelayAggregatorServer(AggregatorServer):
     # Forwarding
     # ------------------------------------------------------------------
 
+    def _recover_from_wal(self) -> None:
+        super()._recover_from_wal()
+        self._anon_reserved = sum(
+            1 for entry in self._committed
+            if entry.seq not in self._batched_seqs and _anonymous(entry.ordinal))
+
+    def admit_commit(self, session) -> None:
+        if (_anonymous(session.ordinal)
+                and self._next_anon + self._anon_reserved >= STRIDE - ANON_OFFSET):
+            raise _ordinal_space_exhausted(self._relay_ordinal)
+
     def note_committed(self, entry: CommittedSession) -> None:
+        if _anonymous(entry.ordinal):
+            self._anon_reserved += 1
         if self._forward_on != "commit":
             return
         task = asyncio.ensure_future(self._forward_flush_quietly())
@@ -277,10 +310,15 @@ class RelayAggregatorServer(AggregatorServer):
 
     def _root_ordinal(self, entry: CommittedSession) -> int:
         base = self._relay_ordinal * STRIDE
-        if entry.ordinal is not None and 0 <= entry.ordinal < ANON_OFFSET:
+        if not _anonymous(entry.ordinal):
             return base + entry.ordinal
+        if self._next_anon >= STRIDE - ANON_OFFSET:
+            # admit_commit reserves a slot per committed session, so only a
+            # WAL written without that check can get here.
+            raise _ordinal_space_exhausted(self._relay_ordinal)
         ordinal = base + ANON_OFFSET + self._next_anon
         self._next_anon += 1
+        self._anon_reserved -= 1
         return ordinal
 
     def _stage_batch(self, entry: CommittedSession) -> ForwardBatch:

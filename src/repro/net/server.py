@@ -7,11 +7,14 @@ TCP or a Unix-domain socket, speak the framed control protocol
 (:mod:`repro.net.protocol`), and each session's frames are folded into a
 per-session :class:`~repro.api.framing.StreamingMerger` as they arrive.
 
-Determinism: committed sessions are combined with
-:func:`~repro.api.framing.combine_mergers` in ``(ordinal, commit order)``
-order, exactly the fold ``repro merge --framed file-per-client`` performs —
-so a release triggered over the network is **bit-identical** (keys, values,
-dict order) to the offline CLI over the same exports with the same seed.
+Determinism: committed sessions are combined in ``(ordinal, commit
+order)`` order, exactly the fold ``repro merge --framed file-per-client``
+performs — so a release triggered over the network is **bit-identical**
+(keys, values, dict order) to the offline CLI over the same exports with
+the same seed.  The server keeps that fold between releases
+(:class:`~repro.api.framing.MergerCombiner`), so a release absorbs only the
+sessions committed since the previous one unless a new commit sorts before
+them.
 
 Fault containment: a session that violates the protocol (bad magic, k
 mismatch, truncated frame, payload outside a push burst) is answered with an
@@ -34,7 +37,7 @@ from pathlib import Path
 import hmac
 
 from .._validation import check_delta, check_epsilon, check_positive_int
-from ..api.framing import StreamingMerger, combine_mergers
+from ..api.framing import MergerCombiner, StreamingMerger
 from ..api.wire import encode_histogram
 from ..core.merging import MergeStrategy, PrivateMergedRelease
 from ..dp.accounting import PrivacyParams
@@ -199,6 +202,7 @@ class AggregatorServer:
         self._bound: Optional[str] = None
         self._tasks: set = set()
         self._committed: List[CommittedSession] = []
+        self._combiner: Optional[MergerCombiner] = None
         self._commit_seq = 0
         self._frames_seen = 0
         self._length_seen = 0
@@ -395,8 +399,16 @@ class AggregatorServer:
     def release_ordinal(self, ordinal: Optional[int]) -> None:
         self._active_ordinals.discard(ordinal)
 
+    def admit_commit(self, session: Session) -> None:
+        """Hook: raise a coded :class:`ProtocolError` to refuse a commit.
+
+        Runs before anything is taken from the session or made durable, so
+        a refused session is rejected with nothing committed.
+        """
+
     def commit(self, session: Session) -> None:
         """A session ended cleanly: its summary joins the release set."""
+        self.admit_commit(session)
         merger = session.take_merger()
         parts = session.take_parts()
         journal = session.take_journal()
@@ -454,6 +466,8 @@ class AggregatorServer:
         RNG: an admitted release is bit-identical to an unaccounted
         server's.
         """
+        clock = self.metrics.clock
+        release_start = clock()
         with self.tracer.span("release") as span:
             parts = self.committed_mergers()
             span["parts"] = len(parts)
@@ -467,14 +481,26 @@ class AggregatorServer:
                     "offline with a pure-DP mechanism instead",
                     code="pure_dp_release_unsupported")
             self.accountant.charge()
-            combined = combine_mergers(parts, self._k)
+            if self._combiner is None:
+                self._combiner = MergerCombiner(self._k)
+            combine_start = clock()
+            combined = self._combiner.combine(parts)
+            noise_start = clock()
+            self.metrics.observe("server.release_combine_seconds",
+                                 noise_start - combine_start)
+            self.metrics.inc("server.release_parts_absorbed_total",
+                             self._combiner.last_absorbed)
             mechanism = PrivateMergedRelease(
                 epsilon=self.epsilon, delta=self.delta, k=self._k,
                 strategy=MergeStrategy.TRUSTED_MERGED)
             histogram = combined.release(mechanism, rng=seed)
+            self.metrics.observe("server.release_noise_seconds",
+                                 clock() - noise_start)
             self._releases += 1
             self.metrics.inc("server.releases_total")
-            return encode_histogram(histogram)
+            envelope = encode_histogram(histogram)
+        self.metrics.observe("server.release_seconds", clock() - release_start)
+        return envelope
 
     async def handle_release(self, seed: Optional[int]) -> Dict:
         """Serve one RELEASE verb.  A relay overrides this to flush its

@@ -104,3 +104,43 @@ def test_instrumented_release_identical_for_token_keys(counters_list, k):
     instrumented, _ = asyncio.run(_release(chunked, k, seed=9, metrics=True))
     assert list(instrumented.as_dict().items()) == list(plain.as_dict().items())
     assert instrumented.metadata.as_dict() == plain.metadata.as_dict()
+
+
+async def _release_after_each_commit(exports, k, seed, *, metrics):
+    """Commit one session at a time, releasing after each (incremental combine)."""
+    async with await AggregatorServer(
+            epsilon=1.0, delta=1e-6, k=k, metrics=metrics).start("127.0.0.1:0") as server:
+        releases = []
+        for ordinal, export in enumerate(exports):
+            async with AggregatorClient(server.address, k=k,
+                                        ordinal=ordinal) as client:
+                await client.push([export])
+            async with AggregatorClient(server.address) as client:
+                releases.append(await client.request_release(seed=seed + ordinal))
+        return releases, server.stats()
+
+
+@given(counters_list=st.lists(_COUNTERS.filter(bool), min_size=1, max_size=5),
+       k=st.integers(min_value=1, max_value=16),
+       seed=st.integers(min_value=0, max_value=2 ** 31 - 1))
+@settings(max_examples=8, deadline=None)
+def test_release_stage_metrics_are_read_side(counters_list, k, seed):
+    exports = [encode_counters(counters, k=k, stream_length=11 * index)
+               for index, counters in enumerate(counters_list)]
+    plain, _ = asyncio.run(
+        _release_after_each_commit(exports, k, seed, metrics=False))
+    instrumented, stats = asyncio.run(
+        _release_after_each_commit(exports, k, seed, metrics=True))
+    for served, expected in zip(instrumented, plain):
+        assert list(served.as_dict().items()) == list(expected.as_dict().items())
+        assert served.metadata.as_dict() == expected.metadata.as_dict()
+    releases = len(exports)
+    histograms = stats["metrics"]["histograms"]
+    for name in ("server.release_seconds", "server.release_combine_seconds",
+                 "server.release_noise_seconds"):
+        assert histograms[name]["count"] == releases
+    # One session per release: the first passes through, the second folds
+    # both parts, every later one absorbs only the new session.
+    absorbed = stats["metrics"]["counters"].get(
+        "server.release_parts_absorbed_total", 0)
+    assert absorbed == (0 if releases == 1 else releases)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import GaussianSparseHistogram, calibrate_gshm, gshm_delta
+from repro.core import gshm as gshm_module
 from repro.dp.thresholds import gshm_loose_parameters
-from repro.exceptions import ParameterError
+from repro.exceptions import ParameterError, PrivacyParameterError
 
 
 class TestGshmDelta:
@@ -63,6 +64,67 @@ class TestCalibration:
     def test_unknown_method_rejected(self):
         with pytest.raises(ParameterError):
             calibrate_gshm(1.0, 1e-6, 4, method="magic")
+
+
+class TestCalibrationMemo:
+    _uncached = staticmethod(gshm_module._calibrate_gshm_cached.__wrapped__)
+
+    def test_cached_pair_equals_uncached_bisection(self):
+        for epsilon in (0.1, 0.5, 1.0, 3.0):
+            for delta in (1e-4, 1e-8):
+                for l in (1, 7, 64):
+                    for method in ("exact", "loose"):
+                        expected = self._uncached(epsilon, delta, l, method, 1e-4)
+                        # Twice: the miss that fills the entry, then the hit.
+                        for _ in range(2):
+                            pair = calibrate_gshm(epsilon, delta, l, method=method)
+                            assert pair == expected
+                            assert all(type(value) is float for value in pair)
+
+    def test_argument_types_share_one_pair(self):
+        reference = calibrate_gshm(1.0, 1e-6, 16)
+        assert calibrate_gshm(1, 1e-6, 16) == reference
+        assert calibrate_gshm(np.float64(1.0), np.float64(1e-6), 16) == reference
+        assert calibrate_gshm(np.float32(1.0), 1e-6, 16, method="exact") == reference
+        assert calibrate_gshm(1.0, 1e-6, 16, tolerance=1e-4) == reference
+        gshm_module._calibrate_gshm_cached.cache_clear()
+        calibrate_gshm(1.0, 1e-6, 16)
+        calibrate_gshm(1, np.float64(1e-6), 16)
+        info = gshm_module._calibrate_gshm_cached.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_mechanism_callers_use_the_memo(self):
+        gshm_module._calibrate_gshm_cached.cache_clear()
+        mechanism = GaussianSparseHistogram(epsilon=0.7, delta=1e-7, l=32)
+        pair = mechanism.parameters()
+        mechanism.error_bound()
+        mechanism.release({1: 50.0}, rng=0)
+        assert GaussianSparseHistogram(epsilon=0.7, delta=1e-7, l=32).parameters() == pair
+        assert gshm_module._calibrate_gshm_cached.cache_info().misses == 1
+
+    @pytest.mark.parametrize("args, error", [
+        ((0.0, 1e-6, 4), PrivacyParameterError),
+        ((float("nan"), 1e-6, 4), PrivacyParameterError),
+        ((1.0, 1.5, 4), PrivacyParameterError),
+        ((1.0, 1e-6, 0), ParameterError),
+        ((1.0, 1e-6, 4.0), ParameterError),
+        ((1.0, 1e-6, True), ParameterError),
+    ])
+    def test_invalid_arguments_raise_on_every_call(self, args, error):
+        calibrate_gshm(1.0, 1e-6, 4)
+        for _ in range(3):
+            with pytest.raises(error):
+                calibrate_gshm(*args)
+        for _ in range(3):
+            with pytest.raises(ParameterError):
+                calibrate_gshm(1.0, 1e-6, 4, method="magic")
+
+    def test_cache_is_bounded(self):
+        cached = gshm_module._calibrate_gshm_cached
+        assert cached.cache_info().maxsize == gshm_module.CALIBRATION_CACHE_SIZE
+        for l in range(1, gshm_module.CALIBRATION_CACHE_SIZE + 20):
+            calibrate_gshm(1.0, 1e-6, l, method="loose")
+        assert cached.cache_info().currsize == gshm_module.CALIBRATION_CACHE_SIZE
 
 
 class TestMechanism:

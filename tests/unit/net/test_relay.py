@@ -422,3 +422,75 @@ class TestStats:
             finally:
                 await relay.aclose()
         _run(scenario())
+
+
+class TestAnonymousOrdinalBand:
+    """A leaf's counter band ``[ANON_OFFSET, STRIDE)`` never overflows into
+    the next leaf's ordinals: the session that would need one more counter
+    is refused with ``ordinal_space_exhausted`` and is not committed."""
+
+    @pytest.fixture(autouse=True)
+    def _two_slot_band(self, monkeypatch):
+        from repro.net import relay as relay_module
+        monkeypatch.setattr(relay_module, "STRIDE", 8)
+        monkeypatch.setattr(relay_module, "ANON_OFFSET", 6)
+
+    @staticmethod
+    async def _push(address, ordinal, key):
+        async with AggregatorClient(address, k=K, ordinal=ordinal) as client:
+            await client.push([_export({key: 3.0})])
+            await client.bye()   # strict: surfaces a refused commit
+
+    def test_overflowing_session_is_refused_not_committed(self):
+        async def scenario():
+            async with await _started_root() as root:
+                relay = await _started_relay(root.address, relay_ordinal=1)
+                try:
+                    # No ordinal, and an ordinal past ANON_OFFSET, both draw
+                    # from the two-slot band.
+                    await self._push(relay.address, None, 1)
+                    await self._push(relay.address, 6, 2)
+                    with pytest.raises(RemoteError) as caught:
+                        await self._push(relay.address, None, 3)
+                    assert caught.value.code == "ordinal_space_exhausted"
+                    # Ordinals that map directly still commit.
+                    await self._push(relay.address, 5, 4)
+                    assert relay.stats()["sessions_committed"] == 3
+                    await relay.forward_flush()
+                    ordinals = [entry["ordinal"]
+                                for entry in root.stats()["sessions"]]
+                    assert ordinals == [8 + 5, 8 + 6, 8 + 7]
+                    # Forwarding frees nothing: band ordinals are never reused.
+                    with pytest.raises(RemoteError) as caught:
+                        await self._push(relay.address, 7, 5)
+                    assert caught.value.code == "ordinal_space_exhausted"
+                    assert root.stats()["sessions_committed"] == 3
+                finally:
+                    await relay.aclose()
+        _run(scenario())
+
+    def test_reservations_survive_a_restart(self, tmp_path):
+        wal_dir = tmp_path / "leafwal"
+
+        async def run(pushes):
+            relay = RelayAggregatorServer(
+                epsilon=EPSILON, delta=DELTA, k=K,
+                upstream="127.0.0.1:1",  # never reached: forward on release
+                wal_dir=wal_dir)
+            await relay.start("127.0.0.1:0")
+            try:
+                for ordinal, key in pushes:
+                    await self._push(relay.address, ordinal, key)
+                return relay.stats()["sessions_committed"]
+            finally:
+                await relay.aclose()
+
+        assert _run(run([(None, 1), (None, 2)])) == 2
+
+        async def refused_after_restart():
+            with pytest.raises(RemoteError) as caught:
+                await run([(None, 3)])
+            return caught.value.code
+
+        assert _run(refused_after_restart()) == "ordinal_space_exhausted"
+        assert _run(run([(0, 4)])) == 3
