@@ -74,9 +74,9 @@ from ..core.merging import PrivateMergedRelease
 from ..kernels import _engine as _scan
 from ..core.results import PrivateHistogram
 from ..dp.rng import RandomState
-from ..exceptions import FramingError, ParameterError, SketchStateError
+from ..exceptions import FramingError, ParameterError
 from ..sketches.base import FrequencySketch
-from ..sketches.merge import merge_many, merge_many_arrays, merge_misra_gries
+from ..sketches.merge import FoldState, merge_many, merge_many_arrays, merge_misra_gries
 from . import wire as wire_module
 from .wire import WIRE_FORMAT_VERSION, WirePayload
 
@@ -98,11 +98,6 @@ BINARY_FRAME_TAG = 0x01
 #: layered on this container format.  Payload-only streams (``repro pack``
 #: files) never carry control frames; :class:`FrameReader` rejects them.
 CONTROL_FRAME_TAG = 0x02
-
-#: Widest dense accumulator the incremental fold keeps (ids = key - low).
-#: Matches the dense-offset bound of the batch interner; streams over wider
-#: key universes fall back to the pairwise fold.
-_DENSE_SPAN_LIMIT = 1 << 23
 
 _LENGTH = struct.Struct(">I")
 
@@ -585,9 +580,10 @@ class StreamingMerger:
     The merger keeps only the running ``<= k``-counter accumulator; each
     :meth:`add` folds one frame and discards it, so the aggregator's live
     memory is one frame plus ``O(k)`` — never the whole stream.  Integer
-    envelopes stay on the columnar :func:`merge_many_arrays` path; the first
-    token-encoded envelope drops the accumulator to dict mode (still the
-    exact same fold).  The final summary is **bit-identical** to the
+    envelopes fold through one :class:`~repro.sketches.merge.FoldState`
+    (the compiled fold step after the first frame, when a provider
+    resolves); the first token-encoded envelope drops the accumulator to
+    dict mode (still the exact same fold).  The final summary is **bit-identical** to the
     buffered ``merge_many_arrays([all frames])`` fold because both equal the
     seed pairwise left fold.
     """
@@ -597,17 +593,11 @@ class StreamingMerger:
         self._frames = 0
         self._total_length = 0
         # Columnar accumulator, one of two representations:
-        # * dense fold (the fast path): ``_acc`` is a dense float array over
-        #   the id space ``key - _low`` with the ``acc[id] > 0 iff live``
-        #   invariant of the batch fold; ``_active`` holds live ids in seed
-        #   insertion order.  Replicates merge._fold_interned step by step.
+        # * dense fold (the fast path): ``_fold``, the step-wise
+        #   :class:`~repro.sketches.merge.FoldState` the batch fold loops;
         # * pairwise fallback (very wide key universes): ``_acc_keys`` /
         #   ``_acc_values`` arrays folded through merge_many_arrays.
-        self._low: Optional[int] = None
-        self._acc: Optional[np.ndarray] = None
-        self._active: Optional[np.ndarray] = None
-        self._zero_live: Optional[np.ndarray] = None
-        self._first_negative = False
+        self._fold: Optional[FoldState] = FoldState(self._k)
         self._acc_keys: Optional[np.ndarray] = None
         self._acc_values: Optional[np.ndarray] = None
         self._acc_dict: Optional[Dict[Hashable, float]] = None
@@ -637,13 +627,13 @@ class StreamingMerger:
 
     def _dense_to_pairwise(self) -> None:
         """Drop the dense accumulator to the pairwise (keys, values) arrays."""
-        if self._acc is not None:
-            self._acc_keys = (self._active + self._low).astype(np.int64)
-            self._acc_values = self._acc[self._active].copy()
-            self._low = self._acc = self._active = None
-            # The pairwise fold re-checks negatives itself; the zero-live
-            # bookkeeping transfers implicitly (zero-valued survivors of a
-            # sole first frame sit in the arrays and drop on the next merge).
+        if self._fold is not None:
+            if not self._fold.first:
+                # The pairwise fold re-checks negatives itself; zero-valued
+                # survivors of a sole first frame sit in the arrays and drop
+                # on the next merge.
+                self._acc_keys, self._acc_values = self._fold.arrays()
+            self._fold = None
 
     def _to_dict_mode(self) -> Dict[Hashable, float]:
         if self._acc_dict is None:
@@ -656,140 +646,11 @@ class StreamingMerger:
             self._acc_keys = self._acc_values = None
         return self._acc_dict
 
-    # -- dense incremental fold (mirrors merge._fold_interned per step) -----
-
-    def _dense_viable(self, keys: np.ndarray) -> bool:
-        """Whether the dense id space can (still) cover this frame's keys."""
-        if keys.size == 0:
-            return True
-        low = int(keys.min())
-        high = int(keys.max()) + 1
-        if self._low is not None:
-            low = min(low, self._low)
-            high = max(high, self._low + self._acc.size)
-        return high - low <= _DENSE_SPAN_LIMIT
-
-    def _dense_grow(self, keys: np.ndarray) -> None:
-        """Extend the dense id space to cover ``keys`` (ids shift with low)."""
-        if keys.size == 0 and self._acc is not None:
-            return
-        low = int(keys.min()) if keys.size else 0
-        high = int(keys.max()) + 1 if keys.size else 1
-        if self._acc is None:
-            self._low = low
-            self._acc = np.zeros(high - low, dtype=np.float64)
-            self._active = np.empty(0, dtype=np.intp)
-            return
-        old_high = self._low + self._acc.size
-        new_low = min(low, self._low)
-        new_high = max(high, old_high)
-        if new_low == self._low and new_high == old_high:
-            return
-        # Grow geometrically (at least double the span, capped at the dense
-        # limit) with the headroom on the side(s) that forced the growth, so
-        # a stream of monotonically expanding key ranges reallocates O(log)
-        # times instead of copying the accumulator on every frame.
-        needed = new_high - new_low
-        target = min(_DENSE_SPAN_LIMIT, max(needed, 2 * self._acc.size))
-        slack = target - needed
-        if slack:
-            down = new_low < self._low
-            up = new_high > old_high
-            low_slack = slack // 2 if (down and up) else (slack if down else 0)
-            new_low -= low_slack
-            new_high += slack - low_slack
-        grown = np.zeros(new_high - new_low, dtype=np.float64)
-        offset = self._low - new_low
-        grown[offset:offset + self._acc.size] = self._acc
-        if offset:
-            self._active = self._active + offset
-            if self._zero_live is not None:
-                self._zero_live = self._zero_live + offset
-        self._low = new_low
-        self._acc = grown
-
-    def _dense_first_step(self, ids: np.ndarray, values: np.ndarray) -> None:
-        size = self._k
-        length = ids.size
-        if length == 0:
-            return
-        if length > size and bool(values.min() < 0.0):
-            # The seed reduces an oversized single input through a merge with
-            # nothing, which validates it immediately.
-            offender = int(ids[int(np.flatnonzero(values < 0.0)[0])]) + self._low
-            raise SketchStateError(
-                f"negative counter for {offender!r} cannot be merged")
-        self._first_negative = bool(values.min() < 0.0)
-        self._acc[ids] = values
-        if length > size:
-            scratch = values.copy()
-            scratch.partition(length - 1 - size)
-            shifted = values - scratch[length - 1 - size]
-            keep = shifted > 0.0
-            self._acc[ids] = np.where(keep, shifted, 0.0)
-            self._active = ids[keep]
-        else:
-            self._active = ids
-            zeros = values == 0.0
-            if zeros.any():
-                self._zero_live = ids[zeros]
-
-    def _dense_step(self, ids: np.ndarray, values: np.ndarray,
-                    keys: np.ndarray) -> None:
-        size = self._k
-        acc, active = self._acc, self._active
-        if self._first_negative:
-            # The seed's second fold step revisits the first sketch's
-            # counters and raises on the negative it let through.
-            bad = int(np.flatnonzero(acc[active] < 0.0)[0])
-            raise SketchStateError(
-                f"negative counter for {int(active[bad]) + self._low!r} "
-                "cannot be merged")
-        if ids.size == 0:
-            if self._zero_live is not None:
-                self._active = active[acc[active] > 0.0]
-                self._zero_live = None
-            return
-        if bool(values.min() < 0.0):
-            offender = keys[int(np.flatnonzero(values < 0.0)[0])]
-            raise SketchStateError(
-                f"negative counter for {int(offender)!r} cannot be merged")
-        before = acc[ids]
-        if self._zero_live is not None:
-            fresh = ids[(before == 0.0) & ~np.isin(ids, self._zero_live)]
-        else:
-            fresh = ids[before == 0.0]
-        acc[ids] = before + values
-        combined = np.concatenate((active, fresh)) if fresh.size else active
-        count = combined.size
-        if count > size:
-            current = acc[combined]
-            scratch = current.copy()
-            scratch.partition(count - 1 - size)
-            shifted = current - scratch[count - 1 - size]
-            keep = shifted > 0.0
-            acc[combined] = np.where(keep, shifted, 0.0)
-            self._active = combined[keep]
-        elif self._zero_live is None and bool(values.min() > 0.0):
-            self._active = combined
-        else:
-            current = acc[combined]
-            keep = current > 0.0
-            acc[combined] = np.where(keep, current, 0.0)
-            self._active = combined[keep]
-        self._zero_live = None
-
-    def _add_columnar(self, keys: np.ndarray, values: np.ndarray,
-                      first: bool) -> None:
-        if self._acc_keys is None and self._dense_viable(keys):
-            self._dense_grow(keys)
-            ids = (keys - self._low).astype(np.intp, copy=False)
-            if first:
-                self._dense_first_step(ids, values)
-            else:
-                self._dense_step(ids, values, keys)
-            return
-        self._dense_to_pairwise()
+    def _add_columnar(self, keys: np.ndarray, values: np.ndarray) -> None:
+        if self._fold is not None:
+            if self._fold.step(keys, values):
+                return
+            self._dense_to_pairwise()
         if self._acc_keys is None:
             # First frame: mirror the left fold's first step (reduce a
             # single oversized input through a merge with nothing).
@@ -810,7 +671,7 @@ class StreamingMerger:
         self._total_length += payload.stream_length
         columnar = payload.columnar()
         if columnar is not None and self._acc_dict is None:
-            self._add_columnar(columnar[0], columnar[1], first=self._frames == 1)
+            self._add_columnar(columnar[0], columnar[1])
             return self
         counters = payload.merge_counters()
         acc = self._to_dict_mode()
@@ -880,8 +741,7 @@ class StreamingMerger:
         self._frames += other._frames
         self._total_length += other._total_length
         if other._acc_dict is None and self._acc_dict is None:
-            keys, values = other.merged_arrays()
-            self._add_columnar(keys, values, first=first)
+            self._add_columnar(*other.merged_arrays())
             return self
         counters = other.merged()
         acc = self._to_dict_mode()
@@ -913,11 +773,8 @@ class StreamingMerger:
         if self._acc_dict is not None:
             raise ParameterError(
                 "merger left the columnar path (token-encoded frames were folded)")
-        if self._acc is not None:
-            return ((self._active + self._low).astype(np.int64),
-                    self._acc[self._active].copy())
-        if self._acc_keys is None:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+        if self._fold is not None:
+            return self._fold.arrays()
         return self._acc_keys, self._acc_values
 
     def release(self, mechanism: PrivateMergedRelease,

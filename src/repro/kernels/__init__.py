@@ -1,8 +1,11 @@
 """Optional compiled kernel tier for the interpreter-bound hot paths.
 
-The three hot loops that stay python-bound after vectorization — the
+The hot loops that stay python-bound after vectorization — the
 Misra-Gries per-element eviction loop behind ``update_batch``, the interned
-merge fold behind ``merge_many``/``merge_many_arrays``, and the binary
+merge fold behind ``merge_many``/``merge_many_arrays``, one step of that
+fold behind the served ``StreamingMerger`` (``fold_step``: a binder that
+takes one :class:`~repro.sketches.merge.FoldState`'s buffers once and
+returns a per-frame ``step(keys, values, low) -> status``), and the binary
 columnar frame-header parse — have compiled implementations provided by (in
 preference order):
 
@@ -61,7 +64,7 @@ __all__ = [
 BACKENDS = ("auto", "python", "compiled", "numba", "cc")
 
 #: The kernels every provider implements.
-KERNEL_NAMES = ("mg_update", "fold_interned", "scan_binary_header")
+KERNEL_NAMES = ("mg_update", "fold_interned", "fold_step", "scan_binary_header")
 
 #: Environment variable overriding every in-code backend request.
 ENV_VAR = "REPRO_KERNELS"

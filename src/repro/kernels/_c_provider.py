@@ -25,6 +25,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ._c_src import C_SOURCE, SOURCE_VERSION
+from ._engine import SCAN_OUT_SLOTS
 
 PROVIDER_NAME = "cc"
 
@@ -33,9 +34,33 @@ _kernels: Optional[Dict] = None
 _error: Optional[str] = None
 _loaded = False
 
-_I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-_F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-_U8 = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
+_I64 = np.dtype(np.int64)
+_F64 = np.dtype(np.float64)
+_U8 = np.dtype(np.uint8)
+_P = ctypes.c_void_p
+_N = ctypes.c_int64
+
+
+def _ptr(array, dtype) -> int:
+    """The data address of ``array``, after the checks ndpointer made.
+
+    Every binding passes raw addresses (``c_void_p``): an ndpointer argtype
+    costs several microseconds per array per call.  The check stays: a
+    one-dimensional C-contiguous ndarray of exactly ``dtype``, else
+    ``TypeError`` before anything enters C.
+    """
+    if (type(array) is not np.ndarray or array.dtype != dtype
+            or array.ndim != 1 or not array.flags.c_contiguous):
+        raise TypeError(
+            f"kernel buffer must be a one-dimensional C-contiguous {dtype} "
+            f"ndarray, got {getattr(array, 'dtype', type(array))!s} with "
+            f"shape {getattr(array, 'shape', None)}")
+    return array.ctypes.data
+
+
+def _check(condition: bool, message: str) -> None:
+    if not condition:
+        raise ValueError(message)
 
 
 def cache_dir() -> str:
@@ -100,19 +125,27 @@ def _build_shared_object() -> str:
 
 
 def _bind(lib) -> Dict:
-    lib.repro_mg_update.restype = ctypes.c_int64
-    lib.repro_mg_update.argtypes = [_I64, _I64, _I64, _I64, _I64,
-                                    ctypes.c_int64, _I64, ctypes.c_int64]
-    lib.repro_fold_interned.restype = ctypes.c_int64
-    lib.repro_fold_interned.argtypes = [_I64, _F64, _I64, ctypes.c_int64,
-                                        ctypes.c_int64, _F64, _I64, _I64,
-                                        _F64, _I64, _I64]
-    lib.repro_scan_header.restype = ctypes.c_int64
-    lib.repro_scan_header.argtypes = [_U8, ctypes.c_int64, _I64]
+    lib.repro_mg_update.restype = _N
+    lib.repro_mg_update.argtypes = [_P, _P, _P, _P, _P, _N, _P, _N]
+    lib.repro_fold_interned.restype = _N
+    lib.repro_fold_interned.argtypes = [_P, _P, _P, _N, _N, _P, _P, _P, _P,
+                                        _P, _P]
+    lib.repro_fold_step.restype = _N
+    lib.repro_fold_step.argtypes = [_P, _P, _N, _N, _N, _N, _P, _P, _P, _P,
+                                    _P, _P]
+    lib.repro_scan_header.restype = _N
+    lib.repro_scan_header.argtypes = [_P, _N, _P]
+    fold_step_c = lib.repro_fold_step
 
     def mg_update(keys, dummy, stored, ins_seq, io, chunk):
-        status = lib.repro_mg_update(keys, dummy, stored, ins_seq, io,
-                                     keys.shape[0], chunk, chunk.shape[0])
+        state = [_ptr(array, _I64)
+                 for array in (keys, dummy, stored, ins_seq, io)]
+        chunk_at = _ptr(chunk, _I64)
+        k = keys.shape[0]
+        _check(dummy.shape[0] == stored.shape[0] == ins_seq.shape[0] == k,
+               "mg_update state arrays differ in length")
+        _check(io.shape[0] >= 3, "mg_update io needs 3 slots")
+        status = lib.repro_mg_update(*state, k, chunk_at, chunk.shape[0])
         if status == 2:
             raise MemoryError("repro_mg_update: allocation failed")
         return int(status)
@@ -120,16 +153,51 @@ def _bind(lib) -> Dict:
     def fold_interned(flat_ids, flat_values, lengths, size, acc, active,
                       scratch_ids, scratch_vals, zero_live):
         out_n = np.zeros(1, dtype=np.int64)
-        lib.repro_fold_interned(flat_ids, flat_values, lengths,
-                                lengths.shape[0], size, acc, active,
-                                scratch_ids, scratch_vals, zero_live, out_n)
+        inputs = (_ptr(flat_ids, _I64), _ptr(flat_values, _F64),
+                  _ptr(lengths, _I64))
+        buffers = (_ptr(acc, _F64), _ptr(active, _I64),
+                   _ptr(scratch_ids, _I64), _ptr(scratch_vals, _F64),
+                   _ptr(zero_live, _I64), _ptr(out_n, _I64))
+        _check(flat_ids.shape[0] == flat_values.shape[0],
+               "fold_interned ids and values differ in length")
+        lib.repro_fold_interned(*inputs, lengths.shape[0], size, *buffers)
         return int(out_n[0])
 
+    def fold_step(size, acc, active, scratch_ids, scratch_vals, zero_live,
+                  state):
+        # Resolved once per binding: per frame only keys/values are checked.
+        domain = acc.shape[0]
+        capacity = min(active.shape[0], scratch_ids.shape[0],
+                       scratch_vals.shape[0])
+        _check(state.shape[0] >= 2, "fold_step state needs 2 slots")
+        buffers = (_ptr(acc, _F64), _ptr(active, _I64),
+                   _ptr(scratch_ids, _I64), _ptr(scratch_vals, _F64),
+                   _ptr(zero_live, _I64), _ptr(state, _I64))
+
+        def bound(keys, values, low):
+            keys_at = _ptr(keys, _I64)
+            values_at = _ptr(values, _F64)
+            n = keys.shape[0]
+            _check(values.shape[0] == n,
+                   "fold_step keys and values differ in length")
+            _check(int(state[0]) + n <= capacity,
+                   "fold_step buffers too small for this frame")
+            return fold_step_c(keys_at, values_at, n, low, domain, size,
+                               *buffers)
+
+        # Keeps every bound buffer alive as long as C may write to it.
+        bound.buffers = (acc, active, scratch_ids, scratch_vals, zero_live,
+                         state)
+        return bound
+
     def scan_binary_header(buf, out):
-        return int(lib.repro_scan_header(buf, buf.shape[0], out))
+        buf_at, out_at = _ptr(buf, _U8), _ptr(out, _I64)
+        _check(out.shape[0] >= SCAN_OUT_SLOTS,
+               f"scan_binary_header needs {SCAN_OUT_SLOTS} output slots")
+        return int(lib.repro_scan_header(buf_at, buf.shape[0], out_at))
 
     return {"mg_update": mg_update, "fold_interned": fold_interned,
-            "scan_binary_header": scan_binary_header}
+            "fold_step": fold_step, "scan_binary_header": scan_binary_header}
 
 
 def load() -> Optional[Dict]:

@@ -14,7 +14,7 @@ its build cache on a hash of the source text, so editing the C automatically
 invalidates stale binaries.
 """
 
-SOURCE_VERSION = 1
+SOURCE_VERSION = 2
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -320,8 +320,13 @@ int64_t repro_mg_update(int64_t *keys, int64_t *dummy, int64_t *stored,
 }
 
 /* ------------------------------------------------------------------ */
-/* Interned merge fold (scalar replica of merge._fold_interned).      */
+/* Agarwal fold (scalar replica of merge.FoldState's numpy step).     */
 /* ------------------------------------------------------------------ */
+
+#define FOLD_OK 0
+#define FOLD_RANGE 1
+#define FOLD_NEGATIVE 2
+#define FOLD_NAN 3
 
 /* The pos-th smallest of buf[:n] — the order statistic np.partition
    selects.  Callers guarantee no NaNs. */
@@ -356,6 +361,103 @@ static double select_kth(double *buf, int64_t n, int64_t pos) {
     return buf[lo];
 }
 
+/* One fold step after the first; returns the new live count.  Callers
+   guarantee in-range ids (id = key - low), no NaNs, no negatives, and
+   room for n_active + length entries in active and both scratch arrays. */
+static int64_t fold_step_body(const int64_t *keys, const double *values,
+                              int64_t length, int64_t low, int64_t size,
+                              double *acc, int64_t *active, int64_t n_active,
+                              int64_t *scratch_ids, double *scratch_vals,
+                              const int64_t *zero_live, int64_t n_zero) {
+    if (length == 0) {
+        if (n_zero > 0) {
+            int64_t w = 0;
+            for (int64_t j = 0; j < n_active; j++)
+                if (acc[active[j]] > 0.0) active[w++] = active[j];
+            n_active = w;
+        }
+        return n_active;
+    }
+    int64_t n_comb = n_active;
+    for (int64_t j = 0; j < n_active; j++) scratch_ids[j] = active[j];
+    int all_positive = 1;
+    for (int64_t j = 0; j < length; j++) {
+        int64_t idv = keys[j] - low;
+        double value = values[j];
+        if (!(value > 0.0)) all_positive = 0;
+        double before = acc[idv];
+        int fresh = before == 0.0;
+        if (fresh && n_zero > 0) {
+            for (int64_t t = 0; t < n_zero; t++) {
+                if (zero_live[t] == idv) { fresh = 0; break; }
+            }
+        }
+        acc[idv] = before + value;
+        if (fresh) scratch_ids[n_comb++] = idv;
+    }
+    if (n_comb > size) {
+        int64_t pos = n_comb - 1 - size;
+        for (int64_t j = 0; j < n_comb; j++)
+            scratch_vals[j] = acc[scratch_ids[j]];
+        double offset = select_kth(scratch_vals, n_comb, pos);
+        int64_t w = 0;
+        for (int64_t j = 0; j < n_comb; j++) {
+            int64_t idv = scratch_ids[j];
+            double shifted = acc[idv] - offset;
+            if (shifted > 0.0) {
+                acc[idv] = shifted;
+                active[w++] = idv;
+            } else {
+                acc[idv] = 0.0;
+            }
+        }
+        return w;
+    }
+    if (n_zero == 0 && all_positive) {
+        for (int64_t j = 0; j < n_comb; j++) active[j] = scratch_ids[j];
+        return n_comb;
+    }
+    int64_t w = 0;
+    for (int64_t j = 0; j < n_comb; j++) {
+        int64_t idv = scratch_ids[j];
+        if (acc[idv] > 0.0) active[w++] = idv;
+        else acc[idv] = 0.0;
+    }
+    return w;
+}
+
+/* One FoldState step after the first; state = {n_active, n_zero}.  Scans
+   the frame (and the live counters) first; every status but FOLD_OK leaves
+   the state untouched (precedence: range, negative, NaN). */
+int64_t repro_fold_step(const int64_t *keys, const double *values, int64_t n,
+                        int64_t low, int64_t domain, int64_t size, double *acc,
+                        int64_t *active, int64_t *scratch_ids,
+                        double *scratch_vals, const int64_t *zero_live,
+                        int64_t *state) {
+    /* The id space never ends past the int64 range, so last is exact. */
+    int64_t last = low + (domain - 1);
+    int nan = 0, negative = 0;
+    for (int64_t j = 0; j < n; j++) {
+        int64_t key = keys[j];
+        if (key < low || key > last) return FOLD_RANGE;
+        double value = values[j];
+        if (value < 0.0) negative = 1;
+        else if (value != value) nan = 1;
+    }
+    if (negative) return FOLD_NEGATIVE;
+    int64_t n_active = state[0];
+    for (int64_t j = 0; j < n_active; j++) {
+        double live = acc[active[j]];
+        if (live != live) nan = 1;
+    }
+    if (nan) return FOLD_NAN;
+    state[0] = fold_step_body(keys, values, n, low, size, acc, active,
+                              n_active, scratch_ids, scratch_vals, zero_live,
+                              state[1]);
+    state[1] = 0;
+    return FOLD_OK;
+}
+
 int64_t repro_fold_interned(const int64_t *flat_ids, const double *flat_values,
                             const int64_t *lengths, int64_t n_sketches,
                             int64_t size, double *acc, int64_t *active,
@@ -368,91 +470,38 @@ int64_t repro_fold_interned(const int64_t *flat_ids, const double *flat_values,
         const int64_t *ids = flat_ids + start;
         const double *values = flat_values + start;
         start += length;
-        if (first) {
-            first = 0;
-            if (length == 0) continue;
-            if (length > size) {
-                int64_t pos = length - 1 - size;
-                for (int64_t j = 0; j < length; j++) scratch_vals[j] = values[j];
-                double offset = select_kth(scratch_vals, length, pos);
-                n_active = 0;
-                for (int64_t j = 0; j < length; j++) {
-                    double shifted = values[j] - offset;
-                    if (shifted > 0.0) {
-                        acc[ids[j]] = shifted;
-                        active[n_active++] = ids[j];
-                    } else {
-                        acc[ids[j]] = 0.0;
-                    }
-                }
-            } else {
-                for (int64_t j = 0; j < length; j++) {
-                    int64_t idv = ids[j];
-                    acc[idv] = values[j];
-                    active[j] = idv;
-                    if (values[j] == 0.0) zero_live[n_zero++] = idv;
-                }
-                n_active = length;
-            }
+        if (!first) {
+            n_active = fold_step_body(ids, values, length, 0, size, acc,
+                                      active, n_active, scratch_ids,
+                                      scratch_vals, zero_live, n_zero);
+            n_zero = 0;
             continue;
         }
-        if (length == 0) {
-            if (n_zero > 0) {
-                int64_t w = 0;
-                for (int64_t j = 0; j < n_active; j++)
-                    if (acc[active[j]] > 0.0) active[w++] = active[j];
-                n_active = w;
-                n_zero = 0;
-            }
-            continue;
-        }
-        int64_t n_comb = n_active;
-        for (int64_t j = 0; j < n_active; j++) scratch_ids[j] = active[j];
-        int all_positive = 1;
-        for (int64_t j = 0; j < length; j++) {
-            int64_t idv = ids[j];
-            double value = values[j];
-            if (!(value > 0.0)) all_positive = 0;
-            double before = acc[idv];
-            int fresh = before == 0.0;
-            if (fresh && n_zero > 0) {
-                for (int64_t t = 0; t < n_zero; t++) {
-                    if (zero_live[t] == idv) { fresh = 0; break; }
-                }
-            }
-            acc[idv] = before + value;
-            if (fresh) scratch_ids[n_comb++] = idv;
-        }
-        if (n_comb > size) {
-            int64_t pos = n_comb - 1 - size;
-            for (int64_t j = 0; j < n_comb; j++)
-                scratch_vals[j] = acc[scratch_ids[j]];
-            double offset = select_kth(scratch_vals, n_comb, pos);
-            int64_t w = 0;
-            for (int64_t j = 0; j < n_comb; j++) {
-                int64_t idv = scratch_ids[j];
-                double shifted = acc[idv] - offset;
+        first = 0;
+        if (length == 0) continue;
+        if (length > size) {
+            int64_t pos = length - 1 - size;
+            for (int64_t j = 0; j < length; j++) scratch_vals[j] = values[j];
+            double offset = select_kth(scratch_vals, length, pos);
+            n_active = 0;
+            for (int64_t j = 0; j < length; j++) {
+                double shifted = values[j] - offset;
                 if (shifted > 0.0) {
-                    acc[idv] = shifted;
-                    active[w++] = idv;
+                    acc[ids[j]] = shifted;
+                    active[n_active++] = ids[j];
                 } else {
-                    acc[idv] = 0.0;
+                    acc[ids[j]] = 0.0;
                 }
             }
-            n_active = w;
-        } else if (n_zero == 0 && all_positive) {
-            for (int64_t j = 0; j < n_comb; j++) active[j] = scratch_ids[j];
-            n_active = n_comb;
         } else {
-            int64_t w = 0;
-            for (int64_t j = 0; j < n_comb; j++) {
-                int64_t idv = scratch_ids[j];
-                if (acc[idv] > 0.0) active[w++] = idv;
-                else acc[idv] = 0.0;
+            for (int64_t j = 0; j < length; j++) {
+                int64_t idv = ids[j];
+                acc[idv] = values[j];
+                active[j] = idv;
+                if (values[j] == 0.0) zero_live[n_zero++] = idv;
             }
-            n_active = w;
+            n_active = length;
         }
-        n_zero = 0;
     }
     *out_n = n_active;
     return MG_OK;

@@ -25,11 +25,12 @@ data itself (never on hash-iteration order):
 * ``mg_update`` replays Branches 1-3 of Algorithm 1 element by element;
   ``update_batch`` is already property-tested bit-identical to the
   sequential engine, so matching the sequential engine matches both.
-* ``fold_interned`` mirrors :func:`repro.sketches.merge._fold_interned`
-  per-id: ids are unique within one sketch, so the vectorized
-  fancy-indexed adds decompose into the independent scalar adds performed
-  here, and the (k+1)-th-largest selection is an order statistic — any
-  correct selection algorithm returns the same value as ``np.partition``.
+* ``fold_step`` mirrors one step of :class:`repro.sketches.merge.FoldState`
+  per-id, and ``fold_interned`` is a loop over the same step body: ids are
+  unique within one sketch, so the vectorized fancy-indexed adds decompose
+  into the independent scalar adds performed here, and the (k+1)-th-largest
+  selection is an order statistic — any correct selection algorithm returns
+  the same value as ``np.partition``.
 * ``scan_binary_header`` parses only the canonical header grammar emitted
   by ``json.dumps(..., sort_keys=True)``; anything unexpected returns the
   FALLBACK status and the caller re-parses with ``json.loads``, so error
@@ -51,6 +52,16 @@ MG_OK = 0
 MG_CORRUPT = 1
 SCAN_OK = 0
 SCAN_FALLBACK = 1
+
+# ``fold_step`` statuses, in precedence order.  Every status but FOLD_OK
+# leaves the state untouched: FOLD_RANGE means a key lies outside
+# ``[low, low + domain)``, FOLD_NEGATIVE a negative counter in the frame,
+# FOLD_NAN a NaN in the frame or the live counters (the quickselect assumes
+# a total order).
+FOLD_OK = 0
+FOLD_RANGE = 1
+FOLD_NEGATIVE = 2
+FOLD_NAN = 3
 
 # ``scan_binary_header`` output slots (int64[16]).
 SCAN_HAS_FORMAT = 0
@@ -474,6 +485,142 @@ def _select_kth(buf, n, pos):
 
 
 @jit
+def _fold_step_body(keys, values, low, size, acc, active, n_active,
+                    scratch_ids, scratch_vals, zero_live, n_zero):
+    """One Agarwal fold step after the first; returns the new live count.
+
+    Folds the sketch ``(keys, values)`` (``id = key - low``) into the live
+    ids ``active[:n_active]``.  ``zero_live[:n_zero]`` are the first
+    sketch's zero-valued counters, still live at the second step.  Callers
+    guarantee every id lies in ``acc``, no NaNs and no negative values, and
+    ``scratch_ids``/``scratch_vals``/``active`` hold ``n_active + len(keys)``.
+    """
+    length = keys.shape[0]
+    if length == 0:
+        # A merge with an empty summary still drops the first sketch's
+        # zero-valued counters.
+        if n_zero > 0:
+            w = 0
+            for j in range(n_active):
+                if acc[active[j]] > 0.0:
+                    active[w] = active[j]
+                    w += 1
+            n_active = w
+        return n_active
+    # Ids are unique within one sketch, so the vectorized gather-add
+    # decomposes into these independent per-id scalar adds.
+    n_comb = n_active
+    for j in range(n_active):
+        scratch_ids[j] = active[j]
+    all_positive = True
+    for j in range(length):
+        idv = keys[j] - low
+        value = values[j]
+        if not (value > 0.0):
+            all_positive = False
+        before = acc[idv]
+        fresh = before == 0.0
+        if fresh and n_zero > 0:
+            for t in range(n_zero):
+                if zero_live[t] == idv:
+                    fresh = False
+                    break
+        acc[idv] = before + value
+        if fresh:
+            scratch_ids[n_comb] = idv
+            n_comb += 1
+    if n_comb > size:
+        # Subtract the (k+1)-th largest combined counter, drop <= 0.
+        pos = n_comb - 1 - size
+        for j in range(n_comb):
+            scratch_vals[j] = acc[scratch_ids[j]]
+        offset = _select_kth(scratch_vals, n_comb, pos)
+        w = 0
+        for j in range(n_comb):
+            idv = scratch_ids[j]
+            shifted = acc[idv] - offset
+            if shifted > 0.0:
+                acc[idv] = shifted
+                active[w] = idv
+                w += 1
+            else:
+                acc[idv] = 0.0
+        return w
+    if n_zero == 0 and all_positive:
+        # Strictly positive inputs cannot create zero counters.
+        for j in range(n_comb):
+            active[j] = scratch_ids[j]
+        return n_comb
+    w = 0
+    for j in range(n_comb):
+        idv = scratch_ids[j]
+        if acc[idv] > 0.0:
+            active[w] = idv
+            w += 1
+        else:
+            acc[idv] = 0.0
+    return w
+
+
+@jit
+def fold_step(keys, values, low, size, acc, active, scratch_ids,
+              scratch_vals, zero_live, state):
+    """One fold step of :class:`repro.sketches.merge.FoldState` after the first.
+
+    ``state`` is ``int64[2]``: the live count and the count of zero-valued
+    first-sketch counters still live.  The whole frame (and the live
+    counters) is scanned before anything is written, and any status but
+    FOLD_OK returns with the state untouched, in this precedence: FOLD_RANGE
+    when a key lies outside ``[low, low + len(acc))``, FOLD_NEGATIVE when a
+    value is negative, FOLD_NAN when a value or a live counter is NaN.
+    """
+    length = keys.shape[0]
+    # The id space never ends past the int64 range, so ``last`` is exact.
+    last = low + (acc.shape[0] - 1)
+    nan = False
+    negative = False
+    for j in range(length):
+        key = keys[j]
+        if key < low or key > last:
+            return FOLD_RANGE
+        value = values[j]
+        if value < 0.0:
+            negative = True
+        elif value != value:
+            nan = True
+    if negative:
+        return FOLD_NEGATIVE
+    n_active = state[0]
+    for j in range(n_active):
+        live = acc[active[j]]
+        if live != live:
+            nan = True
+    if nan:
+        return FOLD_NAN
+    state[0] = _fold_step_body(keys, values, low, size, acc, active, n_active,
+                               scratch_ids, scratch_vals, zero_live, state[1])
+    state[1] = 0
+    return FOLD_OK
+
+
+def bind_fold_step(step):
+    """The ``fold_step`` table entry for an array-signature ``step``.
+
+    A provider's ``fold_step`` entry binds one state's buffers once:
+    ``bind(size, acc, active, scratch_ids, scratch_vals, zero_live, state)``
+    returns ``bound(keys, values, low) -> status``, which the state calls per
+    frame.  The C provider resolves the buffer addresses at bind time; this
+    adapter serves the python spec and the numba build.
+    """
+    def bind(size, acc, active, scratch_ids, scratch_vals, zero_live, state):
+        def bound(keys, values, low):
+            return step(keys, values, low, size, acc, active, scratch_ids,
+                        scratch_vals, zero_live, state)
+        return bound
+    return bind
+
+
+@jit
 def fold_interned(flat_ids, flat_values, lengths, size, acc, active,
                   scratch_ids, scratch_vals, zero_live):
     """Scalar replica of :func:`repro.sketches.merge._fold_interned`.
@@ -495,102 +642,41 @@ def fold_interned(flat_ids, flat_values, lengths, size, acc, active,
         ids = flat_ids[start:end]
         values = flat_values[start:end]
         start = end
-        if first:
-            first = False
-            if length == 0:
-                continue
-            if length > size:
-                # Over-sized first sketch: reduce through a merge with {}.
-                pos = length - 1 - size
-                for j in range(length):
-                    scratch_vals[j] = values[j]
-                offset = _select_kth(scratch_vals, length, pos)
-                n_active = 0
-                for j in range(length):
-                    shifted = values[j] - offset
-                    if shifted > 0.0:
-                        acc[ids[j]] = shifted
-                        active[n_active] = ids[j]
-                        n_active += 1
-                    else:
-                        acc[ids[j]] = 0.0
-            else:
-                # Passed through verbatim; zero-valued counters stay live
-                # until the second step drops (or refills) them.
-                for j in range(length):
-                    idv = ids[j]
-                    acc[idv] = values[j]
-                    active[j] = idv
-                    if values[j] == 0.0:
-                        zero_live[n_zero] = idv
-                        n_zero += 1
-                n_active = length
+        if not first:
+            n_active = _fold_step_body(ids, values, 0, size, acc, active,
+                                       n_active, scratch_ids, scratch_vals,
+                                       zero_live, n_zero)
+            n_zero = 0
             continue
+        first = False
         if length == 0:
-            if n_zero > 0:
-                w = 0
-                for j in range(n_active):
-                    if acc[active[j]] > 0.0:
-                        active[w] = active[j]
-                        w += 1
-                n_active = w
-                n_zero = 0
             continue
-        # Ids are unique within one sketch, so the vectorized gather-add
-        # decomposes into these independent per-id scalar adds.
-        n_comb = n_active
-        for j in range(n_active):
-            scratch_ids[j] = active[j]
-        all_positive = True
-        for j in range(length):
-            idv = ids[j]
-            value = values[j]
-            if not (value > 0.0):
-                all_positive = False
-            before = acc[idv]
-            fresh = before == 0.0
-            if fresh and n_zero > 0:
-                for t in range(n_zero):
-                    if zero_live[t] == idv:
-                        fresh = False
-                        break
-            acc[idv] = before + value
-            if fresh:
-                scratch_ids[n_comb] = idv
-                n_comb += 1
-        if n_comb > size:
-            # Subtract the (k+1)-th largest combined counter, drop <= 0.
-            pos = n_comb - 1 - size
-            for j in range(n_comb):
-                scratch_vals[j] = acc[scratch_ids[j]]
-            offset = _select_kth(scratch_vals, n_comb, pos)
-            w = 0
-            for j in range(n_comb):
-                idv = scratch_ids[j]
-                shifted = acc[idv] - offset
+        if length > size:
+            # Over-sized first sketch: reduce through a merge with {}.
+            pos = length - 1 - size
+            for j in range(length):
+                scratch_vals[j] = values[j]
+            offset = _select_kth(scratch_vals, length, pos)
+            n_active = 0
+            for j in range(length):
+                shifted = values[j] - offset
                 if shifted > 0.0:
-                    acc[idv] = shifted
-                    active[w] = idv
-                    w += 1
+                    acc[ids[j]] = shifted
+                    active[n_active] = ids[j]
+                    n_active += 1
                 else:
-                    acc[idv] = 0.0
-            n_active = w
-        elif n_zero == 0 and all_positive:
-            # Strictly positive inputs cannot create zero counters.
-            for j in range(n_comb):
-                active[j] = scratch_ids[j]
-            n_active = n_comb
+                    acc[ids[j]] = 0.0
         else:
-            w = 0
-            for j in range(n_comb):
-                idv = scratch_ids[j]
-                if acc[idv] > 0.0:
-                    active[w] = idv
-                    w += 1
-                else:
-                    acc[idv] = 0.0
-            n_active = w
-        n_zero = 0
+            # Passed through verbatim; zero-valued counters stay live
+            # until the second step drops (or refills) them.
+            for j in range(length):
+                idv = ids[j]
+                acc[idv] = values[j]
+                active[j] = idv
+                if values[j] == 0.0:
+                    zero_live[n_zero] = idv
+                    n_zero += 1
+            n_active = length
     return n_active
 
 

@@ -43,6 +43,7 @@ def _compile_kernels() -> Dict:
     return {
         "mg_update": namespace["mg_update"],
         "fold_interned": namespace["fold_interned"],
+        "fold_step": namespace["bind_fold_step"](namespace["fold_step"]),
         "scan_binary_header": namespace["scan_binary_header"],
     }
 

@@ -38,6 +38,7 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from .. import kernels as _kernels
+from ..kernels import _engine
 from .._validation import check_positive_int
 from ..exceptions import ParameterError, SketchStateError
 from .base import FrequencySketch
@@ -93,6 +94,15 @@ def merge_misra_gries(first: SketchLike, second: SketchLike, k: int) -> Dict[Has
 # ---------------------------------------------------------------------------
 # Key interning
 # ---------------------------------------------------------------------------
+
+#: Widest dense id space (``key - low``): the batch interner's dense-offset
+#: bound and the widest :class:`FoldState` the streaming fold grows to.
+_DENSE_SPAN_LIMIT = 1 << 23
+
+#: The int64 key range; a dense id space never reaches beyond it.
+_INT64_MIN = -(1 << 63)
+_INT64_END = 1 << 63
+
 
 def _concat_keys(counters_list: Sequence[Dict[Hashable, float]]) -> List[Hashable]:
     all_keys: List[Hashable] = []
@@ -173,7 +183,7 @@ def _intern_int_keys(flat_keys: np.ndarray) -> Tuple[np.ndarray, int, Tuple]:
         return np.empty(0, dtype=np.intp), 0, ("dense", 0)
     low = int(flat_keys.min())
     span = int(flat_keys.max()) - low + 1
-    if span <= max(4 * flat_keys.size, 1 << 20) and span <= (1 << 23):
+    if span <= max(4 * flat_keys.size, 1 << 20) and span <= _DENSE_SPAN_LIMIT:
         return np.asarray(flat_keys - low, dtype=np.intp), span, ("dense", low)
     uniques, inverse = np.unique(flat_keys, return_inverse=True)
     return inverse.astype(np.intp, copy=False), len(uniques), ("unique", uniques)
@@ -204,17 +214,269 @@ def _raise_negative(views: Sequence[Mapping[Hashable, float]]) -> None:
 # Vectorized many-way merge
 # ---------------------------------------------------------------------------
 
+def _raise_negative_key(keys: np.ndarray, values: np.ndarray) -> None:
+    """Raise like the seed fold on the first negative counter of a sketch."""
+    offender = int(keys[int(np.flatnonzero(values < 0.0)[0])])
+    raise SketchStateError(f"negative counter for {offender!r} cannot be merged")
+
+
+class FoldState:
+    """The Agarwal left fold over integer-keyed sketches, one step at a time.
+
+    ``acc`` is a dense float array over the id space ``key - low``, with the
+    invariant ``acc[id] > 0 iff id is live`` (zeroed when a counter dies);
+    ``active`` holds the live ids in the seed dict's *insertion order*
+    (survivors keep their relative position, new keys append in sketch
+    order).  Every per-key float operation matches the seed dict fold, so
+    the resulting dict is exactly the seed's — same iteration order, same
+    float bits.
+
+    The wrinkles are the seed's first step, which passes the first sketch
+    through verbatim (reducing it only when over-sized):
+
+    * its zero-valued counters stay live until the second step's ``> 0``
+      filter drops them, keeping their dict position if that step refills
+      them — those ids sit in ``active`` with ``acc == 0`` and are listed in
+      ``zero_live`` so the second step does not take them for fresh keys;
+    * its negative counters are let through and raise at the second step.
+
+    :meth:`step` folds one sketch.  After the first step it runs the
+    compiled ``fold_step`` kernel when one resolves (bound once to this
+    state's buffers); the numpy step below is the no-compiler path and the
+    route for NaN counters.  Both are bit-identical.
+    """
+
+    def __init__(self, size: int, domain: Optional[int] = None,
+                 backend: Optional[str] = None) -> None:
+        self.size = size
+        #: Whether the next step is the fold's first.
+        self.first = True
+        #: Smallest key of the id space; ``acc`` is ``None`` until the first
+        #: non-empty sketch places it.  The batch fold passes ``domain``
+        #: instead: its keys are interned ids in ``[0, domain)`` and its
+        #: caller has refused negative counters, so neither is checked again.
+        self.low = 0
+        self.acc: Optional[np.ndarray] = (
+            None if domain is None else np.zeros(domain, dtype=np.float64))
+        self._interned = domain is not None
+        self._first_negative = False
+        # [live count, count of first-sketch zero counters still live]
+        self._state = np.zeros(2, dtype=np.int64)
+        self._zero_live = np.empty(0, dtype=np.int64)
+        # ``active`` and the kernel's scratch share one capacity, at least
+        # the live count plus the frame length.
+        self._capacity = 0
+        self._active = np.empty(0, dtype=np.int64)
+        self._scratch_ids = np.empty(0, dtype=np.int64)
+        self._scratch_vals = np.empty(0, dtype=np.float64)
+        self._binder = _kernels.get_kernel("fold_step", backend)
+        self._kernel = None
+
+    @property
+    def active(self) -> np.ndarray:
+        """Live ids in the seed dict's insertion order (a view)."""
+        return self._active[:int(self._state[0])]
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The folded summary as fresh (keys, values) arrays, in dict order."""
+        if self.acc is None:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        active = self.active
+        return active + self.low, self.acc[active]
+
+    def step(self, keys: np.ndarray, values: np.ndarray) -> bool:
+        """Fold one sketch: unique int64 ``keys`` and float64 ``values``.
+
+        Returns ``False``, with the state untouched, when the id space
+        cannot grow to cover ``keys`` within ``_DENSE_SPAN_LIMIT``.  Raises
+        :class:`~repro.exceptions.SketchStateError` on a negative counter
+        wherever the seed fold would.
+        """
+        n = keys.shape[0]
+        if self.acc is None and n == 0:
+            # No id space yet: an empty sketch only uses up the first step.
+            self.first = False
+            return True
+        if (self._binder is None or self.first or self._first_negative
+                or self.acc is None):
+            if n and not self._interned and not self._grow(keys):
+                return False
+            self._reserve(n)
+            self._numpy_step(keys, values)
+            return True
+        self._reserve(n)
+        status = self._bound()(keys, values, self.low)
+        if status == _engine.FOLD_RANGE:
+            if not self._grow(keys):
+                return False
+            status = self._bound()(keys, values, self.low)
+        if status == _engine.FOLD_NEGATIVE:
+            _raise_negative_key(keys, values)
+        if status == _engine.FOLD_NAN:
+            self._numpy_step(keys, values)
+        return True
+
+    # -- buffers ------------------------------------------------------------
+
+    def _bound(self):
+        """The kernel bound to the current buffers (rebound after a change)."""
+        if self._kernel is None:
+            self._kernel = self._binder(
+                self.size, self.acc, self._active, self._scratch_ids,
+                self._scratch_vals, self._zero_live, self._state)
+        return self._kernel
+
+    def _reserve(self, length: int) -> None:
+        """Make room for the live ids plus a ``length``-key sketch."""
+        needed = int(self._state[0]) + length
+        if needed <= self._capacity:
+            return
+        capacity = max(needed, 2 * self._capacity)
+        active = np.empty(capacity, dtype=np.int64)
+        active[:self._state[0]] = self.active
+        self._active = active
+        self._scratch_ids = np.empty(capacity, dtype=np.int64)
+        self._scratch_vals = np.empty(capacity, dtype=np.float64)
+        self._capacity = capacity
+        self._kernel = None
+
+    def _grow(self, keys: np.ndarray) -> bool:
+        """Extend the id space to cover ``keys`` (ids shift with ``low``)."""
+        low = int(keys.min())
+        high = int(keys.max()) + 1
+        if self.acc is None:
+            if high - low > _DENSE_SPAN_LIMIT:
+                return False
+            self.low = low
+            self.acc = np.zeros(high - low, dtype=np.float64)
+            self._kernel = None
+            return True
+        old_low, old_high = self.low, self.low + self.acc.size
+        new_low, new_high = min(low, old_low), max(high, old_high)
+        if new_high - new_low > _DENSE_SPAN_LIMIT:
+            return False
+        if new_low == old_low and new_high == old_high:
+            return True
+        # Grow geometrically (at least double the span, capped at the dense
+        # limit and the int64 key range) with the headroom on the side(s)
+        # that forced the growth, so a stream of monotonically expanding key
+        # ranges reallocates O(log) times instead of copying on every frame.
+        needed = new_high - new_low
+        slack = min(_DENSE_SPAN_LIMIT, max(needed, 2 * self.acc.size)) - needed
+        if slack:
+            down, up = new_low < old_low, new_high > old_high
+            low_slack = slack // 2 if (down and up) else (slack if down else 0)
+            new_low = max(new_low - low_slack, _INT64_MIN)
+            new_high = min(new_high + slack - low_slack, _INT64_END)
+        grown = np.zeros(new_high - new_low, dtype=np.float64)
+        offset = old_low - new_low
+        grown[offset:offset + self.acc.size] = self.acc
+        if offset:
+            self._active[:self._state[0]] += offset
+            self._zero_live += offset
+        self.low = new_low
+        self.acc = grown
+        self._kernel = None
+        return True
+
+    def _set_active(self, ids: np.ndarray) -> None:
+        self._active[:ids.size] = ids
+        self._state[0] = ids.size
+        self._state[1] = 0
+
+    # -- the numpy step -----------------------------------------------------
+
+    def _numpy_step(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """One fold step in numpy; ``keys`` are covered and room reserved."""
+        size = self.size
+        acc = self.acc
+        ids = keys - self.low if self.low else keys
+        if self.first:
+            self.first = False
+            length = ids.size
+            if length == 0:
+                return
+            self._first_negative = (not self._interned
+                                    and bool((values < 0.0).any()))
+            if length > size:
+                # The seed reduces an over-sized single input through a
+                # merge with nothing, which validates it immediately.
+                if self._first_negative:
+                    _raise_negative_key(keys, values)
+                scratch = values.copy()
+                scratch.partition(length - 1 - size)
+                shifted = values - scratch[length - 1 - size]
+                keep = shifted > 0.0
+                acc[ids] = np.where(keep, shifted, 0.0)
+                self._set_active(ids[keep])
+                return
+            acc[ids] = values
+            self._set_active(ids)
+            zeros = values == 0.0
+            if zeros.any():
+                self._zero_live = ids[zeros].astype(np.int64, copy=False)
+                self._state[1] = self._zero_live.size
+                self._kernel = None
+            return
+        active = self.active
+        if self._first_negative:
+            # The seed's second fold step revisits the first sketch's
+            # counters and raises on the negative it let through.
+            bad = int(np.flatnonzero(acc[active] < 0.0)[0])
+            raise SketchStateError(
+                f"negative counter for {int(active[bad]) + self.low!r} "
+                "cannot be merged")
+        n_zero = int(self._state[1])
+        if ids.size == 0:
+            # The seed's merge with an empty summary still drops any
+            # zero-valued counters carried over from the first sketch.
+            if n_zero:
+                self._set_active(active[acc[active] > 0.0])
+            return
+        if not self._interned and bool((values < 0.0).any()):
+            _raise_negative_key(keys, values)
+        before = acc[ids]
+        if n_zero:
+            fresh = ids[(before == 0.0)
+                        & ~np.isin(ids, self._zero_live[:n_zero])]
+        else:
+            fresh = ids[before == 0.0]
+        # Keys are unique within one sketch, so a fancy-indexed add matches
+        # the seed's per-key ``combined.get(key, 0.0) + value``.
+        acc[ids] = before + values
+        combined = np.concatenate((active, fresh)) if fresh.size else active
+        count = combined.size
+        if count > size:
+            # Subtract the (k+1)-th largest combined counter, drop <= 0.
+            current = acc[combined]
+            scratch = current.copy()
+            scratch.partition(count - 1 - size)
+            shifted = current - scratch[count - 1 - size]
+            keep = shifted > 0.0
+            acc[combined] = np.where(keep, shifted, 0.0)
+            combined = combined[keep]
+        elif n_zero or not bool(values.min() > 0.0):
+            # Zero-valued (or non-finite) counters are dropped and zeroed so
+            # the ``acc == 0`` membership invariant holds.  Strictly positive
+            # inputs cannot create zero-valued counters.
+            current = acc[combined]
+            keep = current > 0.0
+            acc[combined] = np.where(keep, current, 0.0)
+            combined = combined[keep]
+        self._set_active(combined)
+
+
 def _fold_interned(flat_ids: np.ndarray, flat_values: np.ndarray,
                    lengths: Sequence[int], domain: int, size: int,
                    backend: Optional[str] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Left fold of the Agarwal merge over interned (id, value) sketches.
 
     Dispatches to the compiled ``fold_interned`` kernel
-    (:mod:`repro.kernels`) when one is available — the kernel is a scalar
-    replica of :func:`_fold_interned_python` producing bit-identical output
-    — and otherwise (or for NaN-valued counters, where the kernel's
-    quickselect would disagree with ``np.partition``'s NaN ordering) runs
-    the vectorized python fold.
+    (:mod:`repro.kernels`) when one is available — the kernel loops the
+    same step body as the compiled ``fold_step``, bit-identical to
+    :class:`FoldState` — and otherwise (or for NaN-valued counters, where
+    the kernel's quickselect would disagree with ``np.partition``'s NaN
+    ordering) runs the numpy steps of :class:`FoldState`.
     """
     if domain and flat_ids.size:
         kernel = _kernels.get_kernel("fold_interned", backend)
@@ -247,97 +509,17 @@ def _fold_interned_kernel(kernel, flat_ids: np.ndarray, flat_values: np.ndarray,
 def _fold_interned_python(flat_ids: np.ndarray, flat_values: np.ndarray,
                           lengths: Sequence[int], domain: int,
                           size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized left fold of the Agarwal merge over interned sketches.
-
-    The accumulator is one dense float array over the id space with the
-    invariant ``acc[id] > 0 iff id is a live counter``; each fold step is a
-    fancy-indexed add, an ``acc == 0`` membership test for the step's new
-    keys, and (when more than ``size`` counters are live) one
-    ``np.partition`` for the (k+1)-th largest plus one masked write-back.
-    Every per-key float operation matches the seed dict fold and ``active``
-    preserves the seed dict's key *insertion order* (survivors keep their
-    relative position, new keys append in sketch order), so the resulting
-    dict is exactly the seed's — same iteration order, same float bits.
-
-    The one wrinkle in the invariant: the seed passes the first sketch
-    through verbatim, so its zero-valued counters survive until the second
-    fold step (where the merge's ``> 0`` output filter finally drops them)
-    and keep their dict position if that step refills them.  Those ids are
-    carried in ``zero_live`` and excluded from the second step's freshness
-    test, since they sit in ``active`` with ``acc == 0``.
+    """The left fold as a loop of :class:`FoldState` numpy steps.
 
     Returns ``(active_ids, acc)``.
     """
-    acc = np.zeros(domain, dtype=np.float64)
-    active = np.empty(0, dtype=np.intp)
-    zero_live = None
-    first_step = True
+    state = FoldState(size, domain=domain, backend="python")
     start = 0
     for length in lengths:
         end = start + length
-        ids = flat_ids[start:end]
-        values = flat_values[start:end]
+        state.step(flat_ids[start:end], flat_values[start:end])
         start = end
-        if first_step:
-            # The seed takes the first sketch as-is, reducing only when it is
-            # over-sized (and only then dropping its zero-valued counters).
-            first_step = False
-            if length == 0:
-                continue
-            acc[ids] = values
-            if length > size:
-                current = values
-                scratch = current.copy()
-                scratch.partition(length - 1 - size)
-                shifted = current - scratch[length - 1 - size]
-                keep = shifted > 0.0
-                acc[ids] = np.where(keep, shifted, 0.0)
-                active = ids[keep]
-            else:
-                active = ids
-                zeros = values == 0.0
-                if zeros.any():
-                    zero_live = ids[zeros]
-            continue
-        if length == 0:
-            # The seed's merge with an empty summary still drops any
-            # zero-valued counters carried over from the first sketch.
-            if zero_live is not None:
-                active = active[acc[active] > 0.0]
-                zero_live = None
-            continue
-        before = acc[ids]
-        if zero_live is not None:
-            fresh = ids[(before == 0.0) & ~np.isin(ids, zero_live)]
-        else:
-            fresh = ids[before == 0.0]
-        # Keys are unique within one sketch, so a fancy-indexed add matches
-        # the seed's per-key ``combined.get(key, 0.0) + value``.
-        acc[ids] = before + values
-        combined = np.concatenate((active, fresh)) if fresh.size else active
-        count = combined.size
-        if count > size:
-            # Subtract the (k+1)-th largest combined counter, drop <= 0.
-            current = acc[combined]
-            scratch = current.copy()
-            scratch.partition(count - 1 - size)
-            shifted = current - scratch[count - 1 - size]
-            keep = shifted > 0.0
-            acc[combined] = np.where(keep, shifted, 0.0)
-            active = combined[keep]
-        elif zero_live is None and bool(values.min() > 0.0):
-            # Strictly positive inputs cannot create zero-valued counters, so
-            # every combined counter is still live.
-            active = combined
-        else:
-            # Zero-valued (or non-finite) counters are dropped and zeroed so
-            # the ``acc == 0`` membership invariant holds.
-            current = acc[combined]
-            keep = current > 0.0
-            acc[combined] = np.where(keep, current, 0.0)
-            active = combined[keep]
-        zero_live = None
-    return active, acc
+    return state.active, state.acc
 
 
 def merge_many(sketches: Sequence[SketchLike], k: int,
@@ -377,7 +559,7 @@ def merge_many(sketches: Sequence[SketchLike], k: int,
     flat_values = np.fromiter(
         itertools.chain.from_iterable(view.values() for view in views),
         dtype=np.float64, count=total)
-    if total and bool(np.min(flat_values) < 0):
+    if bool((flat_values < 0.0).any()):
         _raise_negative(views)
     active, acc = _fold_interned(flat_ids, flat_values, lengths, domain, size,
                                  backend=backend)
@@ -446,9 +628,8 @@ def merge_many_arrays(keys_list: Sequence[np.ndarray],
              for keys, values in zip(key_arrays, value_arrays)], size,
             backend=backend)
     flat_values = np.concatenate([array for array in value_arrays if array.size])
-    if flat_values.size and bool(np.min(flat_values) < 0):
-        offender = flat_keys[np.flatnonzero(flat_values < 0)[0]]
-        raise SketchStateError(f"negative counter for {offender!r} cannot be merged")
+    if bool((flat_values < 0.0).any()):
+        _raise_negative_key(flat_keys, flat_values)
     flat_ids, domain, resolver = _intern_int_keys(flat_keys)
     active, acc = _fold_interned(flat_ids, flat_values, lengths, domain, size,
                                  backend=backend)

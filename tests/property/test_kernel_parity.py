@@ -2,7 +2,7 @@
 
 The compiled tier (:mod:`repro.kernels`) is only allowed to exist because it
 changes *nothing*: same keys, same float bits, same dict iteration order as
-the pure-python engines on every input.  Hypothesis drives all three kernels:
+the pure-python engines on every input.  Hypothesis drives every kernel:
 
 * ``mg_update`` — chunked ``update_batch`` streams through the compiled
   backend and through the shared njit-able source in
@@ -11,6 +11,11 @@ the pure-python engines on every input.  Hypothesis drives all three kernels:
 * ``fold_interned`` — ``merge_many`` / ``merge_many_arrays`` / ``merge_tree``
   under ``backend="compiled"`` against ``backend="python"``, including the
   NaN inputs that must route around the kernel.
+* ``fold_step`` — frame sequences folded through
+  :class:`~repro.sketches.merge.FoldState` with every compiled step, the
+  numpy step and the python spec ``_engine.fold_step``: same outcome per
+  frame (folded, too wide, or the same error), same live order, same
+  accumulator bits, same zero-valued first-frame counters.
 * ``scan_binary_header`` — binary columnar frames decoded with and without
   the kernel, on canonical frames and on byte-corrupted ones, where *both*
   paths must agree on the result or raise the same error with the same
@@ -21,13 +26,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import kernels
 from repro.api import framing, wire
+from repro.exceptions import SketchStateError
 from repro.kernels import _engine
 from repro.sketches import MisraGriesSketch
-from repro.sketches.merge import merge_many, merge_many_arrays, merge_tree
+from repro.sketches.merge import (_DENSE_SPAN_LIMIT, FoldState, merge_many,
+                                  merge_many_arrays, merge_tree)
 
 COMPILED = kernels.available()
 
@@ -166,6 +173,167 @@ def test_nan_values_route_around_the_kernel_identically(summaries, k,
     assert list(python) == list(compiled)
     for left, right in zip(python.values(), compiled.values()):
         assert (left != left and right != right) or left == right
+
+
+# ---------------------------------------------------------------------------
+# fold_step
+# ---------------------------------------------------------------------------
+
+_NAN = float("nan")
+_TOP = 2**63 - 1
+_BOTTOM = -(2**63)
+_STEP_VALUES = st.one_of(
+    st.just(0.0),
+    st.integers(min_value=1, max_value=30).map(float),
+    st.floats(min_value=0.0, max_value=50.0, allow_nan=False,
+              allow_infinity=False),
+)
+_STEP_FRAMES = st.lists(
+    st.dictionaries(st.integers(0, 24), _STEP_VALUES, max_size=14),
+    max_size=7)
+# Where the frames' keys sit: around zero, or against either int64 end.
+_KEY_BASES = st.sampled_from([-12, -12, 0, _TOP - 24, _BOTTOM])
+# (frame index, key) insertions that force the id space to grow on either
+# side: -3M..+5M stays dense, a span reaching an int64 end does not.
+_FAR_KEYS = st.lists(
+    st.tuples(st.integers(0, 6),
+              st.sampled_from([-3_000_000, 2_500_000, 5_000_000, _BOTTOM,
+                               _TOP])),
+    max_size=2)
+# (frame index, key position, value) overwrites planting negatives and NaNs.
+_POISON = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 13),
+                             st.sampled_from([-1.0, -0.5, _NAN])),
+                   max_size=3)
+
+
+def _step_binders():
+    """The numpy step, the python spec, and every available compiled step."""
+    binders = {"numpy": None,
+               "spec": _engine.bind_fold_step(_engine.fold_step)}
+    for name in ("cc", "numba"):
+        if kernels.kernel_info()["providers"][name]["available"]:
+            binders[name] = kernels.get_kernel("fold_step", name)
+    return binders
+
+
+def _frame_arrays(frames, base=0, far=(), poison=()):
+    frames = [{base + key: value for key, value in frame.items()}
+              for frame in frames]
+    for index, key in far:
+        if index < len(frames):
+            frames[index][key] = 1.0
+    for index, position, value in poison:
+        if index < len(frames) and frames[index]:
+            keys = list(frames[index])
+            frames[index][keys[position % len(keys)]] = value
+    return [(np.fromiter(frame.keys(), dtype=np.int64, count=len(frame)),
+             np.fromiter(frame.values(), dtype=np.float64, count=len(frame)))
+            for frame in frames]
+
+
+def _fold_trace(frames, size, binder):
+    """Fold ``frames`` step by step; the per-step outcome and state."""
+    state = FoldState(size)
+    state._binder = binder
+    trace = []
+    for keys, values in frames:
+        try:
+            outcome = state.step(keys, values)
+        except SketchStateError as error:
+            trace.append(("error", str(error)))
+            break
+        if state.acc is None:
+            snapshot = (state.first, None)
+        else:
+            zeros = int(state._state[1])
+            snapshot = (state.first, state.low, state.active.tolist(),
+                        state.acc.view(np.int64).tolist(),
+                        state._zero_live[:zeros].tolist())
+        trace.append((outcome, snapshot))
+        if not outcome:
+            break  # a merger leaves the dense fold for the pairwise one
+    return trace
+
+
+@given(frames=_STEP_FRAMES, base=_KEY_BASES, far=_FAR_KEYS, poison=_POISON,
+       k=st.integers(1, 10))
+@example(frames=[{1: 0.0, 2: 3.0}, {1: 2.0, 3: 1.0}], base=0, far=[],
+         poison=[], k=4)
+@example(frames=[{1: 4.0, 2: 1.0, 3: 2.0}, {4: 1.0}], base=0, far=[],
+         poison=[], k=2)
+@example(frames=[{1: 2.0}, {2: 1.0}], base=0, far=[], poison=[(0, 0, -1.0)],
+         k=4)
+@example(frames=[{1: 2.0, 2: 1.0, 3: 5.0}], base=0, far=[],
+         poison=[(0, 1, -1.0)], k=2)
+@example(frames=[{1: 2.0}, {2: 1.0}, {3: 4.0}], base=0, far=[],
+         poison=[(0, 0, _NAN)], k=4)
+@example(frames=[{}, {1: 1.0}, {2: 2.0}], base=0,
+         far=[(1, 5_000_000), (2, -3_000_000)], poison=[], k=3)
+@settings(max_examples=200, deadline=None)
+def test_fold_step_backends_agree(frames, base, far, poison, k):
+    frames = _frame_arrays(frames, base, far, poison)
+    traces = {name: _fold_trace(frames, k, binder)
+              for name, binder in _step_binders().items()}
+    expected = traces.pop("numpy")
+    for name, trace in traces.items():
+        assert trace == expected, name
+
+
+def test_fold_step_span_limit_drops_to_pairwise():
+    for name, binder in _step_binders().items():
+        state = FoldState(4)
+        state._binder = binder
+        assert state.step(np.array([0, 1], dtype=np.int64),
+                          np.array([1.0, 2.0]))
+        assert state.step(np.array([2], dtype=np.int64), np.array([1.0]))
+        far = np.array([_DENSE_SPAN_LIMIT], dtype=np.int64)
+        assert not state.step(far, np.array([1.0])), name
+        keys, values = state.arrays()
+        assert keys.tolist() == [0, 1, 2] and values.tolist() == [1.0, 2.0, 1.0]
+
+
+_CC = kernels.kernel_info()["providers"]["cc"]["available"]
+
+
+@pytest.mark.skipif(not _CC, reason="no C toolchain on this host")
+@given(frames=st.lists(st.dictionaries(st.integers(0, 40), _STEP_VALUES,
+                                       min_size=1, max_size=14),
+                       min_size=1, max_size=6),
+       k=st.integers(1, 10))
+@settings(max_examples=40, deadline=None)
+def test_served_fold_runs_every_later_frame_in_the_cc_step(frames, k):
+    """m integer frames inside the first frame's key range: the first step
+    runs in numpy, the other m - 1 each make exactly one cc step call."""
+    frames[0].update({0: 1.0, 40: 1.0})
+    calls = []
+    real = kernels.get_kernel
+
+    def counting(name, backend=None):
+        binder = real(name, "cc")
+        if name != "fold_step":
+            return binder
+
+        def bind(*buffers):
+            bound = binder(*buffers)
+
+            def step(keys, values, low):
+                calls.append(keys.size)
+                return bound(keys, values, low)
+            return step
+        return bind
+
+    patch = pytest.MonkeyPatch()
+    try:
+        patch.setattr(kernels, "get_kernel", counting)
+        merger = framing.StreamingMerger(k)
+        for counters in frames:
+            merger.add(wire.encode_counters(counters, k=k))
+    finally:
+        patch.undo()
+    assert len(calls) == len(frames) - 1
+    expected = merge_many(frames, k)
+    assert merger.merged() == expected
+    assert list(merger.merged()) == list(expected)
 
 
 # ---------------------------------------------------------------------------

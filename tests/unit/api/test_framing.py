@@ -329,6 +329,15 @@ class TestDenseGrowth:
         assert merger.columnar  # monotone growth stays on the dense path
         assert merger.merged() == merge_many(frames, 1024)
 
+    def test_empty_first_frame_does_not_pin_the_id_space_at_zero(self):
+        frames = [{}, {10**9: 1.0, 10**9 + 1: 2.0}, {10**9 + 2: 3.0}]
+        merger = StreamingMerger(4)
+        for counters in frames:
+            merger.add(encode_counters(counters, k=4))
+        assert merger._acc_keys is None  # still dense, not pairwise
+        assert merger.merged() == merge_many(frames, 4)
+        assert list(merger.merged()) == list(merge_many(frames, 4))
+
     def test_write_frames_declares_count_for_sized_collections(self, tmp_path):
         target = tmp_path / "declared.frames"
         payloads = [encode_counters({1: 2.0}), encode_counters({2: 3.0})]

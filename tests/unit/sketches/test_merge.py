@@ -108,6 +108,15 @@ class TestMergeManyArrays:
             merge_many_arrays([np.array([1]), np.array([2])],
                               [np.array([1.0]), np.array([-2.0])], 4)
 
+    def test_negative_counter_raises_beside_a_nan(self):
+        # The seed fold refuses every negative counter of a multi-sketch
+        # input; a NaN elsewhere must not hide it.
+        with pytest.raises(SketchStateError, match="negative counter for 2"):
+            merge_many_arrays([np.array([1]), np.array([2])],
+                              [np.array([float("nan")]), np.array([-2.0])], 4)
+        with pytest.raises(SketchStateError, match="negative counter for 2"):
+            merge_many([{1: float("nan")}, {2: -2.0}], 4)
+
     def test_mismatched_lengths_raise(self):
         with pytest.raises(ParameterError):
             merge_many_arrays([np.array([1])], [], 4)
