@@ -70,10 +70,11 @@ Workload groups (select with ``run_bench.py --workloads``):
     (``k = 64``, where per-chunk python overhead dominates the vectorized
     path) and the interned columnar merge fold
     (:func:`repro.sketches.merge._fold_interned`, the stage behind
-    ``merge_many_arrays``) at ``m = 256`` / ``k = 1024``.  Both backends
+    ``merge_many_arrays``) at ``m = 256`` / ``k = 1024``.  Rows select their
+    backend through ``REPRO_KERNELS`` (``python`` vs ``cc``).  Both backends
     produce bit-identical results (asserted before timing), so every ratio
     is pure engine speed.  The compiled rows are skipped — and their floors
-    waived — when no compiled provider (numba or a C compiler) is present.
+    waived — when the C provider cannot be built.
 
 ``runner``
     An :class:`repro.analysis.ExperimentRunner` sweep executed sequentially
@@ -82,8 +83,10 @@ Workload groups (select with ``run_bench.py --workloads``):
 
 Each invocation appends one JSON record to ``BENCH_sketch.json`` at the repo
 root so the performance trajectory is preserved across PRs.  Every record
-carries a ``kernels`` stanza (resolved backend, provider availability, numba
-version) so trajectory comparisons know which engine produced each row.
+carries a ``kernels`` stanza (resolved backend, provider availability) so
+trajectory comparisons know which engine produced each row, and
+``run_bench.py`` adds ``src_lines`` (lines of ``src/repro/**/*.py``) so
+code size sits on the same trajectory as speed.
 Run it with::
 
     PYTHONPATH=src python benchmarks/run_bench.py [--quick] [--workloads ...]
@@ -102,7 +105,9 @@ The record includes the speedup ratios the acceptance criteria track:
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import platform
 import sys
 import time
@@ -732,19 +737,32 @@ def _run_auth_release_bench(rows: List[Dict], quick: bool) -> None:
 
 def _kernel_tier_info() -> Dict:
     """The ``kernels`` stanza recorded with every run: which backend the hot
-    paths resolved to, which providers were available, and the numba version
-    (``None`` when numba is absent and the C provider — or pure python — is
-    serving)."""
+    paths resolved to and whether the C provider was available."""
     from repro import kernels as kernel_tier
 
     info = kernel_tier.kernel_info()
     return {
         "available": kernel_tier.available(),
         "backend": info["backend"],
-        "numba": info["numba_version"],
         "providers": {name: provider["available"]
                       for name, provider in info["providers"].items()},
     }
+
+
+@contextlib.contextmanager
+def _kernels_env(backend: str):
+    """Run the block under ``REPRO_KERNELS=backend``, then restore it."""
+    from repro import kernels as kernel_tier
+
+    previous = os.environ.get(kernel_tier.ENV_VAR)
+    os.environ[kernel_tier.ENV_VAR] = backend
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ[kernel_tier.ENV_VAR]
+        else:
+            os.environ[kernel_tier.ENV_VAR] = previous
 
 
 def _run_kernels_group(rows: List[Dict], quick: bool) -> None:
@@ -774,19 +792,22 @@ def _run_kernels_group(rows: List[Dict], quick: bool) -> None:
     zipf_ref = zipf.tolist()[:n_ref]
     rows.append(_measure("kernels_update_zipf", k, n_ref, "reference_seed",
                          lambda: ReferenceMisraGries.from_stream(k, zipf_ref)))
-    rows.append(_measure("kernels_update_zipf", k, len(zipf),
-                         "optimized_python_batch",
-                         lambda: MisraGriesSketch(k, backend="python")
-                         .update_batch(zipf), repeats=3))
-    if compiled:
-        expected = MisraGriesSketch(k, backend="python").update_batch(zipf)
-        got = MisraGriesSketch(k, backend="compiled").update_batch(zipf)
-        assert got.counters() == expected.counters()
-        assert list(got.counters()) == list(expected.counters())
+    with _kernels_env("python"):
         rows.append(_measure("kernels_update_zipf", k, len(zipf),
-                             "optimized_compiled_batch",
-                             lambda: MisraGriesSketch(k, backend="compiled")
-                             .update_batch(zipf), repeats=3))
+                             "optimized_python_batch",
+                             lambda: MisraGriesSketch(k).update_batch(zipf),
+                             repeats=3))
+    if compiled:
+        with _kernels_env("python"):
+            expected = MisraGriesSketch(k).update_batch(zipf)
+        with _kernels_env("cc"):
+            got = MisraGriesSketch(k).update_batch(zipf)
+            assert got.counters() == expected.counters()
+            assert list(got.counters()) == list(expected.counters())
+            rows.append(_measure("kernels_update_zipf", k, len(zipf),
+                                 "optimized_compiled_batch",
+                                 lambda: MisraGriesSketch(k).update_batch(zipf),
+                                 repeats=3))
 
     # -- the interned fold behind merge_many_arrays at m=256, k=1024 ---------
     m, size = MERGE_M, MERGE_K
@@ -799,21 +820,22 @@ def _run_kernels_group(rows: List[Dict], quick: bool) -> None:
     domain = int(domain_keys.size)
     pairs = int(flat_keys.size)
 
-    def _fold(backend):
+    def _fold():
         return merge_module._fold_interned(flat_ids, flat_values, lengths,
-                                           domain, size, backend=backend)
+                                           domain, size)
 
-    rows.append(_measure(f"kernels_fold_m{m}", size, pairs,
-                         "optimized_python_fold",
-                         lambda: _fold("python"), repeats=3))
-    if compiled:
-        py_active, py_acc = _fold("python")
-        cc_active, cc_acc = _fold("compiled")
-        assert np.array_equal(py_active, cc_active)
-        assert np.array_equal(py_acc[py_active], cc_acc[cc_active])
+    with _kernels_env("python"):
         rows.append(_measure(f"kernels_fold_m{m}", size, pairs,
-                             "optimized_compiled_fold",
-                             lambda: _fold("compiled"), repeats=3))
+                             "optimized_python_fold", _fold, repeats=3))
+    if compiled:
+        with _kernels_env("python"):
+            py_active, py_acc = _fold()
+        with _kernels_env("cc"):
+            cc_active, cc_acc = _fold()
+            assert np.array_equal(py_active, cc_active)
+            assert np.array_equal(py_acc[py_active], cc_acc[cc_active])
+            rows.append(_measure(f"kernels_fold_m{m}", size, pairs,
+                                 "optimized_compiled_fold", _fold, repeats=3))
 
 
 # ---------------------------------------------------------------------------

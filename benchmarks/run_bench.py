@@ -1,8 +1,10 @@
 """Non-interactive entry point for the performance suite.
 
-Runs the selected workload groups in :mod:`bench_perf_suite`, appends the
-resulting record to ``BENCH_sketch.json`` at the repository root (so every PR
-extends the same performance trajectory) and prints a human-readable summary.
+Runs the selected workload groups in :mod:`bench_perf_suite`, adds the
+``src/`` line count (``src_lines``: lines of ``src/repro/**/*.py``), appends
+the resulting record to ``BENCH_sketch.json`` at the repository root (so every
+PR extends the same performance and code-size trajectory) and prints a
+human-readable summary.
 
 Usage::
 
@@ -19,14 +21,14 @@ the E11 Zipf k=1024 workload, >= 10x on the m=256 k=1024 merge workload,
 aggregation service vs the offline framed fold, >= 0.5x on the WAL-backed
 service vs the in-memory one, >= 0.7x on the 2x4 relay tree vs the flat
 8-client server, >= 3x on the trusted-sum release workload, >= 0.9x on the
-auth-on served-release cycle vs the open server, and — when a compiled kernel provider is present — >= 8x
-over the seed plus >= 3x over the vectorized python batch path on the zipf
-k=64 update workload and >= 2x on the m=256 k=1024 columnar merge fold), so
-the script can gate CI.
+auth-on served-release cycle vs the open server, and — when the C kernel
+provider builds — >= 8x over the seed plus >= 3x over the vectorized python
+batch path on the zipf k=64 update workload and >= 2x on the m=256 k=1024
+columnar merge fold), so the script can gate CI.
 ``--workloads`` lets the merge/release floors gate independently of the
 sketch floors: only floors whose workload group actually ran are enforced,
 and the compiled-kernel floors are waived (with a notice) when the record
-shows no compiled provider was available.
+shows the C provider was unavailable.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+#: The package whose size ``src_lines`` tracks.
+SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 from bench_perf_suite import (
     BENCH_PATH,
@@ -77,10 +82,16 @@ FLOORS = {
     "kernels_fold_m256_k1024_compiled_vs_python": ("kernels", 2.0),
 }
 
-#: Floors that only exist when a compiled kernel provider is available;
+#: Floors that only exist when the C kernel provider is available;
 #: waived (not failed) when the record's ``kernels`` stanza says the run
 #: fell back to pure python.
 COMPILED_FLOORS = frozenset(name for name in FLOORS if "compiled" in name)
+
+
+def src_lines(root: Path = SRC_ROOT) -> int:
+    """Lines of every ``*.py`` file under ``root``."""
+    return sum(len(path.read_bytes().splitlines())
+               for path in sorted(root.rglob("*.py")))
 
 
 def main(argv=None) -> int:
@@ -106,7 +117,9 @@ def main(argv=None) -> int:
                          f"choose from {','.join(WORKLOAD_GROUPS)}")
 
     record = run_suite(quick=args.quick, workloads=selected)
+    record["src_lines"] = src_lines()
     print(format_record(record))
+    print(f"  src_lines: {record['src_lines']}")
     if not args.dry_run:
         path = append_record(record, args.output)
         print(f"\nappended record to {path}")
@@ -118,7 +131,7 @@ def main(argv=None) -> int:
         for name in waived:
             del active[name]
         if waived:
-            print(f"no compiled kernel provider; waiving floors {waived}")
+            print(f"no C kernel provider; waiving floors {waived}")
     failures = [name for name, floor in active.items()
                 if record["speedups"].get(name, 0.0) < floor]
     if failures:

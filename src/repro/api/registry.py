@@ -295,8 +295,8 @@ def make_mechanism(spec: MechanismSpec, **defaults: Any) -> MechanismAdapter:
 @register_sketch("misra_gries", aliases=("mg",),
                  description="Paper-variant Misra-Gries (Algorithm 1): k counters, "
                              "dummy-key padding, lazy decrements, vectorized batch path.")
-def _make_misra_gries(k: int = 64, backend: str = "auto") -> MisraGriesSketch:
-    return MisraGriesSketch(k, backend=backend)
+def _make_misra_gries(k: int = 64) -> MisraGriesSketch:
+    return MisraGriesSketch(k)
 
 
 @register_sketch("misra_gries_standard", aliases=("standard_mg",),

@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     listing.add_argument("--what", choices=["mechanisms", "sketches", "all"], default="all")
     listing.add_argument("--backends", action="store_true",
                          help="report the compiled kernel backends (what "
-                              "REPRO_KERNELS / backend='auto' resolves to)")
+                              "REPRO_KERNELS resolves to)")
 
     generate = subparsers.add_parser("generate", help="generate a synthetic stream")
     generate.add_argument("--dataset", choices=list_datasets() + ["zipf", "uniform"],
@@ -506,6 +506,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
         print()
         env = f" (REPRO_KERNELS={info['env']})" if info["env"] else ""
         print(f"resolved backend: {info['backend']}{env}")
+        if info["error"]:
+            print(f"  refused: {info['error']}")
         for kernel, backend in info["kernels"].items():
             print(f"  {kernel}: {backend}")
         return 0

@@ -1,14 +1,11 @@
-"""Shared-source kernel implementations (the executable specification).
+"""Kernel implementations in plain python (the executable specification).
 
-Every kernel in this module is written in the restricted "array style" that
-Numba's nopython mode compiles directly: ndarray parameters, scalar locals,
-explicit loops, no dicts/strings/exceptions.  The module serves three roles:
+Every kernel in this module is written in a restricted "array style" that
+maps one to one onto C: ndarray parameters, scalar locals, explicit loops,
+no dicts/strings/exceptions.  The module serves two roles:
 
 * imported normally it runs as plain Python — the *executable spec* the
   property tests exercise even when no compiler is present;
-* :mod:`repro.kernels._numba_provider` re-executes this file's source with
-  ``jit`` bound to ``numba.njit(cache=True, fastmath=False)``, turning every
-  function into a compiled kernel without a second copy of the algorithm;
 * :mod:`repro.kernels._c_provider` mirrors the same algorithms in C
   (:mod:`repro.kernels._c_src`); this module is the reference the C code is
   property-tested against.
@@ -18,9 +15,9 @@ Bit-identity
 The kernels must produce *exactly* the state the pure-python engines produce
 (same keys, same float bits, same dict insertion order).  That is feasible
 because every float operation here is a plain add/subtract/compare performed
-in the same order as the python engine (``fastmath`` stays off, so the
-compilers may not reassociate), and every tie-break is a total order on the
-data itself (never on hash-iteration order):
+in the same order as the python engine (the C build uses no fast-math
+flags, so the compiler may not reassociate), and every tie-break is a total
+order on the data itself (never on hash-iteration order):
 
 * ``mg_update`` replays Branches 1-3 of Algorithm 1 element by element;
   ``update_batch`` is already property-tested bit-identical to the
@@ -40,12 +37,6 @@ data itself (never on hash-iteration order):
 from __future__ import annotations
 
 import numpy as np
-
-try:  # pragma: no cover - exercised via the numba provider
-    jit  # type: ignore[used-before-def]  # noqa: B018 - injected by _numba_provider
-except NameError:  # plain import: run uncompiled as the executable spec
-    def jit(func):
-        return func
 
 # Status codes shared by all kernels (and the C mirror).
 MG_OK = 0
@@ -82,7 +73,6 @@ SCAN_SKETCH_LEN = 14
 SCAN_OUT_SLOTS = 16
 
 
-@jit
 def _pow2_at_least(n):
     cap = 16
     while cap < n:
@@ -90,10 +80,9 @@ def _pow2_at_least(n):
     return cap
 
 
-@jit
 def _hash_int(key, mask):
     # Mixed in int64-safe pieces: every product stays below 2**62, so the
-    # arithmetic is identical under python bigints and C/numba int64.
+    # arithmetic is identical under python bigints and C int64.
     lo = key & 0x3FFFFFFF
     mid = (key >> 30) & 0x3FFFFFFF
     hi = (key >> 60) & 0xF
@@ -104,7 +93,6 @@ def _hash_int(key, mask):
     return x & mask
 
 
-@jit
 def _map_find(tkey, tval, mask, key):
     """Index of ``key`` in an open-addressed map, or -1 (values >= 0 live,
     -1 empty, -2 tombstone)."""
@@ -118,7 +106,6 @@ def _map_find(tkey, tval, mask, key):
         i = (i + 1) & mask
 
 
-@jit
 def _heap_le(rank_a, key_a, rank_b, key_b):
     """Eviction order: real keys before dummies, then smallest key/index."""
     if rank_a != rank_b:
@@ -126,7 +113,6 @@ def _heap_le(rank_a, key_a, rank_b, key_b):
     return key_a <= key_b
 
 
-@jit
 def _map_put(tkey, tval, mask, key, value):
     """Insert an *absent* key; returns 1 if an empty cell was consumed."""
     i = _hash_int(key, mask)
@@ -143,7 +129,6 @@ def _map_put(tkey, tval, mask, key, value):
         i = (i + 1) & mask
 
 
-@jit
 def mg_update(keys, dummy, stored, ins_seq, io, chunk):
     """Branches 1-3 of Algorithm 1 over ``chunk``, on exported sketch state.
 
@@ -436,7 +421,6 @@ def mg_update(keys, dummy, stored, ins_seq, io, chunk):
     return MG_OK
 
 
-@jit
 def _select_kth(buf, n, pos):
     """The ``pos``-th smallest of ``buf[:n]`` (the same order statistic
     ``np.partition`` selects); scrambles ``buf``.  No NaNs (callers filter)."""
@@ -484,7 +468,6 @@ def _select_kth(buf, n, pos):
     return buf[lo]
 
 
-@jit
 def _fold_step_body(keys, values, low, size, acc, active, n_active,
                     scratch_ids, scratch_vals, zero_live, n_zero):
     """One Agarwal fold step after the first; returns the new live count.
@@ -562,7 +545,6 @@ def _fold_step_body(keys, values, low, size, acc, active, n_active,
     return w
 
 
-@jit
 def fold_step(keys, values, low, size, acc, active, scratch_ids,
               scratch_vals, zero_live, state):
     """One fold step of :class:`repro.sketches.merge.FoldState` after the first.
@@ -610,7 +592,7 @@ def bind_fold_step(step):
     ``bind(size, acc, active, scratch_ids, scratch_vals, zero_live, state)``
     returns ``bound(keys, values, low) -> status``, which the state calls per
     frame.  The C provider resolves the buffer addresses at bind time; this
-    adapter serves the python spec and the numba build.
+    adapter serves the python spec.
     """
     def bind(size, acc, active, scratch_ids, scratch_vals, zero_live, state):
         def bound(keys, values, low):
@@ -620,7 +602,6 @@ def bind_fold_step(step):
     return bind
 
 
-@jit
 def fold_interned(flat_ids, flat_values, lengths, size, acc, active,
                   scratch_ids, scratch_vals, zero_live):
     """Scalar replica of :func:`repro.sketches.merge._fold_interned`.
@@ -693,7 +674,6 @@ def fold_interned(flat_ids, flat_values, lengths, size, acc, active,
 # ``json.loads`` path so non-canonical and malformed frames keep byte-exact
 # python error behaviour.
 
-@jit
 def _scan_ws(buf, pos, end):
     while pos < end:
         c = buf[pos]
@@ -703,7 +683,6 @@ def _scan_ws(buf, pos, end):
     return pos
 
 
-@jit
 def _scan_int(buf, pos, end):
     """Parse a JSON integer; returns (newpos, value, status)."""
     neg = False
@@ -736,7 +715,6 @@ def _scan_int(buf, pos, end):
     return pos, value, SCAN_OK
 
 
-@jit
 def _scan_string(buf, pos, end):
     """Parse a plain ASCII JSON string; returns (newpos, start, length, status)."""
     if pos >= end or buf[pos] != 34:  # '"'
@@ -754,27 +732,23 @@ def _scan_string(buf, pos, end):
 
 
 # Exact byte matchers for the canonical vocabulary.  Written as explicit
-# indexed comparisons (not arrays/strings) so they compile in nopython mode
-# and translate 1:1 to the C mirror.
+# indexed comparisons (not arrays/strings) so they translate 1:1 to the C
+# mirror.
 
-@jit
 def _is_count(buf, s, n):  # "count"
     return (n == 5 and buf[s] == 99 and buf[s + 1] == 111 and buf[s + 2] == 117
             and buf[s + 3] == 110 and buf[s + 4] == 116)
 
 
-@jit
 def _is_format(buf, s, n):  # "format"
     return (n == 6 and buf[s] == 102 and buf[s + 1] == 111 and buf[s + 2] == 114
             and buf[s + 3] == 109 and buf[s + 4] == 97 and buf[s + 5] == 116)
 
 
-@jit
 def _is_k(buf, s, n):  # "k"
     return n == 1 and buf[s] == 107
 
 
-@jit
 def _is_key_encoding(buf, s, n):  # "key_encoding"
     return (n == 12 and buf[s] == 107 and buf[s + 1] == 101 and buf[s + 2] == 121
             and buf[s + 3] == 95 and buf[s + 4] == 101 and buf[s + 5] == 110
@@ -782,25 +756,21 @@ def _is_key_encoding(buf, s, n):  # "key_encoding"
             and buf[s + 9] == 105 and buf[s + 10] == 110 and buf[s + 11] == 103)
 
 
-@jit
 def _is_kind(buf, s, n):  # "kind"
     return (n == 4 and buf[s] == 107 and buf[s + 1] == 105 and buf[s + 2] == 110
             and buf[s + 3] == 100)
 
 
-@jit
 def _is_meta(buf, s, n):  # "meta"
     return (n == 4 and buf[s] == 109 and buf[s + 1] == 101 and buf[s + 2] == 116
             and buf[s + 3] == 97)
 
 
-@jit
 def _is_null_at(buf, pos, end):  # "null"
     return (pos + 4 <= end and buf[pos] == 110 and buf[pos + 1] == 117
             and buf[pos + 2] == 108 and buf[pos + 3] == 108)
 
 
-@jit
 def _is_decrement_rounds(buf, s, n):  # "decrement_rounds"
     return (n == 16 and buf[s] == 100 and buf[s + 1] == 101 and buf[s + 2] == 99
             and buf[s + 3] == 114 and buf[s + 4] == 101 and buf[s + 5] == 109
@@ -810,13 +780,11 @@ def _is_decrement_rounds(buf, s, n):  # "decrement_rounds"
             and buf[s + 15] == 115)
 
 
-@jit
 def _is_sketch(buf, s, n):  # "sketch"
     return (n == 6 and buf[s] == 115 and buf[s + 1] == 107 and buf[s + 2] == 101
             and buf[s + 3] == 116 and buf[s + 4] == 99 and buf[s + 5] == 104)
 
 
-@jit
 def _is_stream_length(buf, s, n):  # "stream_length"
     return (n == 13 and buf[s] == 115 and buf[s + 1] == 116 and buf[s + 2] == 114
             and buf[s + 3] == 101 and buf[s + 4] == 97 and buf[s + 5] == 109
@@ -825,7 +793,6 @@ def _is_stream_length(buf, s, n):  # "stream_length"
             and buf[s + 12] == 104)
 
 
-@jit
 def scan_binary_header(buf, out):
     """Scan a canonical binary-frame header into ``out`` (int64[16]).
 

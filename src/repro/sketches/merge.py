@@ -246,8 +246,7 @@ class FoldState:
     route for NaN counters.  Both are bit-identical.
     """
 
-    def __init__(self, size: int, domain: Optional[int] = None,
-                 backend: Optional[str] = None) -> None:
+    def __init__(self, size: int, domain: Optional[int] = None) -> None:
         self.size = size
         #: Whether the next step is the fold's first.
         self.first = True
@@ -269,7 +268,7 @@ class FoldState:
         self._active = np.empty(0, dtype=np.int64)
         self._scratch_ids = np.empty(0, dtype=np.int64)
         self._scratch_vals = np.empty(0, dtype=np.float64)
-        self._binder = _kernels.get_kernel("fold_step", backend)
+        self._binder = _kernels.get_kernel("fold_step")
         self._kernel = None
 
     @property
@@ -467,8 +466,8 @@ class FoldState:
 
 
 def _fold_interned(flat_ids: np.ndarray, flat_values: np.ndarray,
-                   lengths: Sequence[int], domain: int, size: int,
-                   backend: Optional[str] = None) -> Tuple[np.ndarray, np.ndarray]:
+                   lengths: Sequence[int], domain: int,
+                   size: int) -> Tuple[np.ndarray, np.ndarray]:
     """Left fold of the Agarwal merge over interned (id, value) sketches.
 
     Dispatches to the compiled ``fold_interned`` kernel
@@ -476,10 +475,10 @@ def _fold_interned(flat_ids: np.ndarray, flat_values: np.ndarray,
     same step body as the compiled ``fold_step``, bit-identical to
     :class:`FoldState` — and otherwise (or for NaN-valued counters, where
     the kernel's quickselect would disagree with ``np.partition``'s NaN
-    ordering) runs the numpy steps of :class:`FoldState`.
+    ordering) runs the steps of :class:`FoldState`.
     """
     if domain and flat_ids.size:
-        kernel = _kernels.get_kernel("fold_interned", backend)
+        kernel = _kernels.get_kernel("fold_interned")
         if kernel is not None and not np.isnan(flat_values).any():
             return _fold_interned_kernel(
                 kernel, flat_ids, flat_values, lengths, domain, size)
@@ -509,11 +508,12 @@ def _fold_interned_kernel(kernel, flat_ids: np.ndarray, flat_values: np.ndarray,
 def _fold_interned_python(flat_ids: np.ndarray, flat_values: np.ndarray,
                           lengths: Sequence[int], domain: int,
                           size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The left fold as a loop of :class:`FoldState` numpy steps.
+    """The left fold as a loop of :class:`FoldState` steps.
 
-    Returns ``(active_ids, acc)``.
+    A compiled step hands any frame with a NaN in it (or in the live
+    counters) back to the numpy step.  Returns ``(active_ids, acc)``.
     """
-    state = FoldState(size, domain=domain, backend="python")
+    state = FoldState(size, domain=domain)
     start = 0
     for length in lengths:
         end = start + length
@@ -522,8 +522,7 @@ def _fold_interned_python(flat_ids: np.ndarray, flat_values: np.ndarray,
     return state.active, state.acc
 
 
-def merge_many(sketches: Sequence[SketchLike], k: int,
-               backend: Optional[str] = None) -> Dict[Hashable, float]:
+def merge_many(sketches: Sequence[SketchLike], k: int) -> Dict[Hashable, float]:
     """Fold :func:`merge_misra_gries` over a sequence of sketches, vectorized.
 
     The error guarantee holds for any merge order; the fold matches the
@@ -538,10 +537,6 @@ def merge_many(sketches: Sequence[SketchLike], k: int,
     deserialized straight off the aggregator's wire protocol) should go
     through :func:`merge_many_arrays`, which skips the per-object dict
     traversal entirely.
-
-    ``backend`` selects the fold engine (see :mod:`repro.kernels`); the
-    default ``None`` means ``auto`` — a compiled kernel when available,
-    the vectorized python fold otherwise, with identical results either way.
     """
     size = check_positive_int(k, "k")
     if not sketches:
@@ -561,15 +556,13 @@ def merge_many(sketches: Sequence[SketchLike], k: int,
         dtype=np.float64, count=total)
     if bool((flat_values < 0.0).any()):
         _raise_negative(views)
-    active, acc = _fold_interned(flat_ids, flat_values, lengths, domain, size,
-                                 backend=backend)
+    active, acc = _fold_interned(flat_ids, flat_values, lengths, domain, size)
     return dict(zip(_resolve_keys(active, resolver), acc[active].tolist()))
 
 
 def merge_many_arrays(keys_list: Sequence[np.ndarray],
                       values_list: Sequence[np.ndarray],
-                      k: int,
-                      backend: Optional[str] = None) -> Dict[int, float]:
+                      k: int) -> Dict[int, float]:
     """Columnar :func:`merge_many`: sketches as parallel (keys, values) arrays.
 
     This is the aggregator's wire path for the distributed setting of
@@ -625,19 +618,16 @@ def merge_many_arrays(keys_list: Sequence[np.ndarray],
         # corrupt keys beyond 2**53; take the exact dict route instead.
         return merge_many(
             [dict(zip(keys.tolist(), values.tolist()))
-             for keys, values in zip(key_arrays, value_arrays)], size,
-            backend=backend)
+             for keys, values in zip(key_arrays, value_arrays)], size)
     flat_values = np.concatenate([array for array in value_arrays if array.size])
     if bool((flat_values < 0.0).any()):
         _raise_negative_key(flat_keys, flat_values)
     flat_ids, domain, resolver = _intern_int_keys(flat_keys)
-    active, acc = _fold_interned(flat_ids, flat_values, lengths, domain, size,
-                                 backend=backend)
+    active, acc = _fold_interned(flat_ids, flat_values, lengths, domain, size)
     return dict(zip(_resolve_keys(active, resolver), acc[active].tolist()))
 
 
-def merge_tree(sketches: Sequence[SketchLike], k: int,
-               backend: Optional[str] = None) -> Dict[Hashable, float]:
+def merge_tree(sketches: Sequence[SketchLike], k: int) -> Dict[Hashable, float]:
     """Merge as a balanced pairwise tree instead of a left fold.
 
     Lemma 29 holds for *any* merge order, so the tree result carries the same
@@ -654,8 +644,7 @@ def merge_tree(sketches: Sequence[SketchLike], k: int,
     while len(level) > 1:
         next_level: List[Dict[Hashable, float]] = []
         for index in range(0, len(level) - 1, 2):
-            next_level.append(merge_many([level[index], level[index + 1]], size,
-                                         backend=backend))
+            next_level.append(merge_many([level[index], level[index + 1]], size))
         if len(level) % 2:
             next_level.append(level[-1])
         level = next_level
@@ -667,8 +656,7 @@ def merge_tree(sketches: Sequence[SketchLike], k: int,
 
 def merge_tree_arrays(keys_list: Sequence[np.ndarray],
                       values_list: Sequence[np.ndarray],
-                      k: int,
-                      backend: Optional[str] = None) -> Dict[int, float]:
+                      k: int) -> Dict[int, float]:
     """Columnar :func:`merge_tree`: sketches as parallel (keys, values) arrays.
 
     The zero-copy sharded fit path hands the parent process one
@@ -689,14 +677,13 @@ def merge_tree_arrays(keys_list: Sequence[np.ndarray],
     for index in range(0, len(keys_list) - 1, 2):
         next_level.append(merge_many_arrays(
             [keys_list[index], keys_list[index + 1]],
-            [values_list[index], values_list[index + 1]], size,
-            backend=backend))
+            [values_list[index], values_list[index + 1]], size))
     if len(keys_list) % 2:
         carry = np.asarray(keys_list[-1])
         next_level.append(dict(zip(carry.tolist(),
                                    np.asarray(values_list[-1],
                                               dtype=np.float64).tolist())))
-    return merge_tree(next_level, size, backend=backend)
+    return merge_tree(next_level, size)
 
 
 def sum_counters(sketches: Iterable[SketchLike]) -> Dict[Hashable, float]:

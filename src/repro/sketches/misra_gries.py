@@ -67,14 +67,11 @@ class MisraGriesSketch(FrequencySketch):
         Number of counters.  The sketch guarantees
         ``estimate(x) in [f(x) - n/(k+1), f(x)]`` for every element ``x``
         where ``n`` is the stream length (Fact 7).
-    backend:
-        Kernel backend for :meth:`update_batch`: ``"auto"`` (default) uses a
-        compiled kernel when one is available, ``"python"`` forces the pure
-        NumPy/python engine, ``"compiled"``/``"numba"``/``"cc"`` require a
-        specific provider (raising
-        :class:`~repro.exceptions.ParameterError` when absent).  The
-        ``REPRO_KERNELS`` environment variable overrides this value.  Every
-        backend produces bit-identical sketch state.
+
+    :meth:`update_batch` runs the compiled ``mg_update`` kernel when the
+    ``REPRO_KERNELS`` environment variable resolves to one (see
+    :mod:`repro.kernels`), and the NumPy/python engine otherwise; both
+    produce bit-identical sketch state.
 
     Examples
     --------
@@ -85,14 +82,8 @@ class MisraGriesSketch(FrequencySketch):
     True
     """
 
-    def __init__(self, k: int, backend: str = "auto") -> None:
+    def __init__(self, k: int) -> None:
         self._k = check_positive_int(k, "k")
-        self._backend = _kernels.validate_backend(backend)
-        if self._backend not in ("auto", "python"):
-            # Fail at construction, not first update, when an explicitly
-            # requested provider cannot be honoured (the env override can
-            # still redirect the request at update time).
-            _kernels.resolve_backend(self._backend)
         # Lazy decrement offset: the counter of a key is `stored - base`.
         self._base = 0
         self._stored: Dict[Hashable, int] = {DummyKey(i): 0 for i in range(1, self._k + 1)}
@@ -156,15 +147,6 @@ class MisraGriesSketch(FrequencySketch):
         for start in range(0, len(array), _BATCH_CHUNK):
             self._apply_chunk(array[start:start + _BATCH_CHUNK])
         return self
-
-    @property
-    def backend(self) -> str:
-        """The requested kernel backend (``REPRO_KERNELS`` may override)."""
-        return self._backend
-
-    def resolved_backend(self) -> str:
-        """The backend :meth:`update_batch` resolves to right now."""
-        return _kernels.backend_name(self._backend)
 
     def estimate(self, element: Hashable) -> float:
         """Estimated frequency of ``element`` (0 for unstored elements)."""
@@ -308,7 +290,7 @@ class MisraGriesSketch(FrequencySketch):
         bit-identical to the chunked python path (itself property-tested
         equal to the sequential engine).
         """
-        kernel = _kernels.get_kernel("mg_update", self._backend)
+        kernel = _kernels.get_kernel("mg_update")
         if kernel is None:
             return False
         chunk = self._as_int64_chunk(array)

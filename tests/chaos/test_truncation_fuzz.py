@@ -22,9 +22,8 @@ K = 16
 
 BACKENDS = [
     "python",
-    pytest.param("compiled", marks=pytest.mark.skipif(
-        not kernels.available(),
-        reason="no compiled kernel provider in this environment")),
+    pytest.param("cc", marks=pytest.mark.skipif(
+        not kernels.available(), reason="no C toolchain on this host")),
 ]
 
 
@@ -91,7 +90,7 @@ def test_truncation_errors_identical_across_backends(monkeypatch):
     mismatches = []
     for cut in range(len(data) + 1):
         python = _outcome(data[:cut], "python", monkeypatch)
-        compiled = _outcome(data[:cut], "compiled", monkeypatch)
+        compiled = _outcome(data[:cut], "cc", monkeypatch)
         if python != compiled:
             mismatches.append((cut, python, compiled))
     assert mismatches == [], (

@@ -4,16 +4,15 @@ The compiled tier (:mod:`repro.kernels`) is only allowed to exist because it
 changes *nothing*: same keys, same float bits, same dict iteration order as
 the pure-python engines on every input.  Hypothesis drives every kernel:
 
-* ``mg_update`` — chunked ``update_batch`` streams through the compiled
-  backend and through the shared njit-able source in
-  :mod:`repro.kernels._engine` (the numba provider compiles exactly that
-  text), against the vectorized python engine.
+* ``mg_update`` — chunked ``update_batch`` streams under
+  ``REPRO_KERNELS=cc`` and through the executable spec in
+  :mod:`repro.kernels._engine`, against the vectorized python engine.
 * ``fold_interned`` — ``merge_many`` / ``merge_many_arrays`` / ``merge_tree``
-  under ``backend="compiled"`` against ``backend="python"``, including the
-  NaN inputs that must route around the kernel.
+  under ``REPRO_KERNELS=cc`` against ``REPRO_KERNELS=python``, including
+  the NaN inputs that must route around the kernel.
 * ``fold_step`` — frame sequences folded through
-  :class:`~repro.sketches.merge.FoldState` with every compiled step, the
-  numpy step and the python spec ``_engine.fold_step``: same outcome per
+  :class:`~repro.sketches.merge.FoldState` with the cc step, the numpy step
+  and the python spec ``_engine.fold_step``: same outcome per
   frame (folded, too wide, or the same error), same live order, same
   accumulator bits, same zero-valued first-frame counters.
 * ``scan_binary_header`` — binary columnar frames decoded with and without
@@ -23,6 +22,8 @@ the pure-python engines on every input.  Hypothesis drives every kernel:
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -39,7 +40,24 @@ from repro.sketches.merge import (_DENSE_SPAN_LIMIT, FoldState, merge_many,
 COMPILED = kernels.available()
 
 needs_compiled = pytest.mark.skipif(
-    not COMPILED, reason="no compiled kernel provider in this environment")
+    not COMPILED, reason="no C toolchain on this host")
+
+
+@contextlib.contextmanager
+def _kernels_env(backend):
+    """Run the block under ``REPRO_KERNELS=backend``.
+
+    A manual :class:`pytest.MonkeyPatch` (not the fixture), so Hypothesis
+    can rerun a test body freely without the function-scoped-fixture health
+    check firing.
+    """
+    patch = pytest.MonkeyPatch()
+    try:
+        patch.setenv(kernels.ENV_VAR, backend)
+        yield
+    finally:
+        patch.undo()
+
 
 # Small universes force collisions and decrement rounds; the extremes force
 # the int64 edge handling (keys near +/- 2**63 stay exact in the kernels).
@@ -70,23 +88,25 @@ def _identical_sketches(left: MisraGriesSketch, right: MisraGriesSketch):
 @given(stream=_STREAMS, k=_SIZES, chunk_size=st.integers(1, 64))
 @settings(max_examples=60, deadline=None)
 def test_compiled_update_batch_is_bit_identical(stream, k, chunk_size):
-    python = MisraGriesSketch(k, backend="python")
-    compiled = MisraGriesSketch(k, backend="compiled")
-    assert compiled.resolved_backend() != "python"
+    python = MisraGriesSketch(k)
+    compiled = MisraGriesSketch(k)
     for chunk in _chunked(stream, chunk_size):
-        python.update_batch(chunk)
-        compiled.update_batch(chunk)
+        with _kernels_env("python"):
+            python.update_batch(chunk)
+        with _kernels_env("cc"):
+            compiled.update_batch(chunk)
     _identical_sketches(python, compiled)
 
 
 @given(stream=_STREAMS, k=_SIZES, chunk_size=st.integers(1, 64))
 @settings(max_examples=40, deadline=None)
 def test_engine_spec_update_is_bit_identical(stream, k, chunk_size):
-    """The shared njit-able source (what numba compiles) matches python."""
-    python = MisraGriesSketch(k, backend="python")
-    engine = MisraGriesSketch(k, backend="python")
+    """The executable spec (what the C mirrors) matches python."""
+    python = MisraGriesSketch(k)
+    engine = MisraGriesSketch(k)
     for chunk in _chunked(stream, chunk_size):
-        python.update_batch(chunk)
+        with _kernels_env("python"):
+            python.update_batch(chunk)
         state = engine._export_kernel_state()
         assert state is not None
         keys, dummy, stored, ins_seq, io = state
@@ -102,16 +122,18 @@ def test_engine_spec_update_is_bit_identical(stream, k, chunk_size):
 def test_compiled_sketch_interoperates_with_sequential_updates(stream, k):
     """Mixing per-element updates (python engine) into a compiled sketch
     keeps the state exact: the kernel rebuilds from whatever dict it finds."""
-    python = MisraGriesSketch(k, backend="python")
-    compiled = MisraGriesSketch(k, backend="compiled")
+    python = MisraGriesSketch(k)
+    compiled = MisraGriesSketch(k)
     for index, element in enumerate(stream):
         if index % 3 == 0:
             python.update(element)
             compiled.update(element)
         else:
             chunk = np.asarray([element], dtype=np.int64)
-            python.update_batch(chunk)
-            compiled.update_batch(chunk)
+            with _kernels_env("python"):
+                python.update_batch(chunk)
+            with _kernels_env("cc"):
+                compiled.update_batch(chunk)
     _identical_sketches(python, compiled)
 
 
@@ -134,8 +156,10 @@ _SUMMARIES = st.lists(
 @given(summaries=_SUMMARIES, k=_SIZES)
 @settings(max_examples=60, deadline=None)
 def test_compiled_merge_fold_is_bit_identical(summaries, k):
-    python = merge_many(summaries, k, backend="python")
-    compiled = merge_many(summaries, k, backend="compiled")
+    with _kernels_env("python"):
+        python = merge_many(summaries, k)
+    with _kernels_env("cc"):
+        compiled = merge_many(summaries, k)
     assert python == compiled
     assert list(python) == list(compiled)
     assert all(type(value) is float for value in compiled.values())
@@ -149,11 +173,13 @@ def test_compiled_columnar_and_tree_merges_are_bit_identical(summaries, k):
                  for s in summaries]
     values_list = [np.fromiter(s.values(), dtype=np.float64, count=len(s))
                    for s in summaries]
-    python = merge_many_arrays(keys_list, values_list, k, backend="python")
-    compiled = merge_many_arrays(keys_list, values_list, k, backend="compiled")
+    with _kernels_env("python"):
+        python = merge_many_arrays(keys_list, values_list, k)
+        tree_python = merge_tree(summaries, k)
+    with _kernels_env("cc"):
+        compiled = merge_many_arrays(keys_list, values_list, k)
+        tree_compiled = merge_tree(summaries, k)
     assert python == compiled and list(python) == list(compiled)
-    tree_python = merge_tree(summaries, k, backend="python")
-    tree_compiled = merge_tree(summaries, k, backend="compiled")
     assert tree_python == tree_compiled
     assert list(tree_python) == list(tree_compiled)
 
@@ -168,8 +194,10 @@ def test_nan_values_route_around_the_kernel_identically(summaries, k,
         summaries = [{0: 1.0}]
     target = summaries[position % len(summaries)]
     target[sorted(target)[position % len(target)]] = float("nan")
-    python = merge_many(summaries, k, backend="python")
-    compiled = merge_many(summaries, k, backend="compiled")
+    with _kernels_env("python"):
+        python = merge_many(summaries, k)
+    with _kernels_env("cc"):
+        compiled = merge_many(summaries, k)
     assert list(python) == list(compiled)
     for left, right in zip(python.values(), compiled.values()):
         assert (left != left and right != right) or left == right
@@ -207,12 +235,12 @@ _POISON = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 13),
 
 
 def _step_binders():
-    """The numpy step, the python spec, and every available compiled step."""
+    """The numpy step, the python spec, and the cc step when it builds."""
     binders = {"numpy": None,
                "spec": _engine.bind_fold_step(_engine.fold_step)}
-    for name in ("cc", "numba"):
-        if kernels.kernel_info()["providers"][name]["available"]:
-            binders[name] = kernels.get_kernel("fold_step", name)
+    if COMPILED:
+        with _kernels_env("cc"):
+            binders["cc"] = kernels.get_kernel("fold_step")
     return binders
 
 
@@ -292,10 +320,7 @@ def test_fold_step_span_limit_drops_to_pairwise():
         assert keys.tolist() == [0, 1, 2] and values.tolist() == [1.0, 2.0, 1.0]
 
 
-_CC = kernels.kernel_info()["providers"]["cc"]["available"]
-
-
-@pytest.mark.skipif(not _CC, reason="no C toolchain on this host")
+@needs_compiled
 @given(frames=st.lists(st.dictionaries(st.integers(0, 40), _STEP_VALUES,
                                        min_size=1, max_size=14),
                        min_size=1, max_size=6),
@@ -308,8 +333,8 @@ def test_served_fold_runs_every_later_frame_in_the_cc_step(frames, k):
     calls = []
     real = kernels.get_kernel
 
-    def counting(name, backend=None):
-        binder = real(name, "cc")
+    def counting(name):
+        binder = real(name)
         if name != "fold_step":
             return binder
 
@@ -324,6 +349,7 @@ def test_served_fold_runs_every_later_frame_in_the_cc_step(frames, k):
 
     patch = pytest.MonkeyPatch()
     try:
+        patch.setenv(kernels.ENV_VAR, "cc")
         patch.setattr(kernels, "get_kernel", counting)
         merger = framing.StreamingMerger(k)
         for counters in frames:
@@ -341,27 +367,15 @@ def test_served_fold_runs_every_later_frame_in_the_cc_step(frames, k):
 # ---------------------------------------------------------------------------
 
 def _decode_both_ways(body):
-    """Decode once with the kernel eligible and once forced pure-python.
-
-    Uses a manual :class:`pytest.MonkeyPatch` (not the fixture) so Hypothesis
-    can rerun the test body freely without the function-scoped-fixture
-    health check firing.
-    """
+    """Decode once with the cc scanner and once forced pure-python."""
     outcomes = []
-    for backend in (None, "python"):
-        patch = pytest.MonkeyPatch()
-        try:
-            if backend:
-                patch.setenv(kernels.ENV_VAR, backend)
-            else:
-                patch.delenv(kernels.ENV_VAR, raising=False)
+    for backend in ("cc", "python"):
+        with _kernels_env(backend):
             try:
                 payload = framing.decode_payload_body(bytes(body))
                 outcomes.append(("ok", payload))
             except framing.FramingError as error:
                 outcomes.append(("error", str(error)))
-        finally:
-            patch.undo()
     return outcomes
 
 

@@ -17,10 +17,10 @@ The ``repro list`` CLI output is asserted to match the parametrized set, so
 the table users see and the set this suite locks down cannot drift apart.
 
 The whole suite runs **twice** — once with ``REPRO_KERNELS=python`` and once
-with ``REPRO_KERNELS=compiled`` (skipped when no compiled provider exists) —
-so every registry entry honours the identical contract on both kernel
-backends.  The env var is the strongest override the tier has, so this
-exercises exactly what a deploy pinning a backend would run.
+with ``REPRO_KERNELS=cc`` (skipped when no C toolchain exists) — so every
+registry entry honours the identical contract on both kernel backends.  The
+env var is the tier's only backend switch, so this exercises exactly what a
+deploy pinning a backend would run.
 """
 
 from __future__ import annotations
@@ -56,11 +56,11 @@ MECHANISMS = sorted(list_mechanisms())
 SKETCHES = sorted(list_sketches())
 
 
-@pytest.fixture(autouse=True, params=["python", "compiled"])
+@pytest.fixture(autouse=True, params=["python", "cc"])
 def kernel_backend(request, monkeypatch):
     """Run every conformance test under both kernel backends."""
-    if request.param == "compiled" and not kernels.available():
-        pytest.skip("no compiled kernel provider in this environment")
+    if request.param == "cc" and not kernels.available():
+        pytest.skip("no C toolchain on this host")
     monkeypatch.setenv(kernels.ENV_VAR, request.param)
     return request.param
 
@@ -175,17 +175,10 @@ def test_sketch_rejects_unknown_spec_parameter(name):
         make_sketch({"name": name, "definitely_not_a_parameter": 1}, k=16)
 
 
-def test_misra_gries_spec_accepts_backend_parameter(kernel_backend):
-    sketch = make_sketch({"name": "misra_gries", "backend": kernel_backend},
-                         k=16)
-    sketch.update_all(_flat_stream())
-    assert sketch.backend == kernel_backend
-    assert sketch.resolved_backend() in ("python",) + kernels._PROVIDER_ORDER
-
-
-def test_misra_gries_spec_rejects_unknown_backend():
-    with pytest.raises(ParameterError, match="backend must be one of"):
-        make_sketch({"name": "misra_gries", "backend": "fortran"}, k=16)
+def test_misra_gries_spec_refuses_a_backend_parameter():
+    """``REPRO_KERNELS`` is the only backend switch; specs carry none."""
+    with pytest.raises(ParameterError, match="does not accept"):
+        make_sketch({"name": "misra_gries", "backend": "cc"}, k=16)
 
 
 # ---------------------------------------------------------------------------

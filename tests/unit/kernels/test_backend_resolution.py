@@ -1,21 +1,24 @@
 """Backend selection contract of :mod:`repro.kernels`.
 
-``validate_backend`` normalization, ``resolve_backend`` precedence (the
-``REPRO_KERNELS`` environment variable beats every in-code request and is
-read at call time), the explicit-request-unavailable → ``ParameterError``
-rule, the ``auto`` → python fallback with its warn-once semantics, and the
-``kernel_info()`` report shape.
+``validate_backend`` normalization, ``resolve_backend`` reading the
+``REPRO_KERNELS`` environment variable (the only switch, read at call
+time), the unavailable-``cc`` → ``ParameterError`` rule, the ``auto`` →
+python fallback with its warn-once semantics, and the ``kernel_info()``
+report shape.
 """
 
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import pytest
 
 from repro import kernels
 from repro.exceptions import ParameterError
-from repro.kernels import _numba_provider
+from repro.sketches import MisraGriesSketch
+from repro.sketches import merge
+from repro.sketches.merge import FoldState
 
 
 @pytest.fixture(autouse=True)
@@ -27,20 +30,25 @@ def _isolated_tier(monkeypatch):
     kernels.reset_for_tests()
 
 
+@pytest.fixture
+def no_provider(monkeypatch):
+    monkeypatch.setattr(kernels._c_provider, "available", lambda: False)
+
+
 # ---------------------------------------------------------------------------
 # validate_backend
 # ---------------------------------------------------------------------------
+
+def test_backends_are_auto_python_and_cc():
+    assert kernels.BACKENDS == ("auto", "python", "cc")
+
 
 @pytest.mark.parametrize("backend", kernels.BACKENDS)
 def test_every_documented_backend_validates(backend):
     assert kernels.validate_backend(backend) == backend
 
 
-def test_off_is_an_alias_of_python():
-    assert kernels.validate_backend("off") == "python"
-
-
-@pytest.mark.parametrize("value", ["AUTO", "  python ", "Compiled"])
+@pytest.mark.parametrize("value", ["AUTO", "  python ", "Cc"])
 def test_validation_normalizes_case_and_whitespace(value):
     assert kernels.validate_backend(value) in kernels.BACKENDS
 
@@ -51,95 +59,105 @@ def test_unknown_backends_raise_parameter_error(value):
         kernels.validate_backend(value)
 
 
+@pytest.mark.parametrize("value", ["numba", "compiled", "off"])
+def test_retired_env_values_are_refused(value, monkeypatch):
+    """The values of the removed provider and aliases are refused."""
+    monkeypatch.setenv(kernels.ENV_VAR, value)
+    with pytest.raises(ParameterError) as raised:
+        kernels.resolve_backend()
+    for name in ("auto", "python", "cc"):
+        assert repr(name) in str(raised.value)
+
+
 # ---------------------------------------------------------------------------
 # resolve_backend
 # ---------------------------------------------------------------------------
 
-def test_python_request_resolves_to_python():
-    assert kernels.resolve_backend("python") == "python"
-
-
-def test_auto_resolves_to_a_provider_or_python():
-    assert kernels.resolve_backend(None) in ("python",) + kernels._PROVIDER_ORDER
-
-
-def test_explicit_numba_without_numba_raises():
-    if _numba_provider.available():  # pragma: no cover - numba-present lane
-        pytest.skip("numba is installed in this environment")
-    with pytest.raises(ParameterError, match="numba"):
-        kernels.resolve_backend("numba")
-
-
-def test_env_var_overrides_explicit_request(monkeypatch):
+def test_python_env_resolves_to_python(monkeypatch):
     monkeypatch.setenv(kernels.ENV_VAR, "python")
-    assert kernels.resolve_backend("compiled") == "python"
-    assert kernels.get_kernel("mg_update", "compiled") is None
+    assert kernels.resolve_backend() == "python"
+    for name in kernels.KERNEL_NAMES:
+        assert kernels.get_kernel(name) is None
+
+
+def test_auto_resolves_to_cc_or_python():
+    assert kernels.resolve_backend() in ("python", "cc")
 
 
 def test_env_var_is_read_at_call_time(monkeypatch):
-    before = kernels.backend_name()
-    monkeypatch.setenv(kernels.ENV_VAR, "off")
-    assert kernels.resolve_backend(None) == "python"
+    before = kernels.resolve_backend()
+    monkeypatch.setenv(kernels.ENV_VAR, "python")
+    assert kernels.resolve_backend() == "python"
     monkeypatch.delenv(kernels.ENV_VAR)
-    assert kernels.backend_name() == before
+    assert kernels.resolve_backend() == before
 
 
 def test_invalid_env_value_raises(monkeypatch):
     monkeypatch.setenv(kernels.ENV_VAR, "fortran")
     with pytest.raises(ParameterError, match="backend must be one of"):
-        kernels.resolve_backend(None)
+        kernels.resolve_backend()
 
 
-def test_compiled_with_no_providers_raises(monkeypatch):
-    monkeypatch.setattr(kernels._numba_provider, "available", lambda: False)
-    monkeypatch.setattr(kernels._c_provider, "available", lambda: False)
-    with pytest.raises(ParameterError, match="no provider is available"):
-        kernels.resolve_backend("compiled")
+def test_cc_without_the_provider_raises(no_provider, monkeypatch):
+    monkeypatch.setenv(kernels.ENV_VAR, "cc")
+    with pytest.raises(ParameterError, match="'cc' requested but unavailable"):
+        kernels.resolve_backend()
 
 
-def test_auto_with_no_providers_warns_exactly_once(monkeypatch):
-    monkeypatch.setattr(kernels._numba_provider, "available", lambda: False)
-    monkeypatch.setattr(kernels._c_provider, "available", lambda: False)
+def test_auto_without_the_provider_warns_exactly_once(no_provider):
     with pytest.warns(kernels.KernelFallbackWarning):
-        assert kernels.resolve_backend(None) == "python"
+        assert kernels.resolve_backend() == "python"
     # The second resolution is silent: one warning per process.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert kernels.resolve_backend(None) == "python"
+        assert kernels.resolve_backend() == "python"
         assert kernels.get_kernel("mg_update") is None
     assert not kernels.available()
 
 
 # ---------------------------------------------------------------------------
-# get_kernel / backend_name / kernel_info
+# The env var is the only switch
 # ---------------------------------------------------------------------------
 
-def test_get_kernel_python_is_none_for_every_kernel():
-    for name in kernels.KERNEL_NAMES:
-        assert kernels.get_kernel(name, "python") is None
+@pytest.mark.parametrize("target", [
+    merge.merge_many, merge.merge_many_arrays, merge.merge_tree,
+    merge.merge_tree_arrays, merge._fold_interned, FoldState,
+    MisraGriesSketch,
+])
+def test_no_entry_point_takes_a_backend_argument(target):
+    assert "backend" not in inspect.signature(target).parameters
 
 
-def test_get_kernel_returns_callables_when_available():
+def test_the_tier_takes_no_in_code_request():
+    assert list(inspect.signature(kernels.resolve_backend).parameters) == []
+    assert list(inspect.signature(kernels.get_kernel).parameters) == ["name"]
+
+
+def test_sketch_has_no_backend_attribute():
+    sketch = MisraGriesSketch(4)
+    assert not hasattr(sketch, "backend")
+    assert not hasattr(sketch, "resolved_backend")
+
+
+# ---------------------------------------------------------------------------
+# get_kernel / kernel_info
+# ---------------------------------------------------------------------------
+
+def test_get_kernel_returns_callables_when_available(monkeypatch):
     if not kernels.available():  # pragma: no cover - toolchain-free lane
-        pytest.skip("no compiled provider in this environment")
+        pytest.skip("no C toolchain in this environment")
+    monkeypatch.setenv(kernels.ENV_VAR, "cc")
     for name in kernels.KERNEL_NAMES:
-        assert callable(kernels.get_kernel(name, "compiled"))
-
-
-def test_backend_name_never_raises(monkeypatch):
-    monkeypatch.setattr(kernels._numba_provider, "available", lambda: False)
-    monkeypatch.setattr(kernels._c_provider, "available", lambda: False)
-    assert kernels.backend_name("compiled") == "python"
+        assert callable(kernels.get_kernel(name))
 
 
 def test_kernel_info_shape():
     info = kernels.kernel_info()
-    assert set(info) == {"backend", "env", "error", "providers", "kernels",
-                         "numba_version"}
-    assert set(info["providers"]) == set(kernels._PROVIDER_ORDER)
+    assert set(info) == {"backend", "env", "error", "providers", "kernels"}
+    assert set(info["providers"]) == {"cc"}
     assert set(info["kernels"]) == set(kernels.KERNEL_NAMES)
-    for provider in info["providers"].values():
-        assert {"name", "available", "error", "kernels"} <= set(provider)
+    assert {"name", "available", "error", "kernels"} <= set(
+        info["providers"]["cc"])
 
 
 def test_kernel_info_reports_env_override(monkeypatch):
@@ -148,3 +166,10 @@ def test_kernel_info_reports_env_override(monkeypatch):
     assert info["env"] == "python"
     assert info["backend"] == "python"
     assert all(backend == "python" for backend in info["kernels"].values())
+
+
+def test_kernel_info_reports_a_refused_env_value(monkeypatch):
+    monkeypatch.setenv(kernels.ENV_VAR, "compiled")
+    info = kernels.kernel_info()
+    assert info["backend"] == "python"
+    assert "backend must be one of" in info["error"]

@@ -106,7 +106,7 @@ class TestListBackends:
         output = capsys.readouterr().out
         info = kernels.kernel_info()
         assert f"resolved backend: {info['backend']}" in output
-        for provider in ("numba", "cc", "python"):
+        for provider in ("cc", "python"):
             assert provider in output
         for kernel in kernels.KERNEL_NAMES:
             assert kernel in output
@@ -117,3 +117,11 @@ class TestListBackends:
         monkeypatch.setenv(kernels.ENV_VAR, "python")
         assert main(["list", "--backends"]) == 0
         assert "resolved backend: python" in capsys.readouterr().out
+
+    def test_backends_listing_shows_a_refused_env_value(self, monkeypatch, capsys):
+        from repro import kernels
+
+        monkeypatch.setenv(kernels.ENV_VAR, "compiled")
+        assert main(["list", "--backends"]) == 0
+        output = capsys.readouterr().out
+        assert "refused: kernel backend must be one of" in output
