@@ -62,6 +62,7 @@ from __future__ import annotations
 import io
 import json
 import struct
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
@@ -98,6 +99,12 @@ BINARY_FRAME_TAG = 0x01
 #: layered on this container format.  Payload-only streams (``repro pack``
 #: files) never carry control frames; :class:`FrameReader` rejects them.
 CONTROL_FRAME_TAG = 0x02
+
+_BINARY_TAG = bytes([BINARY_FRAME_TAG])
+_CONTROL_TAG = bytes([CONTROL_FRAME_TAG])
+
+#: Whether the host's int64/float64 are the wire's little-endian layout.
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 _LENGTH = struct.Struct(">I")
 
@@ -175,12 +182,12 @@ def encode_control_frame(message: Mapping) -> bytes:
         raise FramingError(
             f"control frames must carry a string 'verb' field, got {message!r}")
     body = json.dumps(message, sort_keys=True).encode("utf-8")
-    return encode_frame(bytes([CONTROL_FRAME_TAG]) + body)
+    return encode_frame(_CONTROL_TAG + body)
 
 
 def decode_control_body(body: bytes) -> Dict[str, object]:
     """Decode a control frame body (``0x02`` tag included) into its message."""
-    if body[:1] != bytes([CONTROL_FRAME_TAG]):
+    if body[:1] != _CONTROL_TAG:
         raise FramingError(
             f"not a control frame (tag {body[:1]!r}, expected 0x02)")
     message = FrameReader._parse_json_body(body[1:])
@@ -223,22 +230,23 @@ def _binary_frame_body(payload: Mapping) -> bytes:
     header["key_encoding"] = "int"
     header["count"] = int(keys.size)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    return b"".join((bytes([BINARY_FRAME_TAG]), _LENGTH.pack(len(header_bytes)),
+    return b"".join((_BINARY_TAG, _LENGTH.pack(len(header_bytes)),
                      header_bytes, keys.tobytes(), values.tobytes()))
 
 
 def decode_payload_body(body: bytes, what: str = "frame") -> WirePayload:
     """Decode one payload frame body (JSON envelope or binary columnar)."""
-    if body[:1] == b"{":
+    tag = body[:1]
+    if tag == b"{":
         payload = FrameReader._parse_json_body(body)
         try:
             return wire_module.decode(payload)
         except Exception as error:
             raise FramingError(
                 f"{what} is not a wire v2 envelope: {error}") from None
-    if body[:1] == bytes([BINARY_FRAME_TAG]):
+    if tag == _BINARY_TAG:
         return _decode_binary_body(body)
-    if body[:1] == bytes([CONTROL_FRAME_TAG]):
+    if tag == _CONTROL_TAG:
         raise FramingError(
             f"{what} is a control frame (tag 0x02); payload streams carry only "
             "wire v2 envelopes — the aggregation control protocol lives in "
@@ -259,6 +267,8 @@ def _decode_binary_body(body: bytes) -> WirePayload:
     ``json.loads`` below, so malformed or foreign frames keep byte-exact
     python error behaviour.
     """
+    if type(body) is not bytes:
+        body = bytes(body)  # the columns are views of an immutable body
     if len(body) < 5:
         raise FramingError("binary frame too short for its header length")
     (header_length,) = _LENGTH.unpack_from(body, 1)
@@ -266,11 +276,9 @@ def _decode_binary_body(body: bytes) -> WirePayload:
         raise FramingError("binary frame header overruns the frame body")
     kernel = _kernels.get_kernel("scan_binary_header")
     if kernel is not None:
-        scanned = np.zeros(_scan.SCAN_OUT_SLOTS, dtype=np.int64)
-        header_bytes = np.frombuffer(body, dtype=np.uint8, count=header_length,
-                                     offset=5)
-        if kernel(np.ascontiguousarray(header_bytes), scanned) == _scan.SCAN_OK:
-            return _binary_payload_from_scan(body, header_length, scanned)
+        slots = kernel(body, 5, header_length)
+        if slots is not None:
+            return _binary_payload_from_scan(body, header_length, slots)
     header = FrameReader._parse_json_body(body[5:5 + header_length])
     kind = header.get("kind")
     if header.get("format") != wire_module.WIRE_FORMAT_VERSION:
@@ -282,25 +290,38 @@ def _decode_binary_body(body: bytes) -> WirePayload:
     count = header.get("count")
     if not isinstance(count, int) or count < 0:
         raise FramingError(f"binary frame declares a bad count {count!r}")
-    offset = 5 + header_length
-    if len(body) != offset + 16 * count:
-        raise FramingError(
-            f"binary frame carries {len(body) - offset} payload bytes; "
-            f"count={count} requires {16 * count}")
-    keys = np.asarray(np.frombuffer(body, dtype="<i8", count=count,
-                                    offset=offset), dtype=np.int64)
-    values = np.asarray(np.frombuffer(body, dtype="<f8", count=count,
-                                      offset=offset + 8 * count),
-                        dtype=np.float64)
+    keys, values, frame = _binary_columns(body, 5 + header_length, count)
     k = header.get("k")
     # Lazy keys: the aggregator hot path never materializes the Python list.
     return WirePayload(kind=kind, keys=None, values=values,
                        k=int(k) if k is not None else None,
-                       meta=dict(header.get("meta", {})), key_array=keys)
+                       meta=dict(header.get("meta", {})), key_array=keys,
+                       frame=frame)
+
+
+def _binary_columns(body: bytes, offset: int, count: int) -> Tuple:
+    """``(keys, values, frame)`` of a binary frame whose columns start at
+    ``offset``, after checking the body holds exactly ``count`` of each.
+
+    On a little-endian host the int64 keys and float64 values are views of
+    ``body`` and ``frame`` is ``(body, offset)``, which lets the compiled
+    fold read the columns in place; elsewhere they are converted copies and
+    ``frame`` is ``None``.
+    """
+    if len(body) != offset + 16 * count:
+        raise FramingError(
+            f"binary frame carries {len(body) - offset} payload bytes; "
+            f"count={count} requires {16 * count}")
+    keys = np.frombuffer(body, dtype="<i8", count=count, offset=offset)
+    values = np.frombuffer(body, dtype="<f8", count=count,
+                           offset=offset + 8 * count)
+    if _LITTLE_ENDIAN:
+        return keys, values, (body, offset)
+    return keys.astype(np.int64), values.astype(np.float64), None
 
 
 def _binary_payload_from_scan(body: bytes, header_length: int,
-                              scanned: np.ndarray) -> WirePayload:
+                              slots: List[int]) -> WirePayload:
     """Build a :class:`WirePayload` from a kernel-scanned canonical header.
 
     Replays the validation sequence of the ``json.loads`` path above in the
@@ -308,49 +329,39 @@ def _binary_payload_from_scan(body: bytes, header_length: int,
     (sorted) key order — which is the text order of a canonical header, so
     the resulting payload is indistinguishable from the fallback path's.
     """
-    declared = int(scanned[_scan.SCAN_FORMAT]) \
-        if scanned[_scan.SCAN_HAS_FORMAT] else None
+    declared = slots[_scan.SCAN_FORMAT] if slots[_scan.SCAN_HAS_FORMAT] \
+        else None
     if declared != wire_module.WIRE_FORMAT_VERSION:
         raise FramingError(
             f"binary frame declares format {declared!r}, "
             f"expected {wire_module.WIRE_FORMAT_VERSION}")
-    kind_length = int(scanned[_scan.SCAN_KIND_LEN])
+    kind_length = slots[_scan.SCAN_KIND_LEN]
     if kind_length >= 0:
-        kind_start = 5 + int(scanned[_scan.SCAN_KIND_START])
+        kind_start = 5 + slots[_scan.SCAN_KIND_START]
         kind = body[kind_start:kind_start + kind_length].decode("ascii")
     else:
         kind = None
     if kind not in wire_module._KINDS:
         raise FramingError(f"unrecognized wire v2 kind {kind!r}")
-    count = int(scanned[_scan.SCAN_COUNT]) \
-        if scanned[_scan.SCAN_HAS_COUNT] else None
+    count = slots[_scan.SCAN_COUNT] if slots[_scan.SCAN_HAS_COUNT] else None
     if count is None or count < 0:
         raise FramingError(f"binary frame declares a bad count {count!r}")
-    offset = 5 + header_length
-    if len(body) != offset + 16 * count:
-        raise FramingError(
-            f"binary frame carries {len(body) - offset} payload bytes; "
-            f"count={count} requires {16 * count}")
-    keys = np.asarray(np.frombuffer(body, dtype="<i8", count=count,
-                                    offset=offset), dtype=np.int64)
-    values = np.asarray(np.frombuffer(body, dtype="<f8", count=count,
-                                      offset=offset + 8 * count),
-                        dtype=np.float64)
+    keys, values, frame = _binary_columns(body, 5 + header_length, count)
     meta: Dict[str, object] = {}
-    if scanned[_scan.SCAN_HAS_META]:
-        if scanned[_scan.SCAN_HAS_DECREMENT_ROUNDS]:
-            meta["decrement_rounds"] = int(scanned[_scan.SCAN_DECREMENT_ROUNDS])
-        sketch_length = int(scanned[_scan.SCAN_SKETCH_LEN])
+    if slots[_scan.SCAN_HAS_META]:
+        if slots[_scan.SCAN_HAS_DECREMENT_ROUNDS]:
+            meta["decrement_rounds"] = slots[_scan.SCAN_DECREMENT_ROUNDS]
+        sketch_length = slots[_scan.SCAN_SKETCH_LEN]
         if sketch_length >= 0:
-            sketch_start = 5 + int(scanned[_scan.SCAN_SKETCH_START])
+            sketch_start = 5 + slots[_scan.SCAN_SKETCH_START]
             meta["sketch"] = body[sketch_start:sketch_start
                                   + sketch_length].decode("ascii")
-        if scanned[_scan.SCAN_HAS_STREAM_LENGTH]:
-            meta["stream_length"] = int(scanned[_scan.SCAN_STREAM_LENGTH])
+        if slots[_scan.SCAN_HAS_STREAM_LENGTH]:
+            meta["stream_length"] = slots[_scan.SCAN_STREAM_LENGTH]
     return WirePayload(kind=kind, keys=None, values=values,
-                       k=int(scanned[_scan.SCAN_K])
-                       if scanned[_scan.SCAN_HAS_K] else None,
-                       meta=meta, key_array=keys)
+                       k=slots[_scan.SCAN_K] if slots[_scan.SCAN_HAS_K]
+                       else None,
+                       meta=meta, key_array=keys, frame=frame)
 
 
 def parse_header_body(body: Optional[bytes]) -> FrameHeader:
@@ -511,7 +522,7 @@ class FrameReader:
                 "(trailing garbage?)")
         self._delivered += 1
         if self._raw:
-            if body[:1] not in (b"{", bytes([BINARY_FRAME_TAG])):
+            if body[:1] not in (b"{", _BINARY_TAG):
                 decode_payload_body(body, f"frame {self._delivered}")  # raises
             return body
         return decode_payload_body(body, f"frame {self._delivered}")
@@ -646,9 +657,10 @@ class StreamingMerger:
             self._acc_keys = self._acc_values = None
         return self._acc_dict
 
-    def _add_columnar(self, keys: np.ndarray, values: np.ndarray) -> None:
+    def _add_columnar(self, keys: np.ndarray, values: np.ndarray,
+                      frame: Optional[Tuple[bytes, int]] = None) -> None:
         if self._fold is not None:
-            if self._fold.step(keys, values):
+            if self._fold.step(keys, values, frame):
                 return
             self._dense_to_pairwise()
         if self._acc_keys is None:
@@ -671,7 +683,7 @@ class StreamingMerger:
         self._total_length += payload.stream_length
         columnar = payload.columnar()
         if columnar is not None and self._acc_dict is None:
-            self._add_columnar(columnar[0], columnar[1])
+            self._add_columnar(columnar[0], columnar[1], payload.frame)
             return self
         counters = payload.merge_counters()
         acc = self._to_dict_mode()

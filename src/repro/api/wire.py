@@ -35,7 +35,7 @@ Envelope kinds
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -110,14 +110,19 @@ class WirePayload:
     The aggregator hot path — binary frames into
     :class:`~repro.api.framing.StreamingMerger` — therefore never touches a
     Python key object.
+
+    ``frame`` is ``(body, at)`` when ``key_array`` and ``values`` are views
+    of the bytes ``body`` (keys from byte ``at``, values right after them),
+    so the compiled fold can read the frame itself; ``None`` otherwise.
     """
 
-    __slots__ = ("kind", "values", "k", "meta", "key_array", "_keys")
+    __slots__ = ("kind", "values", "k", "meta", "key_array", "_keys", "frame")
 
     def __init__(self, kind: str, keys: Optional[List[Hashable]],
                  values: np.ndarray, k: Optional[int] = None,
                  meta: Optional[Dict[str, object]] = None,
-                 key_array: Optional[np.ndarray] = None) -> None:
+                 key_array: Optional[np.ndarray] = None,
+                 frame: Optional[Tuple[bytes, int]] = None) -> None:
         if keys is None and key_array is None:
             raise ParameterError(
                 "WirePayload needs decoded keys (or a key_array to derive them from)")
@@ -127,6 +132,7 @@ class WirePayload:
         self.meta = {} if meta is None else meta
         self.key_array = key_array
         self._keys = keys
+        self.frame = frame
 
     @property
     def keys(self) -> List[Hashable]:

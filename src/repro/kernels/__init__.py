@@ -5,9 +5,9 @@ Misra-Gries per-element eviction loop behind ``update_batch``, the interned
 merge fold behind ``merge_many``/``merge_many_arrays``, one step of that
 fold behind the served ``StreamingMerger`` (``fold_step``: a binder that
 takes one :class:`~repro.sketches.merge.FoldState`'s buffers once and
-returns a per-frame ``step(keys, values, low) -> status``), and the binary
-columnar frame-header parse — have compiled implementations in one
-provider:
+returns a per-frame ``step(keys, values, low[, frame]) -> status``), and
+the binary columnar frame-header parse — have compiled implementations in
+one provider:
 
 ``cc``
     A C mirror (:mod:`repro.kernels._c_src`) of the executable spec in
@@ -63,6 +63,10 @@ ENV_VAR = "REPRO_KERNELS"
 
 _fallback_warned = False
 
+#: ``get_kernel``'s resolutions: raw ``REPRO_KERNELS`` value (``None`` when
+#: unset) -> the provider's kernel table, or ``None`` for python.
+_resolved: Dict[Optional[str], Optional[Dict[str, Callable]]] = {}
+
 
 class KernelFallbackWarning(UserWarning):
     """Emitted once per process when ``auto`` finds no compiled provider."""
@@ -108,10 +112,21 @@ def resolve_backend() -> str:
 
 
 def get_kernel(name: str) -> Optional[Callable]:
-    """The compiled kernel ``name``, or ``None`` to use the python engine."""
-    if resolve_backend() == "python":
-        return None
-    return _c_provider.load()[name]
+    """The compiled kernel ``name``, or ``None`` to use the python engine.
+
+    Hot paths call this once per frame, so the resolution is memoized on
+    the raw ``REPRO_KERNELS`` string: flipping the variable still switches
+    the backend on the next call, while an unchanged value costs one
+    environment read.  Refused values are never memoized; they raise on
+    every call.
+    """
+    raw = os.environ.get(ENV_VAR)
+    try:
+        table = _resolved[raw]
+    except KeyError:
+        table = None if resolve_backend() == "python" else _c_provider.load()
+        _resolved[raw] = table
+    return None if table is None else table[name]
 
 
 def available() -> bool:
@@ -145,7 +160,9 @@ def kernel_info() -> Dict:
 
 
 def reset_for_tests() -> None:
-    """Reset the provider cache and the warn-once flag (test isolation)."""
+    """Reset the provider cache, the resolution memo and the warn-once flag
+    (test isolation)."""
     global _fallback_warned
     _fallback_warned = False
+    _resolved.clear()
     _c_provider.reset_for_tests()

@@ -25,7 +25,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ._c_src import C_SOURCE, SOURCE_VERSION
-from ._engine import SCAN_OUT_SLOTS
+from ._engine import SCAN_OK, SCAN_OUT_SLOTS
 
 PROVIDER_NAME = "cc"
 
@@ -36,18 +36,20 @@ _loaded = False
 
 _I64 = np.dtype(np.int64)
 _F64 = np.dtype(np.float64)
-_U8 = np.dtype(np.uint8)
 _P = ctypes.c_void_p
+_C = ctypes.c_char_p
 _N = ctypes.c_int64
+_ScanSlots = ctypes.c_int64 * SCAN_OUT_SLOTS
 
 
 def _ptr(array, dtype) -> int:
     """The data address of ``array``, after the checks ndpointer made.
 
-    Every binding passes raw addresses (``c_void_p``): an ndpointer argtype
-    costs several microseconds per array per call.  The check stays: a
-    one-dimensional C-contiguous ndarray of exactly ``dtype``, else
-    ``TypeError`` before anything enters C.
+    Array arguments go in as raw addresses (``c_void_p``): an ndpointer
+    argtype costs several microseconds per array per call.  The check stays:
+    a one-dimensional C-contiguous ndarray of exactly ``dtype``, else
+    ``TypeError`` before anything enters C.  The per-frame kernels take the
+    frame's ``bytes`` plus offsets instead, skipping even this lookup.
     """
     if (type(array) is not np.ndarray or array.dtype != dtype
             or array.ndim != 1 or not array.flags.c_contiguous):
@@ -130,12 +132,15 @@ def _bind(lib) -> Dict:
     lib.repro_fold_interned.restype = _N
     lib.repro_fold_interned.argtypes = [_P, _P, _P, _N, _N, _P, _P, _P, _P,
                                         _P, _P]
+    # A c_void_p argument takes an address or a bytes object, whose buffer
+    # ctypes passes without a copy; c_char_p takes only bytes.
     lib.repro_fold_step.restype = _N
-    lib.repro_fold_step.argtypes = [_P, _P, _N, _N, _N, _N, _P, _P, _P, _P,
-                                    _P, _P]
-    lib.repro_scan_header.restype = _N
-    lib.repro_scan_header.argtypes = [_P, _N, _P]
+    lib.repro_fold_step.argtypes = [_P, _N, _P, _N, _N, _N, _N, _N, _P, _P,
+                                    _P, _P, _P, _P]
     fold_step_c = lib.repro_fold_step
+    lib.repro_scan_header.restype = _N
+    lib.repro_scan_header.argtypes = [_C, _N, _N, _P]
+    scan_c = lib.repro_scan_header
 
     def mg_update(keys, dummy, stored, ins_seq, io, chunk):
         state = [_ptr(array, _I64)
@@ -174,27 +179,47 @@ def _bind(lib) -> Dict:
                    _ptr(scratch_ids, _I64), _ptr(scratch_vals, _F64),
                    _ptr(zero_live, _I64), _ptr(state, _I64))
 
-        def bound(keys, values, low):
-            keys_at = _ptr(keys, _I64)
-            values_at = _ptr(values, _F64)
-            n = keys.shape[0]
-            _check(values.shape[0] == n,
+        def bound(keys, values, low, frame=None):
+            # ``frame``: ``(body, at)`` when keys and values are the int64
+            # and float64 columns of the bytes ``body`` from byte ``at`` on
+            # — C then reads the body itself, with no address lookup.
+            if frame is None:
+                keys_buf, keys_at = _ptr(keys, _I64), 0
+                values_buf, values_at = _ptr(values, _F64), 0
+                n = keys.shape[0]
+            else:
+                keys_buf, keys_at = frame
+                if type(keys_buf) is not bytes:
+                    raise TypeError("fold_step frame body must be bytes, got "
+                                    f"{type(keys_buf).__name__}")
+                n = len(keys)
+                values_buf, values_at = keys_buf, keys_at + 8 * n
+                _check(0 <= keys_at and values_at + 8 * n <= len(keys_buf),
+                       "fold_step frame columns overrun the frame body")
+            _check(len(values) == n,
                    "fold_step keys and values differ in length")
             _check(int(state[0]) + n <= capacity,
                    "fold_step buffers too small for this frame")
-            return fold_step_c(keys_at, values_at, n, low, domain, size,
-                               *buffers)
+            return fold_step_c(keys_buf, keys_at, values_buf, values_at, n,
+                               low, domain, size, *buffers)
 
         # Keeps every bound buffer alive as long as C may write to it.
         bound.buffers = (acc, active, scratch_ids, scratch_vals, zero_live,
                          state)
         return bound
 
-    def scan_binary_header(buf, out):
-        buf_at, out_at = _ptr(buf, _U8), _ptr(out, _I64)
-        _check(out.shape[0] >= SCAN_OUT_SLOTS,
-               f"scan_binary_header needs {SCAN_OUT_SLOTS} output slots")
-        return int(lib.repro_scan_header(buf_at, buf.shape[0], out_at))
+    def scan_binary_header(body, start, length):
+        """Scan ``body[start:start + length]``; the slot list, or ``None``
+        when the header is not canonical (the caller parses it instead)."""
+        if type(body) is not bytes:
+            raise TypeError(
+                f"scan_binary_header needs bytes, got {type(body).__name__}")
+        _check(0 <= start and 0 <= length and start + length <= len(body),
+               "scan_binary_header range overruns the frame body")
+        out = _ScanSlots()
+        if scan_c(body, start, length, out) != SCAN_OK:
+            return None
+        return out[:]
 
     return {"mg_update": mg_update, "fold_interned": fold_interned,
             "fold_step": fold_step, "scan_binary_header": scan_binary_header}

@@ -14,7 +14,7 @@ its build cache on a hash of the source text, so editing the C automatically
 invalidates stale binaries.
 """
 
-SOURCE_VERSION = 2
+SOURCE_VERSION = 3
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -426,14 +426,20 @@ static int64_t fold_step_body(const int64_t *keys, const double *values,
     return w;
 }
 
-/* One FoldState step after the first; state = {n_active, n_zero}.  Scans
-   the frame (and the live counters) first; every status but FOLD_OK leaves
-   the state untouched (precedence: range, negative, NaN). */
-int64_t repro_fold_step(const int64_t *keys, const double *values, int64_t n,
+/* One FoldState step after the first; state = {n_active, n_zero}.  The
+   keys start keys_at bytes into keys_buf and the values values_at bytes
+   into values_buf: a frame body and its two column offsets, or two array
+   addresses at offset 0.  Scans the frame (and the live counters) first;
+   every status but FOLD_OK leaves the state untouched (precedence: range,
+   negative, NaN). */
+int64_t repro_fold_step(const char *keys_buf, int64_t keys_at,
+                        const char *values_buf, int64_t values_at, int64_t n,
                         int64_t low, int64_t domain, int64_t size, double *acc,
                         int64_t *active, int64_t *scratch_ids,
                         double *scratch_vals, const int64_t *zero_live,
                         int64_t *state) {
+    const int64_t *keys = (const int64_t *) (keys_buf + keys_at);
+    const double *values = (const double *) (values_buf + values_at);
     /* The id space never ends past the int64 range, so last is exact. */
     int64_t last = low + (domain - 1);
     int nan = 0, negative = 0;
@@ -597,7 +603,7 @@ static int is_null_at(const uint8_t *buf, int64_t pos, int64_t end) {
         && buf[pos + 2] == 'l' && buf[pos + 3] == 'l';
 }
 
-int64_t repro_scan_header(const uint8_t *buf, int64_t end, int64_t *out) {
+static int64_t scan_header(const uint8_t *buf, int64_t end, int64_t *out) {
     for (int64_t i = 0; i < SCAN_OUT_SLOTS; i++) out[i] = 0;
     out[SCAN_KIND_LEN] = -1;
     out[SCAN_SKETCH_LEN] = -1;
@@ -737,5 +743,12 @@ int64_t repro_scan_header(const uint8_t *buf, int64_t end, int64_t *out) {
         return SCAN_FALLBACK;
     }
     return pos == end ? SCAN_OK : SCAN_FALLBACK;
+}
+
+/* Scan the header frame[start, start + length); positions in out count
+   from start. */
+int64_t repro_scan_header(const uint8_t *frame, int64_t start, int64_t length,
+                          int64_t *out) {
+    return scan_header(frame + start, length, out);
 }
 """

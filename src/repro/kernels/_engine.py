@@ -590,12 +590,14 @@ def bind_fold_step(step):
 
     A provider's ``fold_step`` entry binds one state's buffers once:
     ``bind(size, acc, active, scratch_ids, scratch_vals, zero_live, state)``
-    returns ``bound(keys, values, low) -> status``, which the state calls per
-    frame.  The C provider resolves the buffer addresses at bind time; this
-    adapter serves the python spec.
+    returns ``bound(keys, values, low[, frame]) -> status``, which the state
+    calls per frame.  ``frame`` is ``(body, at)`` when ``keys``/``values``
+    are the columns of the bytes ``body`` from byte ``at`` on: the C provider
+    reads the body directly (its buffer addresses are resolved at bind
+    time); this adapter serves the python spec, which reads the arrays.
     """
     def bind(size, acc, active, scratch_ids, scratch_vals, zero_live, state):
-        def bound(keys, values, low):
+        def bound(keys, values, low, frame=None):
             return step(keys, values, low, size, acc, active, scratch_ids,
                         scratch_vals, zero_live, state)
         return bound
@@ -798,7 +800,9 @@ def scan_binary_header(buf, out):
 
     Returns SCAN_OK with the slots documented at the top of this module
     filled in, or SCAN_FALLBACK when the header deviates from the canonical
-    grammar in any way.
+    grammar in any way.  The provider's table entry takes the frame body
+    and the header's place in it instead, ``scan_binary_header(body, start,
+    length)``, and returns the slots as a list (``None`` for fallback).
     """
     for i in range(SCAN_OUT_SLOTS):
         out[i] = 0

@@ -96,6 +96,15 @@ ERROR = "error"
 #: Default per-read ceiling of :class:`FrameChannel` (bytes).
 DEFAULT_CHUNK_SIZE = 1 << 16
 
+_PREFIX = framing._LENGTH.size
+
+
+def _deadline(timeout: Optional[float]) -> Optional[float]:
+    """The event-loop time ``timeout`` seconds from now (``None``: never)."""
+    if timeout is None:
+        return None
+    return asyncio.get_running_loop().time() + timeout
+
 
 @dataclass(frozen=True)
 class Address:
@@ -146,9 +155,11 @@ class FrameChannel:
 
     Sending never buffers more than one frame before ``drain()`` (payload
     frames are encoded once, written, and awaited), and receiving issues
-    only bounded ``read()`` calls — at most ``chunk_size`` bytes each — so
-    both sides stay within one frame plus ``O(chunk)`` of live memory per
-    connection regardless of what the peer sends.
+    only bounded ``read()`` calls — at most ``chunk_size`` bytes each, and
+    only while the next frame is incomplete — so both sides stay within one
+    frame plus ``chunk_size`` of live memory per connection regardless of
+    what the peer sends.  Frames that arrived together are cut from the
+    receive buffer without awaiting.
     """
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
@@ -156,6 +167,9 @@ class FrameChannel:
         self._reader = reader
         self._writer = writer
         self._chunk_size = chunk_size
+        # Received bytes not yet cut into frames: less than one frame before
+        # a read, so at most one frame plus ``chunk_size`` after it.
+        self._buffer = bytearray()
 
     # ------------------------------------------------------------------
     # Sending
@@ -193,46 +207,89 @@ class FrameChannel:
     # Receiving
     # ------------------------------------------------------------------
 
-    async def _read_exact(self, count: int, what: str) -> bytes:
-        chunks = []
-        remaining = count
-        while remaining:
-            chunk = await self._reader.read(min(remaining, self._chunk_size))
-            if not chunk:
-                raise FramingError(
-                    f"truncated {what}: expected {count} bytes, "
-                    f"got {count - remaining} (peer closed mid-frame?)")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return chunks[0] if len(chunks) == 1 else b"".join(chunks)
+    async def _fill(self, deadline: Optional[float]) -> bool:
+        """Append one ``read(chunk_size)`` to the buffer; ``False`` at EOF.
 
-    async def read_prefix(self) -> FrameHeader:
-        """Read the peer's stream prefix and header frame."""
-        framing.check_stream_prefix(
-            await self._read_exact(len(MAGIC) + 1, "magic header"))
-        body = await self._read_frame_bytes("header frame")
-        return framing.parse_header_body(body)
+        The receive path's only await, reached only when the buffer lacks
+        bytes.  ``deadline`` (event-loop time, ``None`` for no limit) bounds
+        the wait: past it, :class:`asyncio.TimeoutError`.
+        """
+        if deadline is None:
+            chunk = await self._reader.read(self._chunk_size)
+        else:
+            remaining = deadline - asyncio.get_running_loop().time()
+            if remaining <= 0:
+                raise asyncio.TimeoutError
+            chunk = await asyncio.wait_for(
+                self._reader.read(self._chunk_size), remaining)
+        if not chunk:
+            return False
+        self._buffer += chunk
+        return True
 
-    async def _read_frame_bytes(self, what: str) -> Optional[bytes]:
-        """The next frame body, or ``None`` at a clean end of stream."""
-        prefix = await self._reader.read(framing._LENGTH.size)
-        if not prefix:
+    def _cut_frame(self) -> Optional[bytes]:
+        """The next frame body, cut from the buffer; ``None`` if incomplete."""
+        buffer = self._buffer
+        if len(buffer) < _PREFIX:
             return None
-        while len(prefix) < framing._LENGTH.size:
-            more = await self._reader.read(framing._LENGTH.size - len(prefix))
-            if not more:
-                raise FramingError(
-                    f"truncated length prefix before {what}: got {len(prefix)} "
-                    "bytes (peer closed mid-frame?)")
-            prefix += more
-        (length,) = framing._LENGTH.unpack(prefix)
+        (length,) = framing._LENGTH.unpack_from(buffer)
         if length > framing.MAX_FRAME_BYTES:
             raise FramingError(
                 f"frame length {length} exceeds "
                 f"MAX_FRAME_BYTES={framing.MAX_FRAME_BYTES}")
-        return await self._read_exact(length, what)
+        end = _PREFIX + length
+        if len(buffer) < end:
+            return None
+        with memoryview(buffer) as view:
+            body = view[_PREFIX:end].tobytes()
+        del buffer[:end]
+        return body
 
-    async def next_event(self, include_body: bool = False) -> Tuple:
+    async def _next_body(self, what: str,
+                         deadline: Optional[float]) -> Optional[bytes]:
+        """The next frame body, or ``None`` at a clean end of stream.
+
+        Cuts it from the buffer without awaiting when it is there already;
+        otherwise reads until it is, by ``deadline``.
+        """
+        while True:
+            body = self._cut_frame()
+            if body is not None:
+                return body
+            if not await self._fill(deadline):
+                break
+        have = len(self._buffer)
+        if have == 0:
+            return None
+        if have < _PREFIX:
+            raise FramingError(
+                f"truncated length prefix before {what}: got {have} bytes "
+                "(peer closed mid-frame?)")
+        (length,) = framing._LENGTH.unpack_from(self._buffer)
+        raise FramingError(
+            f"truncated {what}: expected {length} bytes, got {have - _PREFIX} "
+            "(peer closed mid-frame?)")
+
+    async def read_prefix(self, timeout: Optional[float] = None) -> FrameHeader:
+        """Read the peer's stream prefix and header frame.
+
+        ``timeout`` bounds the whole read (seconds, ``None`` for no limit);
+        past it, :class:`asyncio.TimeoutError`.
+        """
+        deadline = _deadline(timeout)
+        size = len(MAGIC) + 1
+        while len(self._buffer) < size:
+            if not await self._fill(deadline):
+                raise FramingError(
+                    f"truncated magic header: expected {size} bytes, "
+                    f"got {len(self._buffer)} (peer closed mid-frame?)")
+        framing.check_stream_prefix(bytes(self._buffer[:size]))
+        del self._buffer[:size]
+        body = await self._next_body("header frame", deadline)
+        return framing.parse_header_body(body)
+
+    async def next_event(self, include_body: bool = False,
+                         timeout: Optional[float] = None) -> Tuple:
         """The next frame as ``(kind, value)``.
 
         ``("control", message_dict)`` for control frames, ``("payload",
@@ -242,11 +299,16 @@ class FrameChannel:
         ``include_body=True`` appends the verbatim frame body (``None`` at
         EOF) as a third element — the write-ahead log spools those exact
         bytes, tag preserved, before the payload is folded.
+
+        ``timeout`` is a per-frame deadline in seconds (``None``: none): a
+        frame that is not complete that long after the call raises
+        :class:`asyncio.TimeoutError`.  It bounds only the awaits that wait
+        for bytes; a frame already in the buffer is returned without one.
         """
-        body = await self._read_frame_bytes("frame")
+        body = await self._next_body("frame", _deadline(timeout))
         if body is None:
             event: Tuple = ("eof", None)
-        elif body[:1] == bytes([framing.CONTROL_FRAME_TAG]):
+        elif body[:1] == framing._CONTROL_TAG:
             event = ("control", framing.decode_control_body(body))
         else:
             event = ("payload", framing.decode_payload_body(body))
@@ -262,9 +324,11 @@ class FrameChannel:
         Closing a socket with unread inbound data sends a TCP RST, which can
         destroy an in-flight reply (e.g. the server's ERROR frame) before
         the peer reads it.  The rejecting side calls this after its last
-        frame so the close is graceful.
+        frame so the close is graceful.  Bytes already buffered count
+        against ``limit_bytes`` and are discarded first.
         """
-        consumed = 0
+        consumed = len(self._buffer)
+        self._buffer.clear()
         while consumed < limit_bytes:
             chunk = await self._reader.read(self._chunk_size)
             if not chunk:

@@ -22,8 +22,9 @@ verbatim bytes are spooled *before* the fold, the whole burst is made
 durable (spool fsync + checkpoint record) *before* the PUSH ack, and a
 re-HELLO with the same ordinal resumes the spooled session: the ack reports
 the committed frame count so the client skips already-durable frames.  Every
-read is additionally bounded by the server's per-read timeout, so a peer
-dribbling bytes (slow-loris) is rejected instead of pinning a session open.
+frame must additionally arrive whole within the server's read timeout, so a
+peer dribbling bytes (slow-loris) is rejected instead of pinning a session
+open; the deadline only bounds waits, so frames already buffered cost none.
 
 Multi-tenant hardening: when the server carries an ``auth_token``, the HELLO
 must present a matching ``token`` field (checked in constant time, *before*
@@ -135,25 +136,22 @@ class Session:
     # Main loop
     # ------------------------------------------------------------------
 
-    async def _timed(self, awaitable, what: str):
-        """Bound one read by the server's per-read timeout (slow-loris guard)."""
-        timeout = self._server.read_timeout
-        if timeout is None:
-            return await awaitable
-        try:
-            return await asyncio.wait_for(awaitable, timeout)
-        except asyncio.TimeoutError:
-            error = ProtocolError(
-                f"no complete {what} within {timeout:g}s; peer is stalling "
-                "(slow-loris?) and the session is rejected")
-            error.code = "timeout"
-            raise error from None
+    def _stalled(self, what: str) -> ProtocolError:
+        """The slow-loris rejection: ``what`` missed the read timeout."""
+        error = ProtocolError(
+            f"no complete {what} within {self._server.read_timeout:g}s; peer "
+            "is stalling (slow-loris?) and the session is rejected")
+        error.code = "timeout"
+        return error
 
     async def run(self) -> None:
         """Drive the connection to completion; never raises into the server."""
+        timeout = self._server.read_timeout
         try:
-            header = await self._timed(self._channel.read_prefix(),
-                                       "stream header")
+            try:
+                header = await self._channel.read_prefix(timeout=timeout)
+            except asyncio.TimeoutError:
+                raise self._stalled("stream header") from None
             # Greet before validating, so any rejection reaches the client as
             # a well-formed (prefix + error frame) stream it can parse.
             greeting = FrameHeader(framing=header.framing, frames=None,
@@ -168,8 +166,11 @@ class Session:
             else:
                 self._check_k(header.k, source="stream header")
             while self.state not in (SessionState.COMMITTED, SessionState.REJECTED):
-                kind, value = await self._timed(self._channel.next_event(),
-                                                "control frame")
+                try:
+                    kind, value = await self._channel.next_event(
+                        timeout=timeout)
+                except asyncio.TimeoutError:
+                    raise self._stalled("control frame") from None
                 if kind == "eof":
                     self._finish_on_eof()
                     break
@@ -306,13 +307,18 @@ class Session:
         self.state = SessionState.PUSHING
         metrics = self._server.metrics
         clock = metrics.clock
+        next_event = self._channel.next_event
+        timeout = self._server.read_timeout
         with self._server.tracer.span("push", frames=declared) as span:
             span["ordinal"] = self.ordinal
             for index in range(declared):
                 read_start = clock()
-                kind, value, body = await self._timed(
-                    self._channel.next_event(include_body=True),
-                    f"payload frame {index + 1}/{declared}")
+                try:
+                    kind, value, body = await next_event(include_body=True,
+                                                         timeout=timeout)
+                except asyncio.TimeoutError:
+                    raise self._stalled(
+                        f"payload frame {index + 1}/{declared}") from None
                 metrics.observe("server.frame_seconds", clock() - read_start)
                 if kind == "eof":
                     raise FramingError(

@@ -283,13 +283,16 @@ class FoldState:
         active = self.active
         return active + self.low, self.acc[active]
 
-    def step(self, keys: np.ndarray, values: np.ndarray) -> bool:
+    def step(self, keys: np.ndarray, values: np.ndarray,
+             frame: Optional[Tuple[bytes, int]] = None) -> bool:
         """Fold one sketch: unique int64 ``keys`` and float64 ``values``.
 
         Returns ``False``, with the state untouched, when the id space
         cannot grow to cover ``keys`` within ``_DENSE_SPAN_LIMIT``.  Raises
         :class:`~repro.exceptions.SketchStateError` on a negative counter
-        wherever the seed fold would.
+        wherever the seed fold would.  ``frame`` is ``(body, at)`` when the
+        arrays are the columns of the bytes ``body`` from byte ``at`` on
+        (a decoded binary frame): the compiled step then reads the body.
         """
         n = keys.shape[0]
         if self.acc is None and n == 0:
@@ -304,16 +307,24 @@ class FoldState:
             self._numpy_step(keys, values)
             return True
         self._reserve(n)
-        status = self._bound()(keys, values, self.low)
+        status = self._kernel_step(keys, values, frame)
         if status == _engine.FOLD_RANGE:
             if not self._grow(keys):
                 return False
-            status = self._bound()(keys, values, self.low)
+            status = self._kernel_step(keys, values, frame)
         if status == _engine.FOLD_NEGATIVE:
             _raise_negative_key(keys, values)
         if status == _engine.FOLD_NAN:
             self._numpy_step(keys, values)
         return True
+
+    def _kernel_step(self, keys, values, frame) -> int:
+        """One compiled step; ``frame`` goes along only when there is one,
+        so array input keeps the binder's three-argument call."""
+        bound = self._bound()
+        if frame is None:
+            return bound(keys, values, self.low)
+        return bound(keys, values, self.low, frame)
 
     # -- buffers ------------------------------------------------------------
 

@@ -173,3 +173,61 @@ def test_kernel_info_reports_a_refused_env_value(monkeypatch):
     info = kernels.kernel_info()
     assert info["backend"] == "python"
     assert "backend must be one of" in info["error"]
+
+
+# ---------------------------------------------------------------------------
+# get_kernel memoizes its resolution on the raw env string
+# ---------------------------------------------------------------------------
+
+def test_get_kernel_resolves_once_per_env_value(monkeypatch):
+    resolutions = []
+    real = kernels.resolve_backend
+
+    def counting():
+        resolutions.append(kernels.os.environ.get(kernels.ENV_VAR))
+        return real()
+
+    monkeypatch.setattr(kernels, "resolve_backend", counting)
+    monkeypatch.setenv(kernels.ENV_VAR, "python")
+    for _ in range(3):
+        assert kernels.get_kernel("scan_binary_header") is None
+    assert resolutions == ["python"]
+    monkeypatch.setenv(kernels.ENV_VAR, "auto")
+    kernels.get_kernel("scan_binary_header")
+    kernels.get_kernel("fold_step")
+    assert resolutions == ["python", "auto"]
+    kernels.reset_for_tests()
+    kernels.get_kernel("fold_step")
+    assert resolutions == ["python", "auto", "auto"]
+
+
+def test_refused_env_values_raise_on_every_call(monkeypatch):
+    monkeypatch.setenv(kernels.ENV_VAR, "numba")
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="backend must be one of"):
+            kernels.get_kernel("fold_step")
+
+
+def test_flipping_the_env_between_decodes_switches_the_backend(monkeypatch):
+    if not kernels.available():  # pragma: no cover - toolchain-free lane
+        pytest.skip("no C toolchain in this environment")
+    from repro.api import framing, wire
+
+    table = kernels._c_provider.load()
+    scan = table["scan_binary_header"]
+    scans = []
+
+    def counting_scan(*args):
+        scans.append(args[1:])
+        return scan(*args)
+
+    monkeypatch.setitem(table, "scan_binary_header", counting_scan)
+    body = framing.payload_frame_body(
+        wire.encode_counters({3: 2.0, 9: 1.0}, k=4, stream_length=3))
+    decoded = []
+    for backend, expected_scans in (("cc", 1), ("python", 1), ("cc", 2),
+                                     ("python", 2)):
+        monkeypatch.setenv(kernels.ENV_VAR, backend)
+        decoded.append(framing.decode_payload_body(body))
+        assert len(scans) == expected_scans, backend
+    assert all(payload == decoded[0] for payload in decoded)

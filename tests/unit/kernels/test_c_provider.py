@@ -82,9 +82,34 @@ def test_recovers_after_compiler_env_is_fixed(tmp_path, monkeypatch):
     assert _c_provider.error() is None
 
 
+def test_served_frames_fold_without_address_lookups(monkeypatch):
+    """Once a merger's fold step is bound, a binary frame is decoded and
+    folded without an ``ndarray.ctypes`` lookup or a backend resolution:
+    the scan and the step read the frame body itself."""
+    from repro.api import framing, wire
+
+    monkeypatch.setenv(kernels.ENV_VAR, "cc")
+    body = framing.payload_frame_body(wire.encode_counters(
+        {1: 2.0, 2: 1.0, 3: 4.0}, k=8, stream_length=7))
+    merger = framing.StreamingMerger(8)
+    for _ in range(2):  # the first step runs in numpy, the second binds C
+        merger.add(framing.decode_payload_body(body))
+    lookups, resolutions = [], []
+    ptr, resolve = _c_provider._ptr, kernels.resolve_backend
+    monkeypatch.setattr(_c_provider, "_ptr", lambda array, dtype: (
+        lookups.append(dtype), ptr(array, dtype))[1])
+    monkeypatch.setattr(kernels, "resolve_backend", lambda: (
+        resolutions.append(1), resolve())[1])
+    for _ in range(3):
+        merger.add(framing.decode_payload_body(body))
+    assert lookups == [] and resolutions == []
+    assert merger.merged() == {1: 10.0, 2: 5.0, 3: 20.0}
+
+
 class TestBindingChecks:
-    """Every C wrapper refuses a wrong-dtype or non-contiguous buffer with
-    an exception before anything reaches C (the outputs stay untouched)."""
+    """Every C wrapper refuses a wrong-dtype or non-contiguous buffer, a
+    frame body that is not ``bytes`` and offsets past the body's end with an
+    exception before anything reaches C (the outputs stay untouched)."""
 
     @staticmethod
     def _refused(call):
@@ -170,17 +195,29 @@ class TestBindingChecks:
             self._refused(lambda: step(bad_keys, bad_values, 0))
         with pytest.raises(ValueError):
             step(keys, values[:1], 0)
+        body = b"pad" + keys.tobytes() + values.tobytes()
+        for bad_frame in ((bytearray(body), 3), (memoryview(body), 3)):
+            self._refused(lambda: step(keys, values, 0, bad_frame))
+        for bad_at in (-1, 4, len(body)):
+            with pytest.raises(ValueError):
+                step(keys, values, 0, (body, bad_at))
         assert not any(array.any() for array in args)
-        assert step(keys, values, 0) == 0
+        assert step(keys, values, 0, (body, 3)) == 0
         assert args[5].tolist() == [2, 0] and args[0].tolist()[:2] == [1.0, 2.0]
+        assert step(keys, values, 0) == 0
+        assert args[5].tolist() == [2, 0] and args[0].tolist()[:2] == [2.0, 4.0]
 
     def test_scan_binary_header(self, tmp_path, monkeypatch):
         scan = self._table(tmp_path, monkeypatch)["scan_binary_header"]
-        buf = np.frombuffer(b'{"count": 1}', dtype=np.uint8)
-        out = np.zeros(16, dtype=np.int64)
-        self._refused(lambda: scan(buf.astype(np.int8), out))
-        self._refused(lambda: scan(np.repeat(buf, 2)[::2], out))
-        self._refused(lambda: scan(buf, out.astype(np.int32)))
-        self._refused(lambda: scan(buf, np.zeros(32, dtype=np.int64)[::2]))
-        assert not out.any()
-        assert scan(buf, out) == 0 and out[7] == 1
+        header = b'{"count": 1}'
+        body = b"\x01pad" + header + b"tail"
+        for bad in (bytearray(body), memoryview(body),
+                    np.frombuffer(body, dtype=np.uint8)):
+            self._refused(lambda: scan(bad, 4, len(header)))
+        for start, length in ((-1, 4), (4, -1), (4, len(body)),
+                              (len(body) + 1, 0)):
+            with pytest.raises(ValueError):
+                scan(body, start, length)
+        slots = scan(body, 4, len(header))
+        assert len(slots) == 16 and slots[7] == 1
+        assert scan(body, 4, len(header) + 1) is None  # "t" is not JSON

@@ -1,5 +1,7 @@
-"""Unit tests for the control-frame codecs, address parsing and fold fan-in."""
+"""Unit tests for the control-frame codecs, address parsing, fold fan-in and
+the channel receive buffer."""
 
+import asyncio
 import io
 
 import numpy as np
@@ -15,7 +17,8 @@ from repro.api.framing import (
 )
 from repro.api.wire import decode, encode_counters
 from repro.exceptions import FramingError, ParameterError
-from repro.net.protocol import Address, parse_address
+from repro.net import protocol
+from repro.net.protocol import Address, FrameChannel, parse_address
 
 
 class TestAddressParsing:
@@ -172,3 +175,74 @@ class TestLazyWireKeys:
 
         with pytest.raises(ParameterError, match="key"):
             WirePayload(kind="counters", keys=None, values=np.zeros(0))
+
+
+class _ScriptedReader:
+    """A ``StreamReader`` stand-in returning scripted chunks, then EOF."""
+
+    def __init__(self, chunks) -> None:
+        self._chunks = list(chunks)
+        self.reads = 0
+
+    async def read(self, n: int) -> bytes:
+        self.reads += 1
+        return self._chunks.pop(0) if self._chunks else b""
+
+
+class TestChannelBuffer:
+    @staticmethod
+    def _frames(count):
+        frame = framing.encode_control_frame({"verb": "stats"})
+        return frame, frame * count
+
+    def test_buffered_frames_are_cut_without_waiting(self, monkeypatch):
+        frame, frames = self._frames(3)
+        reader = _ScriptedReader([frames])
+        channel = FrameChannel(reader, None)
+        timers = []
+        wait_for = asyncio.wait_for
+
+        async def counting_wait_for(awaitable, timeout):
+            timers.append(timeout)
+            return await wait_for(awaitable, timeout)
+
+        monkeypatch.setattr(protocol.asyncio, "wait_for", counting_wait_for)
+
+        async def scenario():
+            return [await channel.next_event(timeout=5.0) for _ in range(3)]
+
+        events = asyncio.run(scenario())
+        assert events == [("control", {"verb": "stats"})] * 3
+        # One read filled the buffer; the next two frames cost no wait.
+        assert reader.reads == 1 and len(timers) == 1
+        assert not channel._buffer
+
+    def test_expired_deadline_raises_timeout(self):
+        class _Stalled:
+            async def read(self, n):
+                await asyncio.sleep(10)
+
+        channel = FrameChannel(_Stalled(), None)
+
+        async def scenario():
+            with pytest.raises(asyncio.TimeoutError):
+                await channel.next_event(timeout=0.05)
+
+        asyncio.run(scenario())
+
+    def test_drain_counts_buffered_bytes_against_the_limit(self):
+        frame, frames = self._frames(3)
+        reader = _ScriptedReader([frames, b"unread tail"])
+        channel = FrameChannel(reader, None)
+
+        async def scenario():
+            event = await channel.next_event()
+            buffered = len(channel._buffer)
+            await channel.drain_incoming(limit_bytes=buffered)
+            return event, buffered
+
+        event, buffered = asyncio.run(scenario())
+        assert event == ("control", {"verb": "stats"})
+        assert buffered == 2 * len(frame)
+        assert not channel._buffer
+        assert reader.reads == 1  # the buffered bytes met the cap: no read

@@ -87,6 +87,34 @@ class TestSessionRejection:
         assert value["code"] == "k_mismatch"
         assert 5 not in histogram  # the mismatched export contributed nothing
 
+    def test_rejected_client_with_a_burst_in_flight_reads_the_error(self):
+        """The server rejects frame 1 of a large burst while the rest is
+        still arriving; it discards what it buffered and drains the socket
+        before closing, so the ERROR frame reaches the client intact."""
+        async def scenario():
+            async with await _started_server() as server:
+                channel = await _raw_channel(server)
+                await channel.send_control("hello", k=K, ordinal=0)
+                await channel.read_prefix()
+                await channel.next_event()  # ok re=hello
+                wide = {key: float(key + 1) for key in range(1024)}
+                burst = [encode_counters(wide, k=K + 4, stream_length=9)] + [
+                    _export(wide) for _ in range(31)]
+                await channel.send_bytes(
+                    framing.encode_control_frame({"verb": "push",
+                                                  "frames": len(burst)})
+                    + b"".join(framing.encode_payload_frame(export)
+                               for export in burst))
+                kind, value = await channel.next_event()
+                await channel.close()
+                histogram = await _healthy_roundtrip(server)
+                return kind, value, server.stats(), histogram
+        kind, value, stats, histogram = _run(scenario())
+        assert kind == "control" and value["verb"] == "error"
+        assert value["code"] == "k_mismatch"
+        assert stats["sessions_rejected"] == 1
+        assert 1 in histogram
+
     def test_bad_magic_rejected_server_survives(self):
         async def scenario():
             async with await _started_server() as server:
@@ -420,6 +448,78 @@ class TestSlowLoris:
         assert stats["sessions_rejected"] == 1
         assert 6 not in histogram       # the dribbled frame was never folded
         assert 1 in histogram           # the healthy session's data is there
+
+    def test_dribbled_second_frame_of_a_burst_times_out(self):
+        """The deadline is per frame: a first frame that arrives whole does
+        not buy time for a second one dribbled byte by byte."""
+        async def scenario():
+            async with await _started_server(read_timeout=0.3) as server:
+                channel = await _raw_channel(server)
+                await channel.send_control("hello", k=K, ordinal=9)
+                await channel.read_prefix()
+                await channel.next_event()  # ok re=hello
+                await channel.send_control("push", frames=2)
+                await channel.send_payload(_export({5: 500.0}))
+                second = framing.encode_payload_frame(_export({6: 600.0}))
+
+                async def dribble():
+                    try:
+                        for offset in range(8):
+                            await channel.send_bytes(second[offset:offset + 1])
+                            await asyncio.sleep(0.15)
+                    except (ConnectionError, OSError):
+                        pass  # server already cut us off
+
+                dribbler = asyncio.ensure_future(dribble())
+                kind, value = await channel.next_event()
+                dribbler.cancel()
+                await channel.close()
+                histogram = await _healthy_roundtrip(server)
+                return kind, value, server.stats(), histogram
+        kind, value, stats, histogram = _run(scenario())
+        assert kind == "control" and value["verb"] == "error"
+        assert value["code"] == "timeout"
+        assert "payload frame 2/2" in value["message"]
+        assert stats["sessions_rejected"] == 1
+        assert 5 not in histogram and 6 not in histogram
+
+    def test_burst_in_one_write_waits_less_than_once_per_frame(self,
+                                                               monkeypatch):
+        """Frames already buffered are cut without waiting: a 16-frame
+        burst sent in one write costs fewer deadline waits than frames."""
+        waits = []
+        fill = FrameChannel._fill
+
+        async def counting_fill(channel, deadline):
+            if deadline is not None:  # only the server passes a deadline
+                waits.append(deadline)
+            return await fill(channel, deadline)
+
+        monkeypatch.setattr(FrameChannel, "_fill", counting_fill)
+
+        async def scenario():
+            async with await _started_server(read_timeout=5.0) as server:
+                channel = await _raw_channel(server)
+                await channel.send_control("hello", k=K, ordinal=3)
+                await channel.read_prefix()
+                await channel.next_event()  # ok re=hello
+                exports = [_export({key: 10.0 + key}) for key in range(16)]
+                before = len(waits)
+                await channel.send_bytes(
+                    framing.encode_control_frame({"verb": "push",
+                                                  "frames": 16})
+                    + b"".join(framing.encode_payload_frame(export)
+                               for export in exports))
+                kind, value = await channel.next_event()  # ok re=push
+                burst_waits = len(waits) - before
+                await channel.send_control("bye")
+                await channel.next_event()
+                await channel.close()
+                return kind, value, burst_waits
+        kind, value, burst_waits = _run(scenario())
+        assert kind == "control" and value["verb"] == "ok"
+        assert value["folded"] == 16
+        assert burst_waits < 16
 
     def test_silent_connection_is_reaped(self):
         async def scenario():
