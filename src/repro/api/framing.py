@@ -72,7 +72,7 @@ import numpy as np
 from .. import kernels as _kernels
 from .._validation import check_positive_int
 from ..core.merging import PrivateMergedRelease
-from ..kernels import _engine as _scan
+from ..kernels import _c_src as _scan
 from ..core.results import PrivateHistogram
 from ..dp.rng import RandomState
 from ..exceptions import FramingError, ParameterError

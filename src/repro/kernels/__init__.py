@@ -10,20 +10,20 @@ the binary columnar frame-header parse — have compiled implementations in
 one provider:
 
 ``cc``
-    A C mirror (:mod:`repro.kernels._c_src`) of the executable spec in
-    :mod:`repro.kernels._engine`, compiled on demand with the system C
-    compiler and loaded via ctypes.
+    The C source in :mod:`repro.kernels._c_src`, compiled on demand with
+    the system C compiler and loaded via ctypes.
 
 It produces **bit-identical** results to the pure-python engines — same
 keys, same float bits, same dict order — which the property suite verifies
-against the frozen references.  Without a C toolchain everything silently
-runs pure python, exactly as before this tier existed.
+by running each kernel against its python engine.  Without a C toolchain
+everything runs the pure-python engines, with the same results, after one
+:class:`KernelFallbackWarning`.
 
 Backend selection
 -----------------
 The ``REPRO_KERNELS`` environment variable (read at call time) is the only
 switch: ``auto`` (the default) runs ``cc`` when it builds and falls back to
-python silently — emitting one :class:`KernelFallbackWarning` per process
+python — emitting one :class:`KernelFallbackWarning` per process
 the first time it does so — ``python`` forces the pure-python engines, and
 ``cc`` raises :class:`~repro.exceptions.ParameterError` when the provider is
 unavailable.  Any other value raises ``ParameterError`` too.

@@ -24,8 +24,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ._c_src import C_SOURCE, SOURCE_VERSION
-from ._engine import SCAN_OK, SCAN_OUT_SLOTS
+from ._c_src import (C_SOURCE, MG_NOMEM, SCAN_OK, SCAN_OUT_SLOTS,
+                     SOURCE_VERSION)
 
 PROVIDER_NAME = "cc"
 
@@ -151,7 +151,7 @@ def _bind(lib) -> Dict:
                "mg_update state arrays differ in length")
         _check(io.shape[0] >= 3, "mg_update io needs 3 slots")
         status = lib.repro_mg_update(*state, k, chunk_at, chunk.shape[0])
-        if status == 2:
+        if status == MG_NOMEM:
             raise MemoryError("repro_mg_update: allocation failed")
         return int(status)
 

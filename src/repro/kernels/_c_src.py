@@ -1,13 +1,40 @@
-"""C mirror of :mod:`repro.kernels._engine`, embedded as source text.
+"""The compiled kernels' C source, embedded as text, and the kernel ABI.
 
 :mod:`repro.kernels._c_provider` compiles this translation unit once with the
 system C compiler (``cc -O2 -fPIC -shared``) into a cached shared object and
-loads it through :mod:`ctypes`.  The algorithms, tie-breaks and float
-operation order are a line-for-line mirror of the python engine module; see
-its docstring for why that yields bit-identical results.  ``-ffast-math`` is
-never passed — the doubles here only see adds, subtracts and compares, which
-C compilers may not reassociate under default (strict) floating-point
-semantics.
+loads it through :mod:`ctypes`.  The ABI — every status code and the
+header-scan slot indices — is defined here once, as python ints; the C
+``#define`` block is rendered from them, and the python callers import them
+from this module.
+
+Bit-identity
+------------
+Each kernel must produce *exactly* the state its python engine produces
+(same keys, same float bits, same dict insertion order), and
+``tests/property/test_kernel_parity.py`` compares the two directly.  That is
+feasible because every float operation is a plain add, subtract or compare
+performed in the engine's order, and every tie-break is a total order on the
+data itself, never on hash-iteration order:
+
+* ``-ffast-math`` is never passed.  Under the default strict floating-point
+  semantics the compiler may not reassociate, so the doubles hit the same
+  bits as numpy's adds and subtracts.
+* ``repro_mg_update`` replays Branches 1-3 of Algorithm 1 element by
+  element, evicting real keys before dummies and then the smallest key or
+  index; ``update_batch`` is property-tested equal to the sequential engine,
+  so matching one matches both.
+* ``repro_fold_step`` is one step of
+  :class:`repro.sketches.merge.FoldState` per id, and
+  ``repro_fold_interned`` loops over the same step body.  Ids are unique
+  within one sketch, so numpy's fancy-indexed adds decompose into the
+  independent scalar adds done here.  The (k+1)-th-largest threshold is an
+  order statistic: any correct selection returns the value ``np.partition``
+  returns on the same multiset, so the quickselect matches it.  NaNs have
+  no total order, so they return ``FOLD_NAN`` and numpy folds that frame.
+* ``repro_scan_header`` accepts only the canonical header grammar that
+  ``json.dumps(..., sort_keys=True)`` emits.  Anything else returns
+  ``SCAN_FALLBACK`` and the caller parses with ``json.loads``, so malformed
+  frames raise byte-for-byte the python path's errors.
 
 Keep ``SOURCE_VERSION`` in sync with behavioural changes: the provider keys
 its build cache on a hash of the source text, so editing the C automatically
@@ -16,16 +43,51 @@ invalidates stale binaries.
 
 SOURCE_VERSION = 3
 
+# Status codes shared by all kernels.
+MG_OK = 0
+MG_CORRUPT = 1
+MG_NOMEM = 2
+SCAN_OK = 0
+SCAN_FALLBACK = 1
+
+# ``repro_fold_step`` statuses, in precedence order.  Every status but
+# FOLD_OK leaves the state untouched: FOLD_RANGE means a key lies outside
+# ``[low, low + domain)``, FOLD_NEGATIVE a negative counter in the frame,
+# FOLD_NAN a NaN in the frame or the live counters (the quickselect assumes
+# a total order).
+FOLD_OK = 0
+FOLD_RANGE = 1
+FOLD_NEGATIVE = 2
+FOLD_NAN = 3
+
+# ``repro_scan_header`` output slots (int64[SCAN_OUT_SLOTS]).
+SCAN_HAS_FORMAT = 0
+SCAN_FORMAT = 1
+SCAN_KIND_START = 2
+SCAN_KIND_LEN = 3
+SCAN_HAS_K = 4
+SCAN_K = 5
+SCAN_HAS_COUNT = 6
+SCAN_COUNT = 7
+SCAN_HAS_META = 8
+SCAN_HAS_STREAM_LENGTH = 9
+SCAN_STREAM_LENGTH = 10
+SCAN_HAS_DECREMENT_ROUNDS = 11
+SCAN_DECREMENT_ROUNDS = 12
+SCAN_SKETCH_START = 13
+SCAN_SKETCH_LEN = 14
+SCAN_OUT_SLOTS = 16
+
+# The C side of the ABI: one ``#define`` per int above, in that order.
+_ABI_DEFINES = "".join(
+    f"#define {name} {value}\n" for name, value in globals().items()
+    if name.startswith(("MG_", "FOLD_", "SCAN_")))
+
 C_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 
-#define MG_OK 0
-#define MG_CORRUPT 1
-#define MG_NOMEM 2
-#define SCAN_OK 0
-#define SCAN_FALLBACK 1
-
+""" + _ABI_DEFINES + r"""
 /* ------------------------------------------------------------------ */
 /* Shared open-addressed int64 -> int64 map (-1 empty, -2 tombstone). */
 /* ------------------------------------------------------------------ */
@@ -37,7 +99,7 @@ static int64_t pow2_at_least(int64_t n) {
 }
 
 static int64_t hash_int(int64_t key, int64_t mask) {
-    /* Identical to the python engine's _hash_int (int64-safe pieces). */
+    /* Mixed in int64-safe pieces: every product stays below 2**62. */
     int64_t lo = key & 0x3FFFFFFFLL;
     int64_t mid = (key >> 30) & 0x3FFFFFFFLL;
     int64_t hi = (key >> 60) & 0xFLL;
@@ -323,11 +385,6 @@ int64_t repro_mg_update(int64_t *keys, int64_t *dummy, int64_t *stored,
 /* Agarwal fold (scalar replica of merge.FoldState's numpy step).     */
 /* ------------------------------------------------------------------ */
 
-#define FOLD_OK 0
-#define FOLD_RANGE 1
-#define FOLD_NEGATIVE 2
-#define FOLD_NAN 3
-
 /* The pos-th smallest of buf[:n] — the order statistic np.partition
    selects.  Callers guarantee no NaNs. */
 static double select_kth(double *buf, int64_t n, int64_t pos) {
@@ -516,23 +573,6 @@ int64_t repro_fold_interned(const int64_t *flat_ids, const double *flat_values,
 /* ------------------------------------------------------------------ */
 /* Canonical binary-frame header scanner.                             */
 /* ------------------------------------------------------------------ */
-
-#define SCAN_HAS_FORMAT 0
-#define SCAN_FORMAT 1
-#define SCAN_KIND_START 2
-#define SCAN_KIND_LEN 3
-#define SCAN_HAS_K 4
-#define SCAN_K 5
-#define SCAN_HAS_COUNT 6
-#define SCAN_COUNT 7
-#define SCAN_HAS_META 8
-#define SCAN_HAS_STREAM_LENGTH 9
-#define SCAN_STREAM_LENGTH 10
-#define SCAN_HAS_DECREMENT_ROUNDS 11
-#define SCAN_DECREMENT_ROUNDS 12
-#define SCAN_SKETCH_START 13
-#define SCAN_SKETCH_LEN 14
-#define SCAN_OUT_SLOTS 16
 
 static int64_t scan_ws(const uint8_t *buf, int64_t pos, int64_t end) {
     while (pos < end) {

@@ -38,7 +38,7 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from .. import kernels as _kernels
-from ..kernels import _engine
+from ..kernels._c_src import FOLD_NAN, FOLD_NEGATIVE, FOLD_RANGE
 from .._validation import check_positive_int
 from ..exceptions import ParameterError, SketchStateError
 from .base import FrequencySketch
@@ -308,13 +308,13 @@ class FoldState:
             return True
         self._reserve(n)
         status = self._kernel_step(keys, values, frame)
-        if status == _engine.FOLD_RANGE:
+        if status == FOLD_RANGE:
             if not self._grow(keys):
                 return False
             status = self._kernel_step(keys, values, frame)
-        if status == _engine.FOLD_NEGATIVE:
+        if status == FOLD_NEGATIVE:
             _raise_negative_key(keys, values)
-        if status == _engine.FOLD_NAN:
+        if status == FOLD_NAN:
             self._numpy_step(keys, values)
         return True
 

@@ -44,6 +44,7 @@ from typing import Dict, Hashable, Iterable, List, Set, Tuple
 import numpy as np
 
 from .. import kernels as _kernels
+from ..kernels._c_src import MG_OK
 from .._validation import check_positive_int
 from ..exceptions import ParameterError, SketchStateError
 from ._ordering import DummyKey, eviction_order
@@ -301,7 +302,7 @@ class MisraGriesSketch(FrequencySketch):
             return False
         keys, dummy, stored, ins_seq, io = state
         status = kernel(keys, dummy, stored, ins_seq, io, chunk)
-        if status != 0:
+        if status != MG_OK:
             raise SketchStateError("zero-key heap exhausted; sketch state is corrupt")
         self._import_kernel_state(keys, dummy, stored, ins_seq, io, int(array.size))
         return True

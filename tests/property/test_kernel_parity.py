@@ -5,20 +5,19 @@ changes *nothing*: same keys, same float bits, same dict iteration order as
 the pure-python engines on every input.  Hypothesis drives every kernel:
 
 * ``mg_update`` — chunked ``update_batch`` streams under
-  ``REPRO_KERNELS=cc`` and through the executable spec in
-  :mod:`repro.kernels._engine`, against the vectorized python engine.
+  ``REPRO_KERNELS=cc`` against the vectorized python engine, including
+  small sketches kept overfull so the eviction tie-breaks decide the state.
 * ``fold_interned`` — ``merge_many`` / ``merge_many_arrays`` / ``merge_tree``
   under ``REPRO_KERNELS=cc`` against ``REPRO_KERNELS=python``, including
   the NaN inputs that must route around the kernel.
 * ``fold_step`` — frame sequences folded through
-  :class:`~repro.sketches.merge.FoldState` with the cc step, the numpy step
-  and the python spec ``_engine.fold_step``: same outcome per
-  frame (folded, too wide, or the same error), same live order, same
-  accumulator bits, same zero-valued first-frame counters.
-* ``scan_binary_header`` — binary columnar frames decoded with and without
-  the kernel, on canonical frames and on byte-corrupted ones, where *both*
-  paths must agree on the result or raise the same error with the same
-  message.
+  :class:`~repro.sketches.merge.FoldState` with the cc step and the numpy
+  step: same outcome per frame (folded, too wide, or the same error), same
+  live order, same accumulator bits, same zero-valued first-frame counters.
+* ``scan_binary_header`` — binary columnar frames decoded with the kernel
+  and with ``json.loads``, on canonical frames and on byte-corrupted ones,
+  where *both* paths must agree on the result or raise the same error with
+  the same message.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro import kernels
 from repro.api import framing, wire
 from repro.exceptions import SketchStateError
-from repro.kernels import _engine
 from repro.sketches import MisraGriesSketch
 from repro.sketches.merge import (_DENSE_SPAN_LIMIT, FoldState, merge_many,
                                   merge_many_arrays, merge_tree)
@@ -67,6 +65,10 @@ _ELEMENTS = st.one_of(
 )
 _STREAMS = st.lists(_ELEMENTS, min_size=0, max_size=300)
 _SIZES = st.integers(min_value=1, max_value=48)
+# Few distinct keys over a small k keep the sketch overfull, so the eviction
+# tie-breaks (real keys before dummies, then the smallest key) decide it.
+_OVERFULL = st.tuples(st.lists(st.integers(0, 12), max_size=300),
+                      st.integers(1, 8))
 
 
 def _chunked(stream, chunk_size):
@@ -85,9 +87,15 @@ def _identical_sketches(left: MisraGriesSketch, right: MisraGriesSketch):
 # ---------------------------------------------------------------------------
 
 @needs_compiled
-@given(stream=_STREAMS, k=_SIZES, chunk_size=st.integers(1, 64))
+@given(stream_k=st.tuples(_STREAMS, _SIZES) | _OVERFULL,
+       chunk_size=st.integers(1, 64))
+@example(stream_k=([1, 2, 0, 0, 0, 1, 5, 4, 6, 3, 4, 6, 5, 4, 3, 3, 6, 1, 5,
+                    4, 0, 2, 6, 3, 0, 5, 5, 5, 1, 0, 6, 0, 3, 0, 2, 3, 2, 2],
+                   6),
+         chunk_size=1)
 @settings(max_examples=60, deadline=None)
-def test_compiled_update_batch_is_bit_identical(stream, k, chunk_size):
+def test_compiled_update_batch_is_bit_identical(stream_k, chunk_size):
+    stream, k = stream_k
     python = MisraGriesSketch(k)
     compiled = MisraGriesSketch(k)
     for chunk in _chunked(stream, chunk_size):
@@ -96,24 +104,6 @@ def test_compiled_update_batch_is_bit_identical(stream, k, chunk_size):
         with _kernels_env("cc"):
             compiled.update_batch(chunk)
     _identical_sketches(python, compiled)
-
-
-@given(stream=_STREAMS, k=_SIZES, chunk_size=st.integers(1, 64))
-@settings(max_examples=40, deadline=None)
-def test_engine_spec_update_is_bit_identical(stream, k, chunk_size):
-    """The executable spec (what the C mirrors) matches python."""
-    python = MisraGriesSketch(k)
-    engine = MisraGriesSketch(k)
-    for chunk in _chunked(stream, chunk_size):
-        with _kernels_env("python"):
-            python.update_batch(chunk)
-        state = engine._export_kernel_state()
-        assert state is not None
-        keys, dummy, stored, ins_seq, io = state
-        assert _engine.mg_update(keys, dummy, stored, ins_seq, io, chunk) == 0
-        engine._import_kernel_state(keys, dummy, stored, ins_seq, io,
-                                    int(chunk.size))
-    _identical_sketches(python, engine)
 
 
 @needs_compiled
@@ -235,9 +225,8 @@ _POISON = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 13),
 
 
 def _step_binders():
-    """The numpy step, the python spec, and the cc step when it builds."""
-    binders = {"numpy": None,
-               "spec": _engine.bind_fold_step(_engine.fold_step)}
+    """The numpy step, and the cc step when it builds."""
+    binders = {"numpy": None}
     if COMPILED:
         with _kernels_env("cc"):
             binders["cc"] = kernels.get_kernel("fold_step")
@@ -409,14 +398,34 @@ def test_scanner_decodes_canonical_frames_identically(counters, k,
     _assert_same_outcome(with_kernel, without_kernel)
 
 
+# The bytes the scanner branches on (digits, number punctuation, string
+# quoting, structure, whitespace) are drawn as often as all the others.
+_REPLACEMENTS = st.integers(0, 255) | st.sampled_from(b'0.eE-"\\{},: ')
+
+
+def _corruptible_body(counters):
+    return bytearray(framing._binary_frame_body(
+        wire.encode_counters(counters, k=132)))
+
+
+# Two corruptions of the empty frame's header that only the scanner's
+# fallback keeps identical: ``"k": 032`` has the leading zero JSON forbids
+# (read as decimal it would decode k=32), and ``"cou\ters"`` holds an
+# escape that json.loads decodes and a raw byte copy would not.
+_EMPTY_BODY = bytes(_corruptible_body({}))
+_K_HUNDREDS = _EMPTY_BODY.index(b'"k": 132') + len('"k": ')
+_KIND_LETTER = _EMPTY_BODY.index(b'"counters"') + len('"cou')
+
+
 @needs_compiled
 @given(counters=_COUNTERS, position=st.integers(0, 10**6),
-       replacement=st.integers(0, 255))
+       replacement=_REPLACEMENTS)
+@example(counters={}, position=_K_HUNDREDS, replacement=ord("0"))
+@example(counters={}, position=_KIND_LETTER, replacement=ord("\\"))
 @settings(max_examples=80, deadline=None)
 def test_scanner_agrees_with_python_on_corrupted_frames(counters, position,
                                                         replacement):
-    body = bytearray(framing._binary_frame_body(
-        wire.encode_counters(counters, k=32)))
+    body = _corruptible_body(counters)
     body[position % len(body)] = replacement
     _assert_same_outcome(*_decode_both_ways(body))
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import ctypes
 import os
+import re
 
 import numpy as np
 import pytest
 
 from repro import kernels
-from repro.kernels import _c_provider
+from repro.kernels import _c_provider, _c_src
 
 pytestmark = pytest.mark.skipif(
     _c_provider._find_compiler() is None,
@@ -104,6 +105,41 @@ def test_served_frames_fold_without_address_lookups(monkeypatch):
         merger.add(framing.decode_payload_body(body))
     assert lookups == [] and resolutions == []
     assert merger.merged() == {1: 10.0, 2: 5.0, 3: 20.0}
+
+
+def test_abi_defines_are_rendered_once_from_the_python_ints():
+    """Every status code and scan slot the C names is ``#define``d exactly
+    once, with the value of the python int of the same name, so the two
+    sides of the ABI cannot drift apart."""
+    prefixes = ("MG_", "FOLD_", "SCAN_")
+    python_ints = {name: value for name, value in vars(_c_src).items()
+                   if name.startswith(prefixes)}
+    defines = re.findall(r"^#define ((?:MG|FOLD|SCAN)_\w+) (.*)$",
+                         _c_src.C_SOURCE, flags=re.MULTILINE)
+    assert [name for name, _ in defines] == list(python_ints)
+    assert {name: int(value) for name, value in defines} == python_ints
+    body = _c_src.C_SOURCE.replace(_c_src._ABI_DEFINES, "")
+    assert "#define" not in body
+    assert set(re.findall(r"\b(?:MG|FOLD|SCAN)_[A-Z_]+\b", body)) <= set(
+        python_ints)
+
+
+def test_a_status_other_than_mg_ok_raises_and_keeps_the_state(monkeypatch):
+    """``update_batch`` reads the kernel's status through the ABI names: any
+    status but ``MG_OK`` is a corrupt sketch, and the state is left as it
+    was before the batch."""
+    from repro.exceptions import SketchStateError
+    from repro.sketches import MisraGriesSketch
+
+    sketch = MisraGriesSketch(4)
+    sketch.update_batch(np.array([1, 2, 2, 3], dtype=np.int64))
+    before = dict(sketch.counters())
+    monkeypatch.setattr(kernels, "get_kernel", lambda name: (
+        lambda *state: _c_src.MG_CORRUPT))
+    with pytest.raises(SketchStateError, match="sketch state is corrupt"):
+        sketch.update_batch(np.array([4, 5], dtype=np.int64))
+    assert sketch.counters() == before
+    assert sketch.stream_length == 4
 
 
 class TestBindingChecks:
