@@ -4,11 +4,9 @@ Section 7 of the paper: a dataset is spread over many servers, each computes
 a Misra-Gries sketch of its own stream, and an aggregator combines them.
 This example drives the whole scenario through the unified API:
 
-* each "server" is a :class:`repro.api.Pipeline` that sketches its shard
-  (the per-server sketches are built via the parallel fan-out,
-  :func:`repro.core.sketch_streams` with ``workers=``) and exports its state
-  as a **v2 columnar wire envelope** (:meth:`Pipeline.to_wire`) — exactly
-  what it would ship over the network;
+* each "server" sketches its shard (:func:`repro.core.sketch_streams`) and
+  exports its state as a **v2 columnar wire envelope**
+  (:meth:`Pipeline.to_wire`) — exactly what it would ship over the network;
 * the aggregator adds the decoded envelopes to a
   ``Pipeline(mechanism={"name": "merged", "strategy": ...})`` and releases
   under each of the three aggregation regimes; for the default
@@ -17,8 +15,7 @@ This example drives the whole scenario through the unified API:
   Python), while the other strategies reconstruct per-sketch state for
   their Algorithm 3 / Algorithm 2 post-processing.
 
-Run with ``python examples/distributed_merge.py`` (``--quick`` for CI,
-``--workers N`` to fan sketching out over N processes).
+Run with ``python examples/distributed_merge.py`` (``--quick`` for CI).
 """
 
 import argparse
@@ -37,8 +34,6 @@ def main() -> None:
     parser.add_argument("--delta", type=float, default=1e-6)
     parser.add_argument("--k", type=int, default=64)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=2,
-                        help="processes for the sketching fan-out (1 = sequential)")
     args = parser.parse_args()
 
     n = 60_000 if args.quick else 600_000
@@ -52,7 +47,7 @@ def main() -> None:
     rows = []
     for servers in server_counts:
         parts = split_contiguous(stream, servers)
-        sketches = sketch_streams(parts, args.k, workers=args.workers)
+        sketches = sketch_streams(parts, args.k)
         # Each server ships its sketch as a columnar v2 envelope.
         envelopes = [decode(Pipeline.from_sketch(sketch).to_wire()) for sketch in sketches]
         for strategy in MergeStrategy:

@@ -160,8 +160,7 @@ class Pipeline:
     _MIN_SHARD_ELEMENTS = 65536
 
     def fit(self, stream: Iterable[Hashable],
-            workers: Optional[int] = None,
-            min_shard_elements: Optional[int] = None) -> "Pipeline":
+            workers: Optional[int] = None) -> "Pipeline":
         """Process one stream; returns ``self`` for chaining.
 
         Integer ndarray (and int-list) streams dispatch to the vectorized
@@ -169,26 +168,22 @@ class Pipeline:
         ``sketch_list`` mechanisms each ``fit`` call contributes one
         per-stream sketch to the eventual merged release.
 
-        ``workers=N`` (N > 1) shards an integer ndarray stream into ``N``
-        contiguous slices, sketches each slice in its own process
-        (:func:`repro.core.merging.sketch_and_merge_shards`) and
-        tree-reduces the shard sketches with
-        :func:`~repro.sketches.merge.merge_tree`.  The
-        result is a size-``k`` merged summary that satisfies the same
-        Misra-Gries guarantee (estimates within ``n/(k+1)``, Lemma 29) as
-        the sequential fit — the individual counter values differ.  The
-        shard sketches travel through shared memory (zero-copy columnar
-        exports, no pickling), and short streams use fewer shards than
-        ``workers``: each shard must carry at least
-        ``min_shard_elements`` (default :attr:`_MIN_SHARD_ELEMENTS`)
-        elements, and a fit that collapses to one shard runs in-process
-        with no pool, producing the bit-identical summary.  Only the
-        ``misra_gries`` sketch spec and sketch/sketch_list mechanisms
-        support sharding; stream-consuming mechanisms must see the raw
-        elements and reject ``workers``.  A sharded fit leaves the pipeline
-        holding a merged summary, so later ``fit`` calls on it must also
-        pass ``workers`` (they fold into the summary); a plain ``fit``
-        raises like any merged pipeline.
+        ``workers=N`` (N > 1) shards an integer ndarray stream into up to
+        ``N`` contiguous slices, sketches each slice in its own process and
+        tree-merges the shard sketches
+        (:func:`repro.core.merging.sketch_and_merge_shards`).  The result is
+        a size-``k`` merged summary with the same Misra-Gries guarantee
+        (estimates within ``n/(k+1)``, Lemma 29) as the sequential fit — the
+        individual counter values differ.  Every shard carries at least
+        :attr:`_MIN_SHARD_ELEMENTS` elements, so short streams use fewer
+        shards, and a fit that collapses to one shard runs in-process with
+        the sequential fit's exact summary.  Only the ``misra_gries`` sketch
+        spec and sketch/sketch_list mechanisms support sharding;
+        stream-consuming mechanisms must see the raw elements and reject
+        ``workers``.  A sharded fit leaves the pipeline holding a merged
+        summary, so later ``fit`` calls on it must also pass ``workers``
+        (they fold into the summary); a plain ``fit`` raises like any merged
+        pipeline.
 
         .. warning::
             A merged summary has a different *privacy* sensitivity structure
@@ -208,10 +203,8 @@ class Pipeline:
                 raise ParameterError(
                     f"{self.mechanism_name!r} consumes the raw stream; "
                     "sharded fit only applies to sketch-building pipelines")
-            if min_shard_elements is not None:
-                check_positive_int(min_shard_elements, "min_shard_elements")
             if workers > 1:
-                return self._fit_sharded(stream, workers, min_shard_elements)
+                return self._fit_sharded(stream, workers)
         if consumes == "sketch":
             sketch = self._ensure_sketch()
             before = sketch.stream_length
@@ -243,11 +236,9 @@ class Pipeline:
             size = getattr(self._mechanism.impl, "k", None)
         return size if size is not None else 64
 
-    def _fit_sharded(self, stream, workers: int,
-                     min_shard_elements: Optional[int] = None) -> "Pipeline":
+    def _fit_sharded(self, stream, workers: int) -> "Pipeline":
         """Shard → parallel sketch → ``merge_tree`` fan-in (see :meth:`fit`)."""
         from ..core.merging import sketch_and_merge_shards
-        from ..sketches.misra_gries import MisraGriesSketch
 
         consumes = self._mechanism.consumes
         if consumes == "sketch_list":
@@ -273,17 +264,9 @@ class Pipeline:
             size = self._sketch_list_k()
         # Cutover: a process fan-out only pays off when every shard carries
         # enough elements (see _MIN_SHARD_ELEMENTS); short streams collapse
-        # to fewer shards, and a single shard is sketched in-process with no
-        # pool — the summary is identical either way.
-        per_shard = (min_shard_elements if min_shard_elements is not None
-                     else self._MIN_SHARD_ELEMENTS)
-        num_shards = min(workers, max(1, int(batch.size) // per_shard))
-        if num_shards <= 1 or batch.size <= 1:
-            counters = MisraGriesSketch.from_stream(size, batch).counters()
-            merged = merge_tree([counters], size)
-        else:
-            merged = sketch_and_merge_shards(batch, size, num_shards,
-                                             workers=workers)
+        # to fewer shards, and a single shard is sketched in-process.
+        num_shards = min(workers, max(1, int(batch.size) // self._MIN_SHARD_ELEMENTS))
+        merged = sketch_and_merge_shards(batch, size, num_shards)
         if consumes == "sketch_list":
             self._sketches.append(merged)
         else:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -43,7 +44,6 @@ from ..sketches.base import FrequencySketch
 from ..sketches.merge import (
     merge_many,
     merge_many_arrays,
-    merge_misra_gries,
     merge_tree,
     merge_tree_arrays,
     sum_counters,
@@ -68,37 +68,17 @@ def merge_sketches(sketches: Sequence[SketchLike], k: int) -> Dict[Hashable, flo
     return merge_many(list(sketches), k)
 
 
-def _sketch_one_stream(k: int, stream) -> MisraGriesSketch:
-    """Worker for the parallel fan-out (module-level so it pickles)."""
-    return MisraGriesSketch.from_stream(k, stream)
-
-
-def sketch_streams(streams: Sequence, k: int,
-                   workers: Optional[int] = None) -> List[MisraGriesSketch]:
+def sketch_streams(streams: Sequence, k: int) -> List[MisraGriesSketch]:
     """Build one paper-variant sketch of size ``k`` per input stream.
 
     Integer streams (ndarrays or lists of ints) go through the vectorized
     :meth:`~repro.sketches.MisraGriesSketch.update_batch` path, which is the
     intended entry point for the distributed setting of Section 7: each edge
     server sketches its own traffic at batch speed before shipping the sketch
-    to the aggregator.
-
-    Parameters
-    ----------
-    workers:
-        When greater than 1, the independent streams are sketched by a
-        :class:`~concurrent.futures.ProcessPoolExecutor` with that many
-        processes.  Sketching is deterministic, so the result is identical to
-        the sequential fan-out; the streams must be picklable (ndarrays and
-        lists are).
+    to the aggregator.  Sketching one batch across processes is
+    :func:`sketch_and_merge_shards`.
     """
     size = check_positive_int(k, "k")
-    if workers is not None:
-        check_positive_int(workers, "workers")
-    if workers is not None and workers > 1 and len(streams) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sketch_one_stream, size, stream) for stream in streams]
-            return [future.result() for future in futures]
     return [MisraGriesSketch.from_stream(size, stream) for stream in streams]
 
 
@@ -106,9 +86,7 @@ def sketch_streams(streams: Sequence, k: int,
 # Zero-copy sharded sketching over shared memory
 # ---------------------------------------------------------------------------
 #
-# ``sketch_streams`` ships every shard to its worker as a pickled ndarray and
-# gets a pickled sketch object back — two full serializations per shard.  The
-# shared-memory fan-out below eliminates both: the input batch lives in one
+# The library's one sketching fan-out.  The input batch lives in one
 # SharedMemory segment the workers view with ``np.frombuffer``, and each
 # worker writes its sketch's columnar export ``[count][keys[k]][values[k]]``
 # into its own fixed-size slot of an output segment.  The parent then folds
@@ -135,23 +113,23 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
         resource_tracker.register = original
 
 
-def _sketch_shard_to_slot(input_name: str, output_name: str, k: int,
-                          start: int, stop: int, slot: int) -> int:
+def _sketch_shard_to_slot(input_name: str, output_name: str, dtype: np.dtype,
+                          k: int, start: int, stop: int, slot: int) -> int:
     """Worker: sketch ``batch[start:stop]`` and export columns to its slot."""
     in_shm = _attach_untracked(input_name)
     out_shm = _attach_untracked(output_name)
     try:
-        chunk = np.frombuffer(in_shm.buf, dtype=np.int64, count=stop - start,
+        chunk = np.frombuffer(in_shm.buf, dtype=dtype, count=stop - start,
                               offset=8 * start)
         counters = MisraGriesSketch.from_stream(k, chunk).counters()
         count = len(counters)
         base = slot * _shard_slot_bytes(k)
         header = np.frombuffer(out_shm.buf, dtype=np.int64, count=1, offset=base)
-        keys = np.frombuffer(out_shm.buf, dtype=np.int64, count=count,
+        keys = np.frombuffer(out_shm.buf, dtype=dtype, count=count,
                              offset=base + 8)
         values = np.frombuffer(out_shm.buf, dtype=np.float64, count=count,
                                offset=base + 8 + 8 * k)
-        keys[:] = np.fromiter(counters.keys(), dtype=np.int64, count=count)
+        keys[:] = np.fromiter(counters.keys(), dtype=dtype, count=count)
         values[:] = np.fromiter(counters.values(), dtype=np.float64, count=count)
         header[0] = count
         # Views must die before close(), or close() raises BufferError.
@@ -167,16 +145,22 @@ def _shard_slot_bytes(k: int) -> int:
     return 8 + 16 * k
 
 
-def _close_unlink(shm: shared_memory.SharedMemory, unlink: bool) -> None:
+def _create_segment(stack: ExitStack, nbytes: int) -> shared_memory.SharedMemory:
+    """Create a segment whose close + unlink ``stack`` owns from birth."""
+    shm = shared_memory.SharedMemory(create=True, size=nbytes)
+    stack.callback(_close_unlink, shm)
+    return shm
+
+
+def _close_unlink(shm: shared_memory.SharedMemory) -> None:
     try:
         shm.close()
     except BufferError:  # pragma: no cover - leaked view; unlink still works
         pass
-    if unlink:
-        try:
-            shm.unlink()
-        except OSError:  # pragma: no cover
-            pass
+    try:
+        shm.unlink()
+    except OSError:  # pragma: no cover
+        pass
 
 
 def _shard_bounds(total: int, num_shards: int) -> List[Tuple[int, int]]:
@@ -192,76 +176,73 @@ def _shard_bounds(total: int, num_shards: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def sketch_shards_shared(batch: np.ndarray, k: int, num_shards: int,
-                         workers: Optional[int] = None) -> Dict[int, float]:
-    """Sketch contiguous shards of one integer batch over shared memory.
+def _slot_dtype(batch: np.ndarray) -> np.dtype:
+    """The 8-byte key type of the shared segments: int64, or uint64 when a
+    key exceeds ``2**63 - 1``."""
+    if (batch.dtype.kind == "u" and batch.size
+            and int(batch.max()) > np.iinfo(np.int64).max):
+        return np.dtype(np.uint64)
+    return np.dtype(np.int64)
 
-    Splits ``batch`` exactly like ``np.array_split`` into ``num_shards``
-    contiguous shards, sketches each in its own process reading straight from
-    a shared input segment, and tree-folds the columnar shard exports with
-    :func:`~repro.sketches.merge.merge_tree_arrays` over views of the shared
-    output segment.  The merged dict is bit-identical to the pickled
-    ``sketch_streams`` + ``merge_tree`` fan-out on the same shards.
-    """
-    size = check_positive_int(k, "k")
-    check_positive_int(num_shards, "num_shards")
-    batch = np.ascontiguousarray(batch, dtype=np.int64)
-    if batch.size == 0:
-        return {}
-    bounds = _shard_bounds(batch.size, num_shards)
-    slot_bytes = _shard_slot_bytes(size)
-    input_shm = shared_memory.SharedMemory(create=True, size=batch.nbytes)
-    output_shm = shared_memory.SharedMemory(create=True,
-                                            size=slot_bytes * len(bounds))
-    try:
-        np.frombuffer(input_shm.buf, dtype=np.int64, count=batch.size)[:] = batch
-        max_workers = workers if workers is not None else len(bounds)
-        with ProcessPoolExecutor(max_workers=min(max_workers, len(bounds))) as pool:
+
+def _pool_sketch_and_merge(batch: np.ndarray, k: int,
+                           bounds: Sequence[Tuple[int, int]]) -> Dict[int, float]:
+    """One pool process per shard, reading and writing shared segments."""
+    dtype = _slot_dtype(batch)
+    batch = np.ascontiguousarray(batch, dtype=dtype)
+    slot_bytes = _shard_slot_bytes(k)
+    with ExitStack() as stack:
+        input_shm = _create_segment(stack, batch.nbytes)
+        output_shm = _create_segment(stack, slot_bytes * len(bounds))
+        np.frombuffer(input_shm.buf, dtype=dtype, count=batch.size)[:] = batch
+        with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
             futures = [
                 pool.submit(_sketch_shard_to_slot, input_shm.name,
-                            output_shm.name, size, start, stop, slot)
+                            output_shm.name, dtype, k, start, stop, slot)
                 for slot, (start, stop) in enumerate(bounds)]
             counts = [future.result() for future in futures]
         keys_list = []
         values_list = []
         for slot, count in enumerate(counts):
             base = slot * slot_bytes
-            keys_list.append(np.frombuffer(output_shm.buf, dtype=np.int64,
+            keys_list.append(np.frombuffer(output_shm.buf, dtype=dtype,
                                            count=count, offset=base + 8))
             values_list.append(np.frombuffer(output_shm.buf, dtype=np.float64,
                                              count=count,
-                                             offset=base + 8 + 8 * size))
+                                             offset=base + 8 + 8 * k))
         # merge_tree_arrays materializes plain python keys/values, so nothing
         # in the result references the shared buffers.
-        merged = merge_tree_arrays(keys_list, values_list, size)
+        merged = merge_tree_arrays(keys_list, values_list, k)
         del keys_list, values_list
         return merged
-    finally:
-        _close_unlink(input_shm, unlink=True)
-        _close_unlink(output_shm, unlink=True)
 
 
-def sketch_and_merge_shards(batch: np.ndarray, k: int, num_shards: int,
-                            workers: Optional[int] = None) -> Dict[int, float]:
+def sketch_and_merge_shards(batch: np.ndarray, k: int,
+                            num_shards: int) -> Dict[int, float]:
     """Shard one integer batch, sketch the shards in parallel, merge.
 
-    The zero-copy :func:`sketch_shards_shared` path handles every int64-safe
-    batch; uint64 batches with keys beyond ``2**63 - 1`` (which int64 shard
-    views would corrupt) and environments without working shared memory fall
-    back to the pickled :func:`sketch_streams` fan-out.  Both paths return
-    the identical merged dict.
+    Splits ``batch`` exactly like ``np.array_split`` into ``num_shards``
+    contiguous shards and sketches each in its own process, one process per
+    non-empty shard, reading straight from a shared input segment; the
+    parent tree-folds the columnar shard exports with
+    :func:`~repro.sketches.merge.merge_tree_arrays` over views of the shared
+    output segment.  Segment slots carry the batch's keys as int64, or as
+    uint64 when a key exceeds ``2**63 - 1``.  A single shard, or a host
+    without usable shared memory, takes the in-process loop instead:
+    ``merge_tree`` over one sketch per shard.  Both routes return the
+    identical merged dict (keys, float bits and order).
     """
     size = check_positive_int(k, "k")
-    int64_safe = not (batch.dtype.kind == "u" and batch.size
-                      and int(batch.max()) > np.iinfo(np.int64).max)
-    if int64_safe:
+    check_positive_int(num_shards, "num_shards")
+    bounds = _shard_bounds(batch.size, num_shards)
+    if len(bounds) > 1:
         try:
-            return sketch_shards_shared(batch, size, num_shards, workers=workers)
-        except OSError:  # pragma: no cover - no usable /dev/shm
+            return _pool_sketch_and_merge(batch, size, bounds)
+        except OSError:  # no usable /dev/shm
             pass
-    shards = [shard for shard in np.array_split(batch, num_shards) if shard.size]
-    sketches = sketch_streams(shards, size, workers=workers)
-    return merge_tree([sketch.counters() for sketch in sketches], size)
+    shards = [batch[start:stop] for start, stop in bounds]
+    return merge_tree([sketch.counters() for sketch in sketch_streams(shards, size)],
+                      size)
 
 
 def _noisy_threshold_filter(aggregate: Mapping[Hashable, float], scale: float,
@@ -375,16 +356,6 @@ class PrivateMergedRelease:
                     for keys, values in zip(keys_list, values_list)]
         return self.release(sketches, rng=generator, total_stream_length=length,
                             streams=count)
-
-    def release_streams(self, streams: Sequence, rng: RandomState = None,
-                        workers: Optional[int] = None) -> PrivateHistogram:
-        """End-to-end release from raw per-server streams.
-
-        Builds one sketch per stream with :func:`sketch_streams` (vectorized
-        for integer streams, fanned out over ``workers`` processes when
-        requested) and releases the aggregate under the configured strategy.
-        """
-        return self.release(sketch_streams(streams, self.k, workers=workers), rng=rng)
 
     # -- trusted aggregator, post-process then sum --------------------------------
 

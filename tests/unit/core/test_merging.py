@@ -109,12 +109,3 @@ class TestPrivateMergedRelease:
         histogram = release.release(counters, rng=0, total_stream_length=110)
         assert histogram.metadata.stream_length == 110
 
-
-def test_sketch_streams_rejects_invalid_workers():
-    import pytest
-    from repro.core import sketch_streams
-    from repro.exceptions import ParameterError
-    with pytest.raises(ParameterError):
-        sketch_streams([[1, 2]], 4, workers=0)
-    with pytest.raises(ParameterError):
-        sketch_streams([[1, 2]], 4, workers=-3)
