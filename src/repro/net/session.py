@@ -19,9 +19,10 @@ or EOF from ``READY``), so a client that dies mid-push contributes nothing.
 
 With a write-ahead log (``repro serve --wal-dir``) each accepted frame's
 verbatim bytes are spooled *before* the fold, the whole burst is made
-durable (spool fsync + checkpoint record) *before* the PUSH ack, and a
-re-HELLO with the same ordinal resumes the spooled session: the ack reports
-the committed frame count so the client skips already-durable frames.  Every
+durable (spool fsync + checkpoint record, in a group commit off the event
+loop) *before* the PUSH ack, and a re-HELLO with the same ordinal resumes
+the spooled session: the ack reports the committed frame count so the
+client skips already-durable frames.  Every
 frame must additionally arrive whole within the server's read timeout, so a
 peer dribbling bytes (slow-loris) is rejected instead of pinning a session
 open; the deadline only bounds waits, so frames already buffered cost none.
@@ -364,8 +365,10 @@ class Session:
                 metrics.inc("server.frames_total")
                 metrics.inc("server.bytes_total", len(body))
             if self._journal is not None:
-                # Durability barrier: fsync spool + checkpoint record, then ack.
-                self._journal.commit()
+                # Durability barrier: spool fsync + checkpoint record on the
+                # WAL's committer thread, grouped with other sessions'
+                # bursts; the ack waits for it.
+                await self._server.wal.commit(self._journal)
         self.state = SessionState.READY
         await self._channel.send_control(OK, re=PUSH, folded=declared,
                                          frames=self.frames)

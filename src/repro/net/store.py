@@ -9,12 +9,20 @@ server died mid-burst) is detected and truncated on replay, never folded.
 
 The interface is deliberately redis-shaped — a flat key/value table keyed by
 session id with ``get``/``put``/``scan``/``delete`` — so a second backend
-(redis, etcd, dynamo) is one module implementing five methods.  The first
-backend is sqlite (stdlib, zero new dependencies) with ``synchronous=FULL``
-so every ``put`` is an fsync-backed transaction: once the server has ACKed a
-PUSH burst, the commit record survives kill -9.  ``MemoryCheckpointStore``
-is the second, trivially-pluggable backend, used by tests and as the
-template for a networked store.
+(redis, etcd, dynamo) is one module implementing five methods.  ``put``
+takes any number of records and writes them as one durable unit: the WAL's
+group commit hands it every session of a group at once.
+
+The first backend is sqlite (stdlib, zero new dependencies) in write-ahead
+journal mode with ``synchronous=FULL``: one ``put`` is one transaction, made
+durable by a single fsync of the ``sessions.db-wal`` log before ``put``
+returns, so once the server has ACKed a PUSH burst the commit record
+survives kill -9.  The ledger is therefore up to three files —
+``sessions.db``, ``sessions.db-wal`` and ``sessions.db-shm`` (the log's
+shared-memory index); sqlite folds the log back into ``sessions.db`` at
+checkpoints and on a clean close, and replays it on the next open after an
+unclean exit.  ``MemoryCheckpointStore`` is the second, trivially-pluggable
+backend, used by tests and as the template for a networked store.
 """
 
 from __future__ import annotations
@@ -90,7 +98,8 @@ class CheckpointStore(ABC):
 
     Implementations must make :meth:`put` durable before returning — the
     server sends the PUSH ACK only after ``put`` returns, and the client
-    treats an ACKed frame as safe to skip on resume.
+    treats an ACKed frame as safe to skip on resume.  A ``put`` of several
+    records must be atomic: all of them land, or none do.
     """
 
     @abstractmethod
@@ -98,8 +107,9 @@ class CheckpointStore(ABC):
         """The record for ``session_id``, or ``None``."""
 
     @abstractmethod
-    def put(self, record: SessionRecord) -> None:
-        """Durably upsert ``record`` (fsync-backed before returning)."""
+    def put(self, *records: SessionRecord) -> None:
+        """Durably upsert ``records`` as one unit (fsync-backed before
+        returning)."""
 
     @abstractmethod
     def scan(self) -> Iterator[SessionRecord]:
@@ -143,10 +153,11 @@ CREATE TABLE IF NOT EXISTS sessions (
 class SqliteCheckpointStore(CheckpointStore):
     """Checkpoint store over a single sqlite database file.
 
-    ``synchronous=FULL`` plus one implicit transaction per ``put`` means the
-    record (and, through sqlite's journal, its previous state) hits stable
-    storage before ``put`` returns — the property the commit protocol in
-    :mod:`repro.net.wal` relies on.  A lock serializes access so the CLI
+    ``journal_mode=WAL`` with ``synchronous=FULL`` plus one transaction
+    per ``put`` means the records reach stable storage (one fsync of the
+    write-ahead log) before ``put`` returns — the property the commit
+    protocol in :mod:`repro.net.wal` relies on.  A lock serializes access:
+    the WAL's committer thread puts while the event loop reads, and the CLI
     inspect/replay tools can share an instance across threads.
     """
 
@@ -154,6 +165,7 @@ class SqliteCheckpointStore(CheckpointStore):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._conn = sqlite3.connect(str(self.path), check_same_thread=False)
+        self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=FULL")
         self._conn.execute(_SCHEMA)
         self._conn.commit()
@@ -168,15 +180,17 @@ class SqliteCheckpointStore(CheckpointStore):
             ).fetchone()
         return None if row is None else SessionRecord(*row)
 
-    def put(self, record: SessionRecord) -> None:
-        with self._lock:
-            self._conn.execute(
+    def put(self, *records: SessionRecord) -> None:
+        # The connection as a context manager commits the transaction, or
+        # rolls it back when a row fails, so a group lands whole or not at all.
+        with self._lock, self._conn:
+            self._conn.executemany(
                 "INSERT OR REPLACE INTO sessions VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (record.session_id, record.ordinal, record.client, record.k,
-                 record.spool, record.committed_frames, record.committed_bytes,
-                 record.commit_seq),
+                [(record.session_id, record.ordinal, record.client, record.k,
+                  record.spool, record.committed_frames,
+                  record.committed_bytes, record.commit_seq)
+                 for record in records],
             )
-            self._conn.commit()
 
     def scan(self) -> Iterator[SessionRecord]:
         with self._lock:
@@ -213,9 +227,10 @@ class MemoryCheckpointStore(CheckpointStore):
         with self._lock:
             return self._records.get(session_id)
 
-    def put(self, record: SessionRecord) -> None:
+    def put(self, *records: SessionRecord) -> None:
         with self._lock:
-            self._records[record.session_id] = record
+            for record in records:
+                self._records[record.session_id] = record
 
     def scan(self) -> Iterator[SessionRecord]:
         with self._lock:

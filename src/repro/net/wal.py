@@ -12,14 +12,32 @@ Commit protocol (per PUSH burst)::
     append frame bytes to spool          (OS buffer)
     fold frame into the session merger   (in memory)
     ... repeat for the burst ...
-    flush + fsync spool                  (frames durable)
-    put session record in the store      (watermark durable, fsync-backed)
+    await SessionWal.commit(journal)     (queue for the next group)
+      committer thread, per group:
+        flush + fsync every spool        (frames durable)
+        one store put of every record    (watermarks durable, one transaction)
+        fsync wal_dir if a spool is new  (new spool names durable)
+        advance each journal's watermark (in memory)
+      event loop: resolve each session's future
     send OK to the client                (ACK now implies durability)
 
-A crash between the spool fsync and the store put leaves a spool tail past
-the recorded ``committed_bytes`` watermark: the tail is truncated on the
-next attach or recovery — never folded — and the client, which got no ACK,
-re-pushes the burst.  A clean session end (BYE / clean EOF) writes the
+Group commit: the spool fsyncs and the ledger transaction run on one
+committer thread (:meth:`SessionWal.commit`), so the event loop keeps
+reading and folding other sessions while a group syncs.  Every session that
+reaches its barrier while a group is in flight queues; when the group
+lands, everything queued becomes the next group — one ledger transaction
+for all of them.  There is no timer and no size limit: under light load a
+group is one session and costs what the inline barrier did; under a PUSH
+burst the ledger cost is shared.  The futures resolve and every ``wal.*``
+metric is written on the event loop (the registry has no lock).  A group
+whose fsync or put fails (``OSError``, ``sqlite3.Error``) advances no
+watermark: each of its sessions is refused with ERROR
+``code=wal_commit_failed`` and none is ACKed.
+
+A crash between the spool fsyncs and the store put leaves spool tails past
+the recorded ``committed_bytes`` watermarks: each tail is truncated on the
+next attach or recovery — never folded — and the clients, which got no ACK,
+re-push their bursts.  A clean session end (BYE / clean EOF) writes the
 server's commit sequence number into the record (:meth:`SessionJournal.
 mark_committed`), which is the fsync-on-commit session record: recovery
 folds exactly the sessions holding a seq, in seq order, so a restarted
@@ -34,16 +52,20 @@ double-pushing.
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import os
+import sqlite3
 import uuid
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..api.framing import (FrameReader, StreamingMerger, append_frame,
                            decode_payload_body, replay_raw_frames,
                            write_stream_header)
-from ..exceptions import FramingError, ParameterError, ProtocolError
+from ..exceptions import FramingError, ParameterError, ProtocolError, ReproError
 from ..obs.metrics import NULL_METRICS
 from .session import CommittedSession
 from .store import (CheckpointStore, SessionRecord, SqliteCheckpointStore,
@@ -62,6 +84,22 @@ def _session_complete_error() -> ProtocolError:
         "them twice — start a new session under a fresh ordinal")
     error.code = "session_complete"
     return error
+
+
+def _commit_failed_error(cause: BaseException) -> ReproError:
+    error = ReproError(
+        f"write-ahead log commit failed ({cause}); nothing in this push was "
+        "acknowledged — reconnect and resume to push it again")
+    error.code = "wal_commit_failed"
+    return error
+
+
+class _GroupTiming(NamedTuple):
+    """What one group commit measured, for :meth:`SessionWal._observe`."""
+
+    size: int                  # journals whose watermark advanced
+    fsync_seconds: List[float]  # one per spool fsync
+    seconds: float             # the whole barrier
 
 
 @dataclass
@@ -128,33 +166,16 @@ class SessionJournal:
         self._frames += 1
 
     def commit(self) -> int:
-        """Make every appended frame durable; returns the new watermark.
+        """Make every appended frame durable now; returns the new watermark.
 
-        fsyncs the spool, then durably advances the ledger record — the
-        order that makes a half-written tail detectable (ledger behind
-        spool) rather than dangerous (ledger ahead of spool).
+        The blocking form of the barrier: a group of one
+        (:meth:`SessionWal.commit_group`).  The server awaits
+        :meth:`SessionWal.commit` instead, which runs the barrier off the
+        event loop.
         """
         if self.complete:
             raise _session_complete_error()
-        if self._frames == self.record.committed_frames:
-            return self.record.committed_frames
-        metrics = self._wal.metrics
-        clock = metrics.clock
-        commit_start = clock()
-        self._file.flush()
-        if self._wal.fsync:
-            fsync_start = clock()
-            os.fsync(self._file.fileno())
-            metrics.observe("wal.fsync_seconds", clock() - fsync_start)
-        first_commit = not self._durable
-        self.record = self.record.advanced(frames=self._frames,
-                                           bytes_=self._offset)
-        self._wal.store.put(self.record)
-        self._durable = True
-        if first_commit and self._wal.fsync:
-            self._wal.fsync_dir()
-        metrics.observe("wal.commit_seconds", clock() - commit_start)
-        metrics.inc("wal.commits_total")
+        self._wal._observe(self._wal.commit_group([self]))
         return self.record.committed_frames
 
     def mark_committed(self, commit_seq: int) -> None:
@@ -186,6 +207,10 @@ class SessionWal:
     can be swapped in.  ``fsync=False`` trades durability for speed (used
     by benchmarks to isolate the spooling cost from the disk's sync cost
     where explicitly noted; the server default is always ``True``).
+
+    The committer thread behind :meth:`commit` starts on the first awaited
+    commit, so tools that only inspect or replay a WAL never start it;
+    :meth:`close` waits for the group in flight and joins it.
     """
 
     def __init__(self, wal_dir: Union[str, Path],
@@ -197,6 +222,9 @@ class SessionWal:
             self.wal_dir / STORE_FILENAME)
         self.fsync = fsync
         self.metrics = metrics if metrics is not None else NULL_METRICS
+        self._committer: Optional[ThreadPoolExecutor] = None
+        self._queued: List[Tuple[SessionJournal, asyncio.Future]] = []
+        self._in_flight: Optional[asyncio.Future] = None
 
     def spool_usage(self) -> dict:
         """On-disk spool footprint: ``{"spools": count, "bytes": total}``.
@@ -227,6 +255,115 @@ class SessionWal:
             os.fsync(fd)
         finally:
             os.close(fd)
+
+    # ------------------------------------------------------------------
+    # Group commit
+    # ------------------------------------------------------------------
+
+    def commit_group(self, journals: Sequence[SessionJournal]
+                     ) -> Optional[_GroupTiming]:
+        """The durability barrier for ``journals``, as one group; blocking.
+
+        Flushes and fsyncs every spool with frames past its watermark,
+        writes all their advanced records in one ``store.put``, fsyncs
+        ``wal_dir`` once if any spool is new, and only then advances each
+        journal's in-memory watermark.  Spools before ledger is the order
+        that makes a half-written tail detectable (ledger behind spool)
+        rather than dangerous (ledger ahead of spool).  An ``OSError`` or
+        ``sqlite3.Error`` advances nothing and is raised as a coded
+        ``wal_commit_failed`` error.  Writes no metrics — it may run on
+        the committer thread — and returns the group's timings (``None``
+        when no journal had anything to commit).
+        """
+        pending = [journal for journal in journals
+                   if journal._frames != journal.record.committed_frames]
+        if not pending:
+            return None
+        clock = self.metrics.clock
+        start = clock()
+        fsync_seconds = []
+        try:
+            for journal in pending:
+                journal._file.flush()
+                if self.fsync:
+                    fsync_start = clock()
+                    os.fsync(journal._file.fileno())
+                    fsync_seconds.append(clock() - fsync_start)
+            records = [journal.record.advanced(frames=journal._frames,
+                                               bytes_=journal._offset)
+                       for journal in pending]
+            self.store.put(*records)
+            if self.fsync and not all(journal._durable for journal in pending):
+                self.fsync_dir()
+        except (OSError, sqlite3.Error) as error:
+            raise _commit_failed_error(error) from error
+        for journal, record in zip(pending, records):
+            journal.record = record
+            journal._durable = True
+        return _GroupTiming(len(pending), fsync_seconds, clock() - start)
+
+    def _observe(self, timing: Optional[_GroupTiming]) -> None:
+        if timing is None:
+            return
+        metrics = self.metrics
+        for seconds in timing.fsync_seconds:
+            metrics.observe("wal.fsync_seconds", seconds)
+        metrics.observe("wal.commit_seconds", timing.seconds)
+        metrics.observe("wal.group_size", timing.size)
+        metrics.inc("wal.commits_total", timing.size)
+
+    async def commit(self, journal: SessionJournal) -> int:
+        """Make ``journal``'s appended frames durable off the event loop.
+
+        Queues the journal for the committer thread and returns its new
+        watermark once the group holding it has landed.  Journals queued
+        while a group is in flight form the next group.  Raises what
+        :meth:`commit_group` raised for the group.
+        """
+        future = asyncio.get_running_loop().create_future()
+        entry = (journal, future)
+        self._queued.append(entry)
+        if self._in_flight is None:
+            self._launch()
+        try:
+            return await future
+        except asyncio.CancelledError:
+            if entry in self._queued:
+                self._queued.remove(entry)
+            elif self._in_flight is not None:
+                # The group in flight still writes this journal's spool: let
+                # it land before the caller's cleanup closes the file.
+                await asyncio.wait([self._in_flight])
+            raise
+
+    def _launch(self) -> None:
+        """Hand everything queued to the committer thread as one group."""
+        group, self._queued = self._queued, []
+        if self._committer is None:
+            self._committer = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="wal-committer")
+        self._in_flight = asyncio.get_running_loop().run_in_executor(
+            self._committer, self.commit_group,
+            [journal for journal, _ in group])
+        self._in_flight.add_done_callback(
+            functools.partial(self._landed, group))
+
+    def _landed(self, group, done: asyncio.Future) -> None:
+        """On the loop: record the group's metrics, resolve its futures,
+        launch whatever queued meanwhile."""
+        self._in_flight = None
+        error = done.exception()
+        if error is None:
+            self._observe(done.result())
+        for journal, future in group:
+            if future.cancelled():
+                continue
+            if error is None:
+                future.set_result(journal.committed_frames)
+            else:
+                future.set_exception(error)
+        if self._queued:
+            self._launch()
 
     # ------------------------------------------------------------------
     # Recovery
@@ -428,4 +565,7 @@ class SessionWal:
                               merger=merger, durable=True)
 
     def close(self) -> None:
+        """Wait for the group in flight, join the committer, close the store."""
+        if self._committer is not None:
+            self._committer.shutdown(wait=True)
         self.store.close()

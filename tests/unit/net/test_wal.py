@@ -438,7 +438,14 @@ class TestSpoolUsage:
         journal.commit()
         journal.close()
         (wal.wal_dir / "notes.txt").write_text("not a spool")
-        assert wal.spool_usage()["spools"] == 1
+        # The WAL-mode ledger's log and shared-memory index sit next to
+        # the spools while the store is open; neither is session payload.
+        assert (wal.wal_dir / "sessions.db-wal").exists()
+        assert (wal.wal_dir / "sessions.db-shm").exists()
+        usage = wal.spool_usage()
+        assert usage["spools"] == 1
+        assert usage["bytes"] == \
+            wal.spool_path(journal.record).stat().st_size
 
     def test_metrics_record_commit_timings(self, tmp_path):
         from repro.obs.metrics import MetricsRegistry
@@ -454,3 +461,5 @@ class TestSpoolUsage:
         assert registry.counter("wal.commits_total").value == 1
         assert registry.histogram("wal.commit_seconds").summary()["count"] == 1
         assert registry.histogram("wal.fsync_seconds").summary()["count"] >= 1
+        # The blocking commit is a group of one.
+        assert registry.histogram("wal.group_size").values() == [1]
