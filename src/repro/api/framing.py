@@ -197,23 +197,24 @@ def decode_control_body(body: bytes) -> Dict[str, object]:
     return message
 
 
-def encode_payload_frame(payload: Union[Mapping, WirePayload],
-                         encoding: str = "binary") -> bytes:
+def encode_payload_frame(payload: Union[Mapping, WirePayload]) -> bytes:
     """One payload frame (binary columnar when possible), length prefix included."""
-    return encode_frame(payload_frame_body(payload, encoding=encoding))
+    return encode_frame(payload_frame_body(payload))
 
 
-def payload_frame_body(payload: Union[Mapping, WirePayload],
-                       encoding: str = "binary") -> bytes:
+def payload_frame_body(payload: Union[Mapping, WirePayload]) -> bytes:
     """One payload frame *body* (no length prefix) — what ``push_raw`` and
-    :func:`append_frame` consume verbatim."""
+    :func:`append_frame` consume verbatim.
+
+    Integer-keyed envelopes always go binary columnar; token-keyed ones
+    stay JSON (the reader decodes both)."""
     if isinstance(payload, WirePayload):
         payload = wire_module.encode_payload(payload)
     if payload.get("format") != WIRE_FORMAT_VERSION:
         raise FramingError(
             f"frames must carry wire v2 envelopes (format: {WIRE_FORMAT_VERSION}), "
             f"got format={payload.get('format')!r}")
-    if encoding == "binary" and payload.get("key_encoding") == "int":
+    if payload.get("key_encoding") == "int":
         return _binary_frame_body(payload)
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
@@ -393,18 +394,13 @@ class FrameWriter:
 
     def __init__(self, fileobj, k: Optional[int] = None,
                  frames: Optional[int] = None,
-                 meta: Optional[Mapping[str, object]] = None,
-                 encoding: str = "binary") -> None:
+                 meta: Optional[Mapping[str, object]] = None) -> None:
         if frames is not None and (not isinstance(frames, int) or frames < 0):
             raise ParameterError(f"frames must be a non-negative count, got {frames!r}")
-        if encoding not in ("binary", "json"):
-            raise ParameterError(
-                f"encoding must be 'binary' or 'json', got {encoding!r}")
         self._fileobj = fileobj
         self._declared = frames
         self._written = 0
         self._closed = False
-        self._encoding = encoding
         self.header = FrameHeader(framing=FRAMING_VERSION, frames=frames,
                                   k=int(k) if k is not None else None,
                                   meta=dict(meta or {}))
@@ -423,7 +419,7 @@ class FrameWriter:
         if self._declared is not None and self._written >= self._declared:
             raise FramingError(
                 f"header declared {self._declared} frame(s); cannot write more")
-        self._fileobj.write(encode_payload_frame(payload, self._encoding))
+        self._fileobj.write(encode_payload_frame(payload))
         self._written += 1
 
     def write_sketch(self, sketch) -> None:
@@ -707,17 +703,9 @@ class StreamingMerger:
         """
         if isinstance(payload, Mapping):
             payload = wire_module.decode(payload)
-        relay = payload.meta.get(RELAY_META_KEY)
-        origin_frames = 1
-        if isinstance(relay, Mapping):
-            declared = relay.get("frames")
-            if not isinstance(declared, int) or declared < 1:
-                raise FramingError(
-                    f"relay summary frame declares a bad origin frame count "
-                    f"{declared!r}")
-            origin_frames = declared
+        origin = origin_frames(payload)
         self.add(payload)
-        self._frames += origin_frames - 1
+        self._frames += origin - 1
         return self
 
     def consume(self, frames: Iterable[Union[WirePayload, Mapping]]) -> "StreamingMerger":
@@ -870,6 +858,20 @@ def iter_frames(source) -> Iterator[WirePayload]:
 #: Envelope ``meta`` key a relay summary frame carries its origin
 #: accounting under (``{"frames": <origin sketch exports>}``).
 RELAY_META_KEY = "relay"
+
+
+def origin_frames(payload: WirePayload) -> int:
+    """Sketch exports a relay summary frame stands for (1 when it declares
+    no ``meta["relay"]["frames"]`` count)."""
+    relay = payload.meta.get(RELAY_META_KEY)
+    if not isinstance(relay, Mapping):
+        return 1
+    declared = relay.get("frames")
+    if not isinstance(declared, int) or declared < 1:
+        raise FramingError(
+            f"relay summary frame declares a bad origin frame count "
+            f"{declared!r}")
+    return declared
 
 
 def summary_payload(merger: StreamingMerger) -> Dict[str, object]:

@@ -37,6 +37,7 @@ release that would cross the line is refused like an over-budget one.
 from __future__ import annotations
 
 import math
+import sqlite3
 from dataclasses import dataclass
 from typing import Optional
 
@@ -219,7 +220,10 @@ class BudgetAccountant:
 
         Raises :class:`~repro.exceptions.RemoteError` with code
         ``budget_exhausted`` (leaving the persisted count untouched) when
-        the charged spend would exceed the budget or turn vacuous.
+        the charged spend would exceed the budget or turn vacuous, and with
+        code ``wal_commit_failed`` when the store cannot persist the new
+        count.  The failed persist keeps the in-memory charge: spend may be
+        over-counted, never under-counted.
         """
         spend = self.spend_after(self._releases + 1)
         if not self._admits(spend):
@@ -238,7 +242,13 @@ class BudgetAccountant:
                 code="budget_exhausted")
         self._releases += 1
         persist_start = self.metrics.clock()
-        self._persist()
+        try:
+            self._persist()
+        except (OSError, sqlite3.Error) as error:
+            raise RemoteError(
+                f"could not persist the privacy budget charge ({error}); "
+                "this release is refused and its charge kept",
+                code="wal_commit_failed") from error
         self.metrics.observe("budget.persist_seconds",
                              self.metrics.clock() - persist_start)
         self.metrics.inc("budget.releases_total")

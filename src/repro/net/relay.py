@@ -324,7 +324,7 @@ class RelayAggregatorServer(AggregatorServer):
     def _stage_batch(self, entry: CommittedSession) -> ForwardBatch:
         """Stage one committed session as a forward batch (durable if WAL)."""
         bodies = [payload_frame_body(summary_payload(part))
-                  for part in entry.mergers]
+                  for part in entry.parts]
         index = self._next_batch
         self._next_batch += 1
         batch = ForwardBatch(index=index, root_ordinal=self._root_ordinal(entry),

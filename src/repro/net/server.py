@@ -4,8 +4,8 @@ The deployment story of the paper — ``m`` untrusted clients ship Misra-Gries
 sketches to one aggregator that merges them and publishes one differentially
 private histogram — as a long-running network service.  Clients connect over
 TCP or a Unix-domain socket, speak the framed control protocol
-(:mod:`repro.net.protocol`), and each session's frames are folded into a
-per-session :class:`~repro.api.framing.StreamingMerger` as they arrive.
+(:mod:`repro.net.protocol`), and each session's frames are folded into its
+release parts (:func:`~repro.net.session.fold_frame`) as they arrive.
 
 Determinism: committed sessions are combined in ``(ordinal, commit
 order)`` order, exactly the fold ``repro merge --framed file-per-client``
@@ -359,7 +359,7 @@ class AggregatorServer:
             self._k = declared
         return self._k
 
-    def note_frame(self, payload, frames: int = 1) -> None:
+    def note_frame(self, payload, frames: int) -> None:
         """Count one accepted frame (relay summaries count their origin
         exports, so root stats agree with the flat server's)."""
         self._frames_seen += frames
@@ -407,25 +407,23 @@ class AggregatorServer:
         """
 
     def commit(self, session: Session) -> None:
-        """A session ended cleanly: its summary joins the release set."""
+        """A session ended cleanly: its release parts join the release set."""
         self.admit_commit(session)
-        merger = session.take_merger()
-        parts = session.take_parts()
+        seq = self._commit_seq + 1
         journal = session.take_journal()
-        if (merger is None or not merger.frames) and not parts:
-            if journal is not None:
-                journal.close()
-            return
-        self._commit_seq += 1
         if journal is not None:
             # fsync-on-commit session record: the commit seq becomes durable
             # before the BYE ack, so a restart replays this session in the
-            # exact commit order the live run used.
-            journal.mark_committed(self._commit_seq)
-        entry = CommittedSession(
-            seq=self._commit_seq, ordinal=session.ordinal,
-            client=session.client,
-            merger=merger if not parts else None, parts=parts)
+            # exact commit order the live run used.  A failed put refuses
+            # the session (wal_commit_failed) with nothing committed.
+            try:
+                journal.mark_committed(seq)
+            finally:
+                journal.close()
+        self._commit_seq = seq
+        entry = CommittedSession(seq=seq, ordinal=session.ordinal,
+                                 client=session.client,
+                                 parts=session.take_parts())
         self._committed.append(entry)
         self.metrics.inc("server.commits_total")
         self.note_committed(entry)
@@ -447,7 +445,7 @@ class AggregatorServer:
         """
         parts: List[StreamingMerger] = []
         for entry in sorted(self._committed, key=lambda e: e.sort_key):
-            parts.extend(entry.mergers)
+            parts.extend(entry.parts)
         return parts
 
     def perform_release(self, seed: Optional[int]) -> Dict:

@@ -7,15 +7,16 @@ documented in DESIGN.md:
 
     AWAIT_HELLO --hello--> READY --push(n)--> PUSHING --n frames--> READY
     READY --release/stats--> READY        (replies in-line)
-    READY --bye / clean EOF--> COMMITTED  (summary enters the release set)
+    READY --bye / clean EOF--> COMMITTED  (parts enter the release set)
     any state --protocol violation / k mismatch / truncated frame-->
-        REJECTED                          (summary discarded, server stays up)
+        REJECTED                          (parts discarded, server stays up)
 
-A session's frames are folded into its own
-:class:`~repro.api.framing.StreamingMerger` *as they arrive*; nothing beyond
-the current frame and the ``<= k``-counter accumulator is buffered.  The
-summary joins the server's committed set only on a clean end (``bye`` verb
-or EOF from ``READY``), so a client that dies mid-push contributes nothing.
+A session's frames are folded into its release parts — a list of
+:class:`~repro.api.framing.StreamingMerger` — *as they arrive*, by the one
+rule :func:`fold_frame` that WAL replay runs too; nothing beyond the current
+frame and each part's ``<= k``-counter accumulator is buffered.  The parts
+join the server's committed set only on a clean end (``bye`` verb or EOF
+from ``READY``), so a client that dies mid-push contributes nothing.
 
 With a write-ahead log (``repro serve --wal-dir``) each accepted frame's
 verbatim bytes are spooled *before* the fold, the whole burst is made
@@ -30,10 +31,11 @@ open; the deadline only bounds waits, so frames already buffered cost none.
 Multi-tenant hardening: when the server carries an ``auth_token``, the HELLO
 must present a matching ``token`` field (checked in constant time, *before*
 any ordinal claim, WAL attach or k adoption) or the session is rejected with
-an ``auth_failed`` ERROR.  Per-session quotas on frames, payload bytes and
-origin sketch exports are charged per accepted frame — before the spool
-append and the fold, so an over-quota frame leaves no trace — and a
-violation rejects only the offending session (``quota_exceeded``).
+an ``auth_failed`` ERROR.  Per-session quotas: the frame quota is checked
+for a whole declared burst up front; payload bytes and origin sketch exports
+are charged per accepted frame — before the spool append and the fold, so
+an over-quota frame leaves no trace.  A violation rejects only the offending
+session (``quota_exceeded``).
 """
 
 from __future__ import annotations
@@ -44,16 +46,42 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..api.framing import FrameHeader, StreamingMerger
+from ..api.framing import FrameHeader, StreamingMerger, origin_frames
+from ..api.wire import WirePayload
 from ..exceptions import FramingError, ProtocolError, ReproError
 from .protocol import BYE, ERROR, HELLO, OK, PUSH, RELEASE, STATS, FrameChannel
 
 #: HELLO ``role`` values a server understands.  ``client`` (the default)
-#: folds all pushed frames into one per-session merger; ``relay`` marks each
+#: folds all pushed frames into one release part; ``relay`` marks each
 #: pushed frame as the summary of one downstream origin session, folded into
 #: its *own* release part so the root's combine sees exactly the same part
 #: sequence a flat server would.
 SESSION_ROLES = ("client", "relay")
+
+
+def frame_sketches(payload: WirePayload, role: str) -> int:
+    """Origin sketch exports one pushed frame covers (what quotas and stats
+    count): a relay summary declares its origin count, a client frame is
+    one export."""
+    return origin_frames(payload) if role == "relay" else 1
+
+
+def fold_frame(parts: List[StreamingMerger], payload: WirePayload,
+               role: str, k: int) -> None:
+    """Fold one pushed frame into a session's release parts, in place.
+
+    The one fold rule live PUSH and WAL replay share, so a replayed session
+    equals the live one because the same code ran.  A client session folds
+    every frame into its single part (created by the first frame); a relay
+    session starts a new single-summary part per frame
+    (:meth:`~repro.api.framing.StreamingMerger.add_summary`).
+    """
+    if role == "relay":
+        parts.append(StreamingMerger(k).add_summary(payload))
+    elif parts:
+        parts[0].add(payload)
+    else:
+        parts.append(StreamingMerger(k).add(payload))
 
 
 class SessionState(enum.Enum):
@@ -68,16 +96,15 @@ class SessionState(enum.Enum):
 class CommittedSession:
     """A cleanly finished session's contribution to the release set.
 
-    A plain client session contributes one ``merger``; a relay session
-    contributes ``parts`` — one single-summary merger per downstream origin
-    session, in push (= spool) order — and ``merger`` is ``None``.
+    ``parts`` are its release parts in push (= spool) order: one for a
+    client session, one single-summary merger per downstream origin session
+    for a relay session.
     """
 
     seq: int                      # commit order (tie-breaker)
     ordinal: Optional[int]        # client-declared canonical position
     client: Optional[str]
-    merger: Optional[StreamingMerger]
-    parts: Tuple[StreamingMerger, ...] = ()
+    parts: Tuple[StreamingMerger, ...]
 
     @property
     def sort_key(self):
@@ -87,20 +114,13 @@ class CommittedSession:
         return (1, 0, self.seq)
 
     @property
-    def mergers(self) -> List[StreamingMerger]:
-        """The release parts this session contributes, in canonical order."""
-        if self.parts:
-            return list(self.parts)
-        return [self.merger] if self.merger is not None else []
-
-    @property
     def frames(self) -> int:
         """Origin sketch exports covered (relay parts carry origin counts)."""
-        return sum(merger.frames for merger in self.mergers)
+        return sum(part.frames for part in self.parts)
 
     @property
     def stream_length(self) -> int:
-        return sum(merger.total_stream_length for merger in self.mergers)
+        return sum(part.total_stream_length for part in self.parts)
 
 
 class Session:
@@ -116,22 +136,14 @@ class Session:
         self.connected_at: float = time.time()
         self.last_frame_at: Optional[float] = None
         self.bytes_received: int = 0
-        self.frames_accepted: int = 0
-        self._merger: Optional[StreamingMerger] = None
-        self._parts: List[StreamingMerger] = []   # relay sessions only
+        self.frames_accepted: int = 0     # pushed on this connection
+        self.frames: int = 0              # pushed in total (resume included)
+        self._parts: List[StreamingMerger] = []
         self._journal = None          # SessionJournal when the server has a WAL
         self._claimed_ordinal = False
         self._pending_header_k: Optional[int] = None
-        self._quota_frames = 0
         self._quota_bytes = 0
         self._quota_sketches = 0
-
-    @property
-    def frames(self) -> int:
-        """Frames folded so far, in pushed-frame units (relay: summaries)."""
-        if self.role == "relay":
-            return len(self._parts)
-        return self._merger.frames if self._merger is not None else 0
 
     # ------------------------------------------------------------------
     # Main loop
@@ -207,9 +219,8 @@ class Session:
         elif verb == STATS:
             await self._channel.send_control(STATS, **self._server.stats())
         elif verb == BYE:
-            committed_frames = self.frames  # _commit hands the merger off
             self._commit()
-            await self._channel.send_control(OK, re=BYE, frames=committed_frames)
+            await self._channel.send_control(OK, re=BYE, frames=self.frames)
         elif verb == HELLO:
             raise ProtocolError("duplicate hello on an open session")
         else:
@@ -261,23 +272,7 @@ class Session:
             if self._journal.complete:
                 ack["complete"] = True
             elif self._journal.parts:
-                # Resumed relay session: adopt the replayed summary parts.
-                self._parts = list(self._journal.parts)
-                self._server.note_resumed(
-                    self._journal.record.session_id,
-                    frames=sum(part.frames for part in self._parts),
-                    stream_length=sum(part.total_stream_length
-                                      for part in self._parts))
-                self._seed_quota_from_resume(
-                    sketches=sum(part.frames for part in self._parts))
-            elif self._journal.merger is not None:
-                # Resumed session: adopt the replayed committed prefix.
-                self._merger = self._journal.merger
-                self._server.note_resumed(
-                    self._journal.record.session_id,
-                    frames=self._merger.frames,
-                    stream_length=self._merger.total_stream_length)
-                self._seed_quota_from_resume(sketches=self._merger.frames)
+                self._resume()
         self.state = SessionState.READY
         await self._channel.send_control(OK, re=HELLO, **ack)
 
@@ -298,18 +293,17 @@ class Session:
                 raise error
             self._journal.ensure_k(self._server.k)
         limit = self._server.max_session_frames
-        if limit is not None and self._quota_frames + declared > limit:
+        if limit is not None and self.frames + declared > limit:
             # The declared burst alone busts the frame quota: refuse it up
             # front, before a single body is spooled or folded.
             raise self._quota_error("frames", limit,
-                                    self._quota_frames + declared)
-        if self._merger is None and self.role != "relay":
-            self._merger = StreamingMerger(self._server.k)
+                                    self.frames + declared)
         self.state = SessionState.PUSHING
         metrics = self._server.metrics
         clock = metrics.clock
         next_event = self._channel.next_event
         timeout = self._server.read_timeout
+        k = self._server.k
         with self._server.tracer.span("push", frames=declared) as span:
             span["ordinal"] = self.ordinal
             for index in range(declared):
@@ -329,36 +323,26 @@ class Session:
                     raise ProtocolError(
                         f"expected payload frame {index + 1}/{declared} of the "
                         f"push burst, got a control frame")
-                if value.k is not None and value.k != self._server.k:
+                if value.k is not None and value.k != k:
                     error = ProtocolError(
                         f"frame {index + 1} exports a k={value.k} sketch; this "
-                        f"aggregation runs at k={self._server.k} and merging "
+                        f"aggregation runs at k={k} and merging "
                         "disagreeing sketch sizes would miscalibrate the release")
                     error.code = "k_mismatch"
                     raise error
                 fold_start = clock()
-                if self.role == "relay":
-                    # Each relay frame is one origin session's summary: it folds
-                    # into its own release part so the combine at release time
-                    # sees the same part sequence a flat server would.
-                    part = StreamingMerger(self._server.k).add_summary(value)
-                else:
-                    part = None
+                sketches = frame_sketches(value, self.role)
                 # Quota charge precedes the spool append and the fold: an
                 # over-quota frame is rejected without leaving any trace.
-                self._charge_quota(len(body),
-                                   part.frames if part is not None else 1)
+                self._charge_quota(len(body), sketches)
                 if self._journal is not None:
                     # Write-ahead: the verbatim bytes hit the spool before
                     # the fold.
                     self._journal.append(body)
-                if part is not None:
-                    self._parts.append(part)
-                    self._server.note_frame(value, frames=part.frames)
-                else:
-                    self._merger.add(value)
-                    self._server.note_frame(value)
+                fold_frame(self._parts, value, self.role, k)
+                self._server.note_frame(value, frames=sketches)
                 metrics.observe("server.fold_seconds", clock() - fold_start)
+                self.frames += 1
                 self.frames_accepted += 1
                 self.bytes_received += len(body)
                 self.last_frame_at = time.time()
@@ -377,7 +361,16 @@ class Session:
         seed = message.get("seed")
         if seed is not None and not isinstance(seed, int):
             raise ProtocolError(f"release seed must be an integer, got {seed!r}")
-        envelope = await self._server.handle_release(seed)
+        try:
+            envelope = await self._server.handle_release(seed)
+        except ReproError as error:
+            if getattr(error, "code", None) != "wal_commit_failed":
+                raise
+            # The server's disk failed, not this session: refuse the verb
+            # with its code and keep the session.
+            await self._channel.send_control(ERROR, code=error.code,
+                                             message=str(error))
+            return
         await self._channel.send_payload(envelope)
         self._server.note_release_sent()
 
@@ -393,11 +386,9 @@ class Session:
         self._commit()
 
     def _commit(self) -> None:
-        self.state = SessionState.COMMITTED
-        if (self._merger is not None and self._merger.frames) or self._parts:
+        if self._parts:  # a session that folded nothing commits nothing
             self._server.commit(self)
-            self._merger = None
-            self._parts = []
+        self.state = SessionState.COMMITTED
 
     async def _reject(self, error: ReproError) -> None:
         self.state = SessionState.REJECTED
@@ -420,16 +411,23 @@ class Session:
     # Helpers
     # ------------------------------------------------------------------
 
-    def _seed_quota_from_resume(self, sketches: int) -> None:
-        """Count a resumed session's committed state against its quotas.
+    def _resume(self) -> None:
+        """Adopt the journal's replayed parts and count them once.
 
-        ``committed_bytes`` is the spool watermark (header + frame prefixes
-        included), a slight over-count of the raw payload bytes — the
-        conservative direction for a quota.
+        The resumed state counts against the quotas; ``committed_bytes`` is
+        the spool watermark (header + frame prefixes included), a slight
+        over-count of the raw payload bytes — the conservative direction
+        for a quota.
         """
-        self._quota_frames = self._journal.committed_frames
-        self._quota_bytes = self._journal.record.committed_bytes
-        self._quota_sketches = sketches
+        journal = self._journal
+        self._parts = list(journal.parts)
+        self.frames = journal.committed_frames
+        self._quota_bytes = journal.record.committed_bytes
+        self._quota_sketches = sum(part.frames for part in self._parts)
+        self._server.note_resumed(
+            journal.record.session_id, frames=self._quota_sketches,
+            stream_length=sum(part.total_stream_length
+                              for part in self._parts))
 
     def _quota_error(self, which: str, limit: int, would_be: int) -> ProtocolError:
         error = ProtocolError(
@@ -439,14 +437,11 @@ class Session:
         return error
 
     def _charge_quota(self, nbytes: int, sketches: int) -> None:
-        self._quota_frames += 1
+        """Charge one frame's bytes and sketches (the frame count was
+        checked for the whole burst up front)."""
         self._quota_bytes += nbytes
         self._quota_sketches += sketches
         server = self._server
-        if (server.max_session_frames is not None
-                and self._quota_frames > server.max_session_frames):
-            raise self._quota_error("frames", server.max_session_frames,
-                                    self._quota_frames)
         if (server.max_session_bytes is not None
                 and self._quota_bytes > server.max_session_bytes):
             raise self._quota_error("bytes", server.max_session_bytes,
@@ -468,11 +463,6 @@ class Session:
                 f"at k={agreed}; all sessions must agree on one sketch size")
             error.code = "k_mismatch"
             raise error
-
-    def take_merger(self) -> Optional[StreamingMerger]:
-        merger = self._merger
-        self._merger = None
-        return merger
 
     def take_parts(self) -> Tuple[StreamingMerger, ...]:
         parts = tuple(self._parts)

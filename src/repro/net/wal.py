@@ -5,12 +5,12 @@ a stream prefix, a JSON header frame, then length-prefixed payload frames.
 The WAL exploits that directly — each session gets one spool file in
 ``wal_dir`` holding the **verbatim bytes** (tag-preserving) of every PUSH
 frame the server accepted, appended *before* the frame is folded into the
-session's :class:`~repro.api.framing.StreamingMerger`.
+session's release parts (:func:`~repro.net.session.fold_frame`).
 
 Commit protocol (per PUSH burst)::
 
     append frame bytes to spool          (OS buffer)
-    fold frame into the session merger   (in memory)
+    fold frame into the session's parts  (in memory)
     ... repeat for the burst ...
     await SessionWal.commit(journal)     (queue for the next group)
       committer thread, per group:
@@ -41,13 +41,19 @@ re-push their bursts.  A clean session end (BYE / clean EOF) writes the
 server's commit sequence number into the record (:meth:`SessionJournal.
 mark_committed`), which is the fsync-on-commit session record: recovery
 folds exactly the sessions holding a seq, in seq order, so a restarted
-server releases bit-identically to an uninterrupted one.
+server releases bit-identically to an uninterrupted one.  A put that fails
+there refuses the session with ``wal_commit_failed`` and leaves its record
+open, so the client can resume and end it again.
+
+Replay (:meth:`SessionWal.replay`) runs a spool's committed frames through
+:func:`~repro.net.session.fold_frame` under the role its header records —
+the rule the live session folded them with — so replayed parts equal live
+parts because the same code ran.
 
 Resume: the ordinal a client declares in HELLO is its durable session
 identity.  Re-attaching to an open record replays the committed prefix of
-the spool into a fresh merger and reports ``committed_frames`` back through
-the HELLO ACK, so the client skips already-durable frames instead of
-double-pushing.
+the spool and reports ``committed_frames`` back through the HELLO ACK, so
+the client skips already-durable frames instead of double-pushing.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from ..api.framing import (FrameReader, StreamingMerger, append_frame,
                            write_stream_header)
 from ..exceptions import FramingError, ParameterError, ProtocolError, ReproError
 from ..obs.metrics import NULL_METRICS
-from .session import CommittedSession
+from .session import CommittedSession, fold_frame
 from .store import (CheckpointStore, SessionRecord, SqliteCheckpointStore,
                     is_reserved_record)
 
@@ -121,20 +127,17 @@ class SessionJournal:
 
     Created by :meth:`SessionWal.attach`; the server-side session appends
     each accepted frame body, commits per burst, and marks the record
-    committed on a clean end.  ``merger`` carries the replayed committed
-    prefix on resume (``None`` for a fresh session).
+    committed on a clean end.  ``parts`` carries the replayed committed
+    prefix on resume (:meth:`SessionWal.replay`: one part for a client, one
+    per summary frame for a relay) and is empty for a fresh session.
     """
 
     def __init__(self, wal: "SessionWal", record: SessionRecord, *,
                  fileobj=None, offset: int = 0, frames: int = 0,
-                 merger: Optional[StreamingMerger] = None,
                  parts: Tuple[StreamingMerger, ...] = (),
                  complete: bool = False, durable: bool = False) -> None:
         self._wal = wal
         self.record = record
-        self.merger = merger
-        #: Replayed relay summary parts (one per spooled summary frame);
-        #: empty for plain client sessions.
         self.parts = parts
         self.complete = complete
         self._file = fileobj
@@ -179,12 +182,20 @@ class SessionJournal:
         return self.record.committed_frames
 
     def mark_committed(self, commit_seq: int) -> None:
-        """Record the clean end of the session at ``commit_seq`` (durable)."""
+        """Record the clean end of the session at ``commit_seq`` (durable).
+
+        A failed put raises a coded ``wal_commit_failed`` error and leaves
+        the record open, so the session stays resumable.
+        """
         if self.complete:
             return
         self.commit()
-        self.record = self.record.completed(commit_seq)
-        self._wal.store.put(self.record)
+        record = self.record.completed(commit_seq)
+        try:
+            self._wal.store.put(record)
+        except (OSError, sqlite3.Error) as error:
+            raise _commit_failed_error(error) from error
+        self.record = record
         self._durable = True
         self.complete = True
         self._close_file()
@@ -399,17 +410,10 @@ class SessionWal:
             if record.commit_seq is None:
                 recovery.open_records.append(record)
                 continue
-            if self.spool_role(record) == "relay":
-                entry = CommittedSession(
-                    seq=record.commit_seq, ordinal=record.ordinal,
-                    client=record.client or None, merger=None,
-                    parts=tuple(self.replay_parts(record)))
-            else:
-                entry = CommittedSession(
-                    seq=record.commit_seq, ordinal=record.ordinal,
-                    client=record.client or None,
-                    merger=self.replay_merger(record))
-            recovery.committed.append(entry)
+            recovery.committed.append(CommittedSession(
+                seq=record.commit_seq, ordinal=record.ordinal,
+                client=record.client or None,
+                parts=tuple(self.replay(record))))
             recovery.max_seq = max(recovery.max_seq, record.commit_seq)
         return recovery
 
@@ -425,8 +429,8 @@ class SessionWal:
         if path.stat().st_size > record.committed_bytes:
             os.truncate(path, record.committed_bytes)
 
-    def spool_role(self, record: SessionRecord) -> Optional[str]:
-        """The session role its spool header recorded (``None`` = client).
+    def spool_role(self, record: SessionRecord) -> str:
+        """The session role its spool header recorded (``"client"`` if none).
 
         The fixed 8-column ledger schema stays untouched: the role rides in
         the spool's framed stream header ``meta``, written once at attach
@@ -434,55 +438,36 @@ class SessionWal:
         """
         path = self.spool_path(record)
         if not path.exists():
-            return None
+            return "client"
         with path.open("rb") as fileobj:
             meta = FrameReader(fileobj, raw=True).header.meta
         role = meta.get("role")
-        return role if isinstance(role, str) else None
+        return role if isinstance(role, str) else "client"
 
-    def replay_parts(self, record: SessionRecord) -> List[StreamingMerger]:
-        """Replay a relay spool's committed prefix into per-frame parts.
+    def replay(self, record: SessionRecord) -> List[StreamingMerger]:
+        """Fold the committed prefix of a spool into the session's parts.
 
-        Each spooled summary frame becomes its own single-summary merger
-        (carrying the origin session's frame/stream-length accounting), in
-        spool order — bit-identical to the parts the live relay session
-        held.
+        Replays the exact bytes the live session folded, in the same order,
+        through the same :func:`~repro.net.session.fold_frame` rule under
+        the spooled role — the recovered parts are bit-identical to the ones
+        the crashed process held.  No committed frame, no part.
         """
-        if record.k is None:
-            raise FramingError(
-                f"session {record.session_id} committed frames but recorded "
-                "no sketch size; ledger is corrupt")
         parts: List[StreamingMerger] = []
         if not record.committed_frames:
             return parts
-        with open(self.spool_path(record), "rb") as spool:
-            for index, body in enumerate(
-                    replay_raw_frames(spool, record.committed_frames,
-                                      what=f"spool {record.spool}")):
-                payload = decode_payload_body(body, f"spool frame {index + 1}")
-                parts.append(StreamingMerger(record.k).add_summary(payload))
-        return parts
-
-    def replay_merger(self, record: SessionRecord) -> StreamingMerger:
-        """Fold the committed prefix of a spool into a fresh merger.
-
-        Replays the exact bytes the live session folded, in the same order,
-        through the same :meth:`StreamingMerger.add` path — the recovered
-        summary is bit-identical to the one the crashed process held.
-        """
         if record.k is None:
             raise FramingError(
                 f"session {record.session_id} committed frames but recorded "
                 "no sketch size; ledger is corrupt")
-        merger = StreamingMerger(record.k)
-        if not record.committed_frames:
-            return merger
+        role = self.spool_role(record)
         with open(self.spool_path(record), "rb") as spool:
             for index, body in enumerate(
                     replay_raw_frames(spool, record.committed_frames,
                                       what=f"spool {record.spool}")):
-                merger.add(decode_payload_body(body, f"spool frame {index + 1}"))
-        return merger
+                fold_frame(parts,
+                           decode_payload_body(body, f"spool frame {index + 1}"),
+                           role, record.k)
+        return parts
 
     # ------------------------------------------------------------------
     # Session attach
@@ -498,8 +483,8 @@ class SessionWal:
         HELLO ACK reports, and any further push is rejected.  Sessions with
         no ordinal get a throwaway identity — durable once committed, but
         not resumable.  ``role="relay"`` is stamped into the spool header so
-        recovery replays the spooled summary frames into per-origin parts
-        instead of one flat fold.
+        replay folds the spooled frames under the role the live session
+        used.
         """
         if ordinal is not None:
             session_id = f"ord:{ordinal}"
@@ -540,7 +525,7 @@ class SessionWal:
             self.store.delete(record.session_id)
             return self.attach(record.ordinal, record.client or None, k,
                                role=role)
-        spooled_role = self.spool_role(record) or "client"
+        spooled_role = self.spool_role(record)
         if role != spooled_role:
             error = ProtocolError(
                 f"session {record.session_id} was spooled with "
@@ -548,21 +533,11 @@ class SessionWal:
                 "durable identity, one role")
             error.code = "role_mismatch"
             raise error
-        if spooled_role == "relay":
-            parts = (tuple(self.replay_parts(record))
-                     if record.committed_frames else ())
-            fileobj = open(path, "ab")
-            return SessionJournal(self, record, fileobj=fileobj,
-                                  offset=record.committed_bytes,
-                                  frames=record.committed_frames,
-                                  parts=parts, durable=True)
-        merger = (self.replay_merger(record)
-                  if record.committed_frames else None)
-        fileobj = open(path, "ab")
-        return SessionJournal(self, record, fileobj=fileobj,
+        parts = tuple(self.replay(record))
+        return SessionJournal(self, record, fileobj=open(path, "ab"),
                               offset=record.committed_bytes,
                               frames=record.committed_frames,
-                              merger=merger, durable=True)
+                              parts=parts, durable=True)
 
     def close(self) -> None:
         """Wait for the group in flight, join the committer, close the store."""

@@ -74,11 +74,8 @@ class _FinishedSession:
         self.ordinal = ordinal
         self._parts = parts
 
-    def take_merger(self):
-        return self._parts[0] if len(self._parts) == 1 else None
-
     def take_parts(self):
-        return tuple(self._parts) if len(self._parts) > 1 else ()
+        return tuple(self._parts)
 
     def take_journal(self):
         return None

@@ -43,6 +43,18 @@ def _framed_exports(count=4, k=16):
     return buffer.getvalue(), sketches
 
 
+def _json_framed(sketch, k=16):
+    """A one-frame stream whose payload frame is a JSON envelope, as an
+    outside producer would write it (writers here always go binary)."""
+    buffer = io.BytesIO()
+    FrameWriter(buffer, k=k)
+    body = json.dumps(encode_counters(sketch.counters(), k=k,
+                                      stream_length=sketch.stream_length),
+                      sort_keys=True).encode("utf-8")
+    buffer.write(struct.pack(">I", len(body)) + body)
+    return buffer.getvalue()
+
+
 class TestWriterReader:
     def test_round_trip_preserves_counters_and_header(self):
         data, sketches = _framed_exports(count=3, k=16)
@@ -139,26 +151,22 @@ class TestWriterReader:
         with pytest.raises(FramingError, match="frame tag"):
             list(FrameReader(io.BytesIO(buffer.getvalue())))
 
-    def test_json_encoding_escape_hatch_round_trips(self):
+    def test_json_frames_round_trip(self):
         sketch = _export(5)
-        buffer = io.BytesIO()
-        with FrameWriter(buffer, k=16, encoding="json") as writer:
-            writer.write_counters(sketch.counters(), k=16,
-                                  stream_length=sketch.stream_length)
-        data = buffer.getvalue()
+        data = _json_framed(sketch)
         assert b'"keys"' in data  # textual frames, no binary columns
         (payload,) = list(FrameReader(io.BytesIO(data)))
         assert payload.counters() == sketch.counters()
 
     def test_binary_and_json_frames_decode_identically(self):
         sketch = _export(6)
+        buffer = io.BytesIO()
+        with FrameWriter(buffer, k=16) as writer:
+            writer.write_counters(sketch.counters(), k=16,
+                                  stream_length=sketch.stream_length)
         decoded = []
-        for encoding in ("binary", "json"):
-            buffer = io.BytesIO()
-            with FrameWriter(buffer, k=16, encoding=encoding) as writer:
-                writer.write_counters(sketch.counters(), k=16,
-                                      stream_length=sketch.stream_length)
-            (payload,) = list(FrameReader(io.BytesIO(buffer.getvalue())))
+        for data in (buffer.getvalue(), _json_framed(sketch)):
+            (payload,) = list(FrameReader(io.BytesIO(data)))
             decoded.append(payload)
         binary, textual = decoded
         assert binary.counters() == textual.counters()

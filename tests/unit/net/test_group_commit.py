@@ -9,6 +9,9 @@ pin down what that must never change:
 * journals queued behind a group land in exactly one ``put(*records)``;
 * a failed barrier refuses every session of its group with ERROR
   ``code=wal_commit_failed``, counts it rejected and advances nothing;
+* the two puts that stay on the loop refuse with the same code: a failed
+  BYE record rejects the session and leaves it open for resume, a failed
+  budget persist refuses the RELEASE and keeps the session;
 * a crash between the group's spool fsyncs and its ledger write recovers to
   exactly the ACKed frames, bit for bit;
 * a WAL-mode ledger left by an unclean exit still holds every record.
@@ -31,15 +34,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.framing import (FrameReader, FrameWriter, StreamingMerger,
+from repro.api.framing import (FRAMING_VERSION, FrameHeader, FrameReader,
+                               FrameWriter, StreamingMerger,
                                combine_mergers, encode_payload_frame)
-from repro.api.wire import encode_counters
+from repro.api.wire import encode_counters, payload_to_histogram
 from repro.cli import main
 from repro.core.merging import MergeStrategy, PrivateMergedRelease
 from repro.exceptions import RemoteError, ReproError
 from repro.net import AggregatorClient, AggregatorServer
-from repro.net.store import (CheckpointStore, MemoryCheckpointStore,
-                             SessionRecord, SqliteCheckpointStore)
+from repro.net.protocol import open_channel
+from repro.net.store import (BUDGET_SESSION_ID, CheckpointStore,
+                             MemoryCheckpointStore, SessionRecord,
+                             SqliteCheckpointStore)
 from repro.net.wal import SessionWal
 from repro.obs.metrics import MetricsRegistry
 
@@ -613,3 +619,107 @@ class TestServedBarrier:
         assert list(release.as_dict().items()) == \
             list(offline.as_dict().items())
         assert release.metadata.as_dict() == offline.metadata.as_dict()
+
+
+class TestInlineLedgerWrites:
+    """The ledger puts outside group commit: BYE's record, the budget."""
+
+    @pytest.mark.parametrize("kind", ["sqlite", "oserror"])
+    def test_failed_bye_record_rejects_the_session_and_keeps_it_open(
+            self, kind, tmp_path):
+        failing = [True]
+
+        def fail(records):
+            if failing[0] and any(record.commit_seq is not None
+                                  for record in records):
+                return _disk_error(kind)
+            return None
+
+        store = GatedStore(fail=fail)
+
+        async def scenario():
+            server = await _started(tmp_path / "wal", store=store)
+            async with server:
+                client = await _connected(server, ordinal=0)
+                await client.push([_export(FRAMES[0])])
+                with pytest.raises(RemoteError) as caught:
+                    await client.bye()
+                await client.close(bye=False)
+                await _until(lambda: server.stats()["sessions_active"] == 0)
+                refused = (caught.value.code, await _stats(server),
+                           server.committed_mergers(), store.get("ord:0"))
+                # The record is still open: a resume skips the ACKed frame
+                # and its BYE lands once the ledger works again.
+                failing[0] = False
+                resumed = await _connected(server, ordinal=0)
+                skipped = (resumed.committed, resumed.session_complete)
+                await resumed.bye()
+                return (refused, skipped, await _stats(server),
+                        store.get("ord:0"))
+
+        refused, skipped, stats, committed = asyncio.run(scenario())
+        code, refused_stats, parts, record = refused
+        assert code == "wal_commit_failed"
+        assert refused_stats["sessions_rejected"] == 1
+        assert refused_stats["sessions_committed"] == 0
+        assert parts == []
+        assert record.commit_seq is None and record.committed_frames == 1
+        assert skipped == (1, False)
+        assert stats["sessions_committed"] == 1
+        assert committed.commit_seq == 1
+
+    @pytest.mark.parametrize("kind", ["sqlite", "oserror"])
+    def test_failed_budget_persist_refuses_the_release_keeps_the_session(
+            self, kind, tmp_path):
+        failures = [_disk_error(kind)]
+
+        def fail(records):
+            if failures and any(record.session_id == BUDGET_SESSION_ID
+                                for record in records):
+                return failures.pop()
+            return None
+
+        store = GatedStore(fail=fail)
+
+        async def scenario():
+            server = await _started(tmp_path / "wal", store=store)
+            async with server:
+                async with AggregatorClient(server.address, k=K,
+                                            ordinal=0) as pusher:
+                    await pusher.push([_export(FRAMES[0])])
+                # A raw channel, because the client drops its side on any
+                # ERROR: the refusal must leave the session READY.
+                channel = await open_channel(server.address)
+                await channel.send_prefix(FrameHeader(
+                    framing=FRAMING_VERSION, frames=None, k=K))
+                await channel.send_control("hello", k=K)
+                await channel.read_prefix()
+                await channel.next_event()  # ok re=hello
+                await channel.send_control("release", seed=3)
+                _, refusal = await channel.next_event()
+                await channel.send_control("stats")
+                _, refused = await channel.next_event()
+                persisted = store.get(BUDGET_SESSION_ID)
+                await channel.send_control("release", seed=3)
+                kind, released = await channel.next_event()
+                await channel.send_control("bye")
+                await channel.next_event()  # ok re=bye
+                await channel.close()
+                return (refusal, refused, persisted, kind, released,
+                        store.get(BUDGET_SESSION_ID))
+
+        refusal, refused, persisted, kind, released, charged = \
+            asyncio.run(scenario())
+        assert refusal["verb"] == "error"
+        assert refusal["code"] == "wal_commit_failed"
+        assert refused["verb"] == "stats"
+        assert refused["sessions_rejected"] == 0
+        # The failed persist keeps the in-memory charge: over-counted spend.
+        assert refused["privacy"]["releases_charged"] == 1
+        assert persisted is None
+        assert kind == "payload"
+        assert charged.committed_frames == 2
+        release = payload_to_histogram(released)
+        offline = _offline_release([[FRAMES[0]]], seed=3)
+        assert list(release.as_dict().items()) == \
+            list(offline.as_dict().items())

@@ -18,7 +18,8 @@ import os
 import pytest
 
 from repro.api.framing import (FramingError, StreamingMerger,
-                               encode_payload_frame)
+                               encode_payload_frame, payload_frame_body,
+                               summary_payload)
 from repro.api.wire import encode_counters
 from repro.exceptions import ParameterError, ProtocolError
 from repro.net.store import (MemoryCheckpointStore, SessionRecord,
@@ -138,6 +139,32 @@ FRAME_B = {2: 25.0, 3: 75.0}
 FRAME_C = {4: 10.0}
 
 
+def _folded(*frames):
+    """A client session's one part: the live fold of ``frames``."""
+    merger = StreamingMerger(K)
+    for counters in frames:
+        merger.add(_envelope(counters))
+    return merger
+
+
+def _summary_body(merger):
+    return payload_frame_body(summary_payload(merger))
+
+
+def _pushed(role):
+    """What a session of ``role`` pushes — committed bodies, then an
+    uncommitted tail — and the parts it holds once the committed bodies
+    are folded live."""
+    if role == "client":
+        return ([_body(FRAME_A), _body(FRAME_B)], _body(FRAME_C),
+                [_folded(FRAME_A, FRAME_B)])
+    # A relay pushes one summary per origin session and holds one part per
+    # summary, equal to the origin session's own merger.
+    origins = [_folded(FRAME_A, FRAME_B), _folded(FRAME_C)]
+    return ([_summary_body(origin) for origin in origins],
+            _summary_body(_folded(FRAME_B)), origins)
+
+
 class TestJournalCommitProtocol:
     def test_fresh_session_is_not_in_the_ledger_until_first_commit(self, wal):
         journal = wal.attach(0, "worker", K)
@@ -168,23 +195,26 @@ class TestJournalCommitProtocol:
         assert wal.store.get("ord:0") == before
         journal.close()
 
-    def test_resume_replays_the_committed_prefix_bit_identically(self, wal):
-        journal = wal.attach(0, "worker", K)
-        journal.append(_body(FRAME_A))
-        journal.append(_body(FRAME_B))
+    @pytest.mark.parametrize("role", ["client", "relay"])
+    def test_resume_replays_the_committed_prefix_bit_identically(self, wal,
+                                                                role):
+        bodies, tail, live = _pushed(role)
+        journal = wal.attach(0, "worker", K, role=role)
+        for body in bodies:
+            journal.append(body)
         journal.commit()
+        journal.append(tail)  # spooled, never committed (no ACK)
         journal.close()
 
-        live = StreamingMerger(K)
-        live.add(_envelope(FRAME_A))
-        live.add(_envelope(FRAME_B))
-
-        resumed = wal.attach(0, "worker", K)
-        assert resumed.committed_frames == 2
+        resumed = wal.attach(0, "worker", K, role=role)
+        assert resumed.committed_frames == len(bodies)
         assert not resumed.complete
-        assert resumed.merger.merged() == live.merged()
-        assert list(resumed.merger.merged()) == list(live.merged())
-        assert resumed.merger.total_stream_length == live.total_stream_length
+        assert len(resumed.parts) == len(live)
+        for part, expected in zip(resumed.parts, live):
+            assert part.merged() == expected.merged()
+            assert list(part.merged()) == list(expected.merged())
+            assert part.frames == expected.frames
+            assert part.total_stream_length == expected.total_stream_length
         resumed.close()
 
     def test_uncommitted_tail_is_truncated_on_resume_never_folded(self, wal):
@@ -200,7 +230,7 @@ class TestJournalCommitProtocol:
         resumed = wal.attach(0, "worker", K)
         assert resumed.committed_frames == 1
         assert spool.stat().st_size == record.committed_bytes
-        assert 4 not in resumed.merger.merged()  # FRAME_C gone
+        assert 4 not in resumed.parts[0].merged()  # FRAME_C gone
         # The journal can keep appending from the truncated watermark.
         resumed.append(_body(FRAME_B))
         resumed.commit()
@@ -256,7 +286,7 @@ class TestJournalCommitProtocol:
         wal.store.put(record.advanced(frames=0, bytes_=0))
         wal.spool_path(record).unlink()
         fresh = wal.attach(0, "worker", K)
-        assert fresh.committed_frames == 0 and fresh.merger is None
+        assert fresh.committed_frames == 0 and fresh.parts == ()
         fresh.close()
 
 
@@ -287,7 +317,7 @@ class TestRecovery:
         assert recovery.max_seq == 2
         assert [r.session_id for r in recovery.open_records] == ["ord:2"]
         assert recovery.k == K
-        assert recovery.committed[0].merger.merged() == \
+        assert recovery.committed[0].parts[0].merged() == \
                StreamingMerger(K).add(_envelope(FRAME_B)).merged()
 
     def test_recover_on_an_empty_wal_dir(self, wal):
@@ -364,7 +394,7 @@ class TestTailTruncationEveryOffset:
             recovery = wal.recover()
             assert recovery.open_records == [record]
             assert spool.stat().st_size == record.committed_bytes
-            merger = wal.replay_merger(record)
+            (merger,) = wal.replay(record)
             assert merger.merged() == expected.merged()
             assert list(merger.merged()) == list(expected.merged())
         wal.close()
