@@ -70,7 +70,9 @@ Workload groups (select with ``run_bench.py --workloads``):
     (``k = 64``, where per-chunk python overhead dominates the vectorized
     path) and the interned columnar merge fold
     (:func:`repro.sketches.merge._fold_interned`, the stage behind
-    ``merge_many_arrays``) at ``m = 256`` / ``k = 1024``.  Rows select their
+    ``merge_many_arrays``: one ``FoldState`` run, whose steps after the
+    first go through the compiled ``fold_step`` in one call) at ``m = 256``
+    / ``k = 1024``.  Rows select their
     backend through ``REPRO_KERNELS`` (``python`` vs ``cc``).  Both backends
     produce bit-identical results (asserted before timing), so every ratio
     is pure engine speed.  The compiled rows are skipped — and their floors
@@ -775,9 +777,10 @@ def _run_kernels_group(rows: List[Dict], quick: bool) -> None:
     (its per-chunk overhead is amortized over fewer stored keys) and where
     the seed's per-element dict loop was slowest, hence the >= 8x-over-seed
     floor.  Fold rows time the post-interning fold stage
-    (:func:`repro.sketches.merge._fold_interned`) on columnar input — the
-    stage the compiled kernel replaces — with the shared ``np.unique``
-    interning kept out of both measurements.
+    (:func:`repro.sketches.merge._fold_interned`, a ``FoldState`` run:
+    numpy steps under ``python``, the first step in numpy and the rest as
+    one compiled ``fold_step`` run under ``cc``) on columnar input, with
+    the shared ``np.unique`` interning kept out of both measurements.
     """
     from repro import kernels as kernel_tier
     from repro.sketches import merge as merge_module

@@ -77,7 +77,7 @@ from ..core.results import PrivateHistogram
 from ..dp.rng import RandomState
 from ..exceptions import FramingError, ParameterError
 from ..sketches.base import FrequencySketch
-from ..sketches.merge import FoldState, merge_many, merge_many_arrays, merge_misra_gries
+from ..sketches.merge import FoldState, _first_step, merge_many, merge_many_arrays
 from . import wire as wire_module
 from .wire import WIRE_FORMAT_VERSION, WirePayload
 
@@ -671,6 +671,15 @@ class StreamingMerger:
         self._acc_values = np.fromiter(merged.values(), dtype=np.float64,
                                        count=len(merged))
 
+    def _add_dict(self, counters: Mapping[Hashable, float], first: bool) -> None:
+        """Fold one contribution in dict mode; the seed passes the
+        ``first`` through, reducing it only when over-sized."""
+        acc = self._to_dict_mode()
+        if not acc and first:
+            self._acc_dict = _first_step(dict(counters), self._k)
+        else:
+            self._acc_dict = merge_many([acc, counters], self._k)
+
     def add(self, payload: Union[WirePayload, Mapping]) -> "StreamingMerger":
         """Fold one sketch export (decoded payload or raw v2 envelope dict)."""
         if isinstance(payload, Mapping):
@@ -681,13 +690,7 @@ class StreamingMerger:
         if columnar is not None and self._acc_dict is None:
             self._add_columnar(columnar[0], columnar[1], payload.frame)
             return self
-        counters = payload.merge_counters()
-        acc = self._to_dict_mode()
-        if not acc and self._frames == 1:
-            self._acc_dict = (merge_misra_gries(counters, {}, self._k)
-                              if len(counters) > self._k else dict(counters))
-        else:
-            self._acc_dict = merge_many([acc, counters], self._k)
+        self._add_dict(payload.merge_counters(), first=self._frames == 1)
         return self
 
     def add_summary(self, payload: Union[WirePayload, Mapping]) -> "StreamingMerger":
@@ -743,13 +746,7 @@ class StreamingMerger:
         if other._acc_dict is None and self._acc_dict is None:
             self._add_columnar(*other.merged_arrays())
             return self
-        counters = other.merged()
-        acc = self._to_dict_mode()
-        if not acc and first:
-            self._acc_dict = (merge_misra_gries(counters, {}, self._k)
-                              if len(counters) > self._k else dict(counters))
-        else:
-            self._acc_dict = merge_many([acc, counters], self._k)
+        self._add_dict(other.merged(), first)
         return self
 
     # ------------------------------------------------------------------

@@ -45,7 +45,6 @@ from ..sketches.merge import (
     merge_many,
     merge_many_arrays,
     merge_tree,
-    merge_tree_arrays,
     sum_counters,
 )
 from ..sketches.misra_gries import MisraGriesSketch
@@ -89,9 +88,10 @@ def sketch_streams(streams: Sequence, k: int) -> List[MisraGriesSketch]:
 # The library's one sketching fan-out.  The input batch lives in one
 # SharedMemory segment the workers view with ``np.frombuffer``, and each
 # worker writes its sketch's columnar export ``[count][keys[k]][values[k]]``
-# into its own fixed-size slot of an output segment.  The parent then folds
-# the slots with :func:`~repro.sketches.merge.merge_tree_arrays` directly on
-# the shared buffer — the sketch state is never pickled and never copied.
+# into its own fixed-size slot of an output segment.  The parent copies each
+# slot into a counter dict and folds them with
+# :func:`~repro.sketches.merge.merge_tree` — the sketch state is never
+# pickled.
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -201,20 +201,14 @@ def _pool_sketch_and_merge(batch: np.ndarray, k: int,
                             output_shm.name, dtype, k, start, stop, slot)
                 for slot, (start, stop) in enumerate(bounds)]
             counts = [future.result() for future in futures]
-        keys_list = []
-        values_list = []
-        for slot, count in enumerate(counts):
-            base = slot * slot_bytes
-            keys_list.append(np.frombuffer(output_shm.buf, dtype=dtype,
-                                           count=count, offset=base + 8))
-            values_list.append(np.frombuffer(output_shm.buf, dtype=np.float64,
-                                             count=count,
-                                             offset=base + 8 + 8 * k))
-        # merge_tree_arrays materializes plain python keys/values, so nothing
-        # in the result references the shared buffers.
-        merged = merge_tree_arrays(keys_list, values_list, k)
-        del keys_list, values_list
-        return merged
+        # Plain python copies: no view may outlive the segments.
+        exports = [dict(zip(
+            np.frombuffer(output_shm.buf, dtype=dtype, count=count,
+                          offset=slot * slot_bytes + 8).tolist(),
+            np.frombuffer(output_shm.buf, dtype=np.float64, count=count,
+                          offset=slot * slot_bytes + 8 + 8 * k).tolist()))
+            for slot, count in enumerate(counts)]
+    return merge_tree(exports, k)
 
 
 def sketch_and_merge_shards(batch: np.ndarray, k: int,
@@ -223,14 +217,13 @@ def sketch_and_merge_shards(batch: np.ndarray, k: int,
 
     Splits ``batch`` exactly like ``np.array_split`` into ``num_shards``
     contiguous shards and sketches each in its own process, one process per
-    non-empty shard, reading straight from a shared input segment; the
-    parent tree-folds the columnar shard exports with
-    :func:`~repro.sketches.merge.merge_tree_arrays` over views of the shared
-    output segment.  Segment slots carry the batch's keys as int64, or as
-    uint64 when a key exceeds ``2**63 - 1``.  A single shard, or a host
-    without usable shared memory, takes the in-process loop instead:
-    ``merge_tree`` over one sketch per shard.  Both routes return the
-    identical merged dict (keys, float bits and order).
+    non-empty shard, reading straight from a shared input segment and
+    exporting its counters to a slot of a shared output segment.  Segment
+    slots carry the batch's keys as int64, or as uint64 when a key exceeds
+    ``2**63 - 1``.  A single shard, or a host without usable shared memory,
+    takes the in-process loop instead: one sketch per shard.  Both routes
+    fold the per-shard counter dicts with the same ``merge_tree`` call, so
+    they return the identical merged dict (keys, float bits and order).
     """
     size = check_positive_int(k, "k")
     check_positive_int(num_shards, "num_shards")

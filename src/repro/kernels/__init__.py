@@ -1,13 +1,14 @@
 """Optional compiled kernel tier for the interpreter-bound hot paths.
 
 The hot loops that stay python-bound after vectorization — the
-Misra-Gries per-element eviction loop behind ``update_batch``, the interned
-merge fold behind ``merge_many``/``merge_many_arrays``, one step of that
-fold behind the served ``StreamingMerger`` (``fold_step``: a binder that
-takes one :class:`~repro.sketches.merge.FoldState`'s buffers once and
-returns a per-frame ``step(keys, values, low[, frame]) -> status``), and
-the binary columnar frame-header parse — have compiled implementations in
-one provider:
+Misra-Gries per-element eviction loop behind ``update_batch``, the Agarwal
+merge fold (``fold_step``: a binder that takes one
+:class:`~repro.sketches.merge.FoldState`'s buffers once and returns a
+per-frame ``step(keys, values, low[, frame]) -> status`` for the served
+``StreamingMerger``; ``step.run(keys, values, low, lengths)`` folds the
+run of sketches behind ``merge_many``/``merge_many_arrays``), and the
+binary columnar frame-header parse — have compiled implementations in one
+provider:
 
 ``cc``
     The C source in :mod:`repro.kernels._c_src`, compiled on demand with
@@ -56,7 +57,7 @@ __all__ = [
 BACKENDS = ("auto", "python", "cc")
 
 #: The kernels the provider implements.
-KERNEL_NAMES = ("mg_update", "fold_interned", "fold_step", "scan_binary_header")
+KERNEL_NAMES = ("mg_update", "fold_step", "scan_binary_header")
 
 #: Environment variable selecting the kernel backend.
 ENV_VAR = "REPRO_KERNELS"

@@ -40,6 +40,7 @@ _P = ctypes.c_void_p
 _C = ctypes.c_char_p
 _N = ctypes.c_int64
 _ScanSlots = ctypes.c_int64 * SCAN_OUT_SLOTS
+_NoBytes = ctypes.c_char * 0
 
 
 def _ptr(array, dtype) -> int:
@@ -49,7 +50,9 @@ def _ptr(array, dtype) -> int:
     argtype costs several microseconds per array per call.  The check stays:
     a one-dimensional C-contiguous ndarray of exactly ``dtype``, else
     ``TypeError`` before anything enters C.  The per-frame kernels take the
-    frame's ``bytes`` plus offsets instead, skipping even this lookup.
+    frame's ``bytes`` plus offsets instead, skipping even this lookup.  A
+    writable array's address is read through a zero-length ctypes view of
+    its buffer, a third of the cost of ``ndarray.ctypes``.
     """
     if (type(array) is not np.ndarray or array.dtype != dtype
             or array.ndim != 1 or not array.flags.c_contiguous):
@@ -57,6 +60,8 @@ def _ptr(array, dtype) -> int:
             f"kernel buffer must be a one-dimensional C-contiguous {dtype} "
             f"ndarray, got {getattr(array, 'dtype', type(array))!s} with "
             f"shape {getattr(array, 'shape', None)}")
+    if array.flags.writeable:
+        return ctypes.addressof(_NoBytes.from_buffer(array))
     return array.ctypes.data
 
 
@@ -129,14 +134,11 @@ def _build_shared_object() -> str:
 def _bind(lib) -> Dict:
     lib.repro_mg_update.restype = _N
     lib.repro_mg_update.argtypes = [_P, _P, _P, _P, _P, _N, _P, _N]
-    lib.repro_fold_interned.restype = _N
-    lib.repro_fold_interned.argtypes = [_P, _P, _P, _N, _N, _P, _P, _P, _P,
-                                        _P, _P]
     # A c_void_p argument takes an address or a bytes object, whose buffer
     # ctypes passes without a copy; c_char_p takes only bytes.
     lib.repro_fold_step.restype = _N
-    lib.repro_fold_step.argtypes = [_P, _N, _P, _N, _N, _N, _N, _N, _P, _P,
-                                    _P, _P, _P, _P]
+    lib.repro_fold_step.argtypes = [_P, _N, _P, _N, _N, _P, _N, _N, _N, _N,
+                                    _P, _P, _P, _P, _P, _P, _P]
     fold_step_c = lib.repro_fold_step
     lib.repro_scan_header.restype = _N
     lib.repro_scan_header.argtypes = [_C, _N, _N, _P]
@@ -155,29 +157,18 @@ def _bind(lib) -> Dict:
             raise MemoryError("repro_mg_update: allocation failed")
         return int(status)
 
-    def fold_interned(flat_ids, flat_values, lengths, size, acc, active,
-                      scratch_ids, scratch_vals, zero_live):
-        out_n = np.zeros(1, dtype=np.int64)
-        inputs = (_ptr(flat_ids, _I64), _ptr(flat_values, _F64),
-                  _ptr(lengths, _I64))
-        buffers = (_ptr(acc, _F64), _ptr(active, _I64),
-                   _ptr(scratch_ids, _I64), _ptr(scratch_vals, _F64),
-                   _ptr(zero_live, _I64), _ptr(out_n, _I64))
-        _check(flat_ids.shape[0] == flat_values.shape[0],
-               "fold_interned ids and values differ in length")
-        lib.repro_fold_interned(*inputs, lengths.shape[0], size, *buffers)
-        return int(out_n[0])
-
     def fold_step(size, acc, active, scratch_ids, scratch_vals, zero_live,
                   state):
-        # Resolved once per binding: per frame only keys/values are checked.
+        # Resolved once per binding: per call only the sketches are checked.
         domain = acc.shape[0]
         capacity = min(active.shape[0], scratch_ids.shape[0],
                        scratch_vals.shape[0])
         _check(state.shape[0] >= 2, "fold_step state needs 2 slots")
+        applied = ctypes.c_int64()
         buffers = (_ptr(acc, _F64), _ptr(active, _I64),
                    _ptr(scratch_ids, _I64), _ptr(scratch_vals, _F64),
-                   _ptr(zero_live, _I64), _ptr(state, _I64))
+                   _ptr(zero_live, _I64), _ptr(state, _I64),
+                   ctypes.addressof(applied))
 
         def bound(keys, values, low, frame=None):
             # ``frame``: ``(body, at)`` when keys and values are the int64
@@ -201,11 +192,29 @@ def _bind(lib) -> Dict:
             _check(int(state[0]) + n <= capacity,
                    "fold_step buffers too small for this frame")
             return fold_step_c(keys_buf, keys_at, values_buf, values_at, n,
-                               low, domain, size, *buffers)
+                               None, 1, low, domain, size, *buffers)
+
+        def run(keys, values, low, lengths):
+            """Fold the sketches laid end to end in ``keys``/``values``,
+            ``lengths[i]`` entries each: ``(status, steps applied)``."""
+            keys_at, values_at = _ptr(keys, _I64), _ptr(values, _F64)
+            lengths_at = _ptr(lengths, _I64)
+            spans = lengths.tolist()
+            total = sum(spans)
+            _check(min(spans, default=0) >= 0 and total <= keys.shape[0]
+                   and total <= values.shape[0],
+                   "fold_step run lengths are negative or overrun the arrays")
+            # No step leaves more than ``size`` ids live.
+            _check(max(int(state[0]), size) + max(spans, default=0)
+                   <= capacity, "fold_step buffers too small for this run")
+            status = fold_step_c(keys_at, 0, values_at, 0, total, lengths_at,
+                                 len(spans), low, domain, size, *buffers)
+            return status, applied.value
 
         # Keeps every bound buffer alive as long as C may write to it.
         bound.buffers = (acc, active, scratch_ids, scratch_vals, zero_live,
-                         state)
+                         state, applied)
+        bound.run = run
         return bound
 
     def scan_binary_header(body, start, length):
@@ -221,8 +230,8 @@ def _bind(lib) -> Dict:
             return None
         return out[:]
 
-    return {"mg_update": mg_update, "fold_interned": fold_interned,
-            "fold_step": fold_step, "scan_binary_header": scan_binary_header}
+    return {"mg_update": mg_update, "fold_step": fold_step,
+            "scan_binary_header": scan_binary_header}
 
 
 def load() -> Optional[Dict]:

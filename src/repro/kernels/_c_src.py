@@ -23,14 +23,14 @@ data itself, never on hash-iteration order:
   element, evicting real keys before dummies and then the smallest key or
   index; ``update_batch`` is property-tested equal to the sequential engine,
   so matching one matches both.
-* ``repro_fold_step`` is one step of
-  :class:`repro.sketches.merge.FoldState` per id, and
-  ``repro_fold_interned`` loops over the same step body.  Ids are unique
-  within one sketch, so numpy's fancy-indexed adds decompose into the
-  independent scalar adds done here.  The (k+1)-th-largest threshold is an
-  order statistic: any correct selection returns the value ``np.partition``
-  returns on the same multiset, so the quickselect matches it.  NaNs have
-  no total order, so they return ``FOLD_NAN`` and numpy folds that frame.
+* ``repro_fold_step`` folds a run of sketches, each one step of
+  :class:`repro.sketches.merge.FoldState` per id (the served per-frame step
+  is a run of one).  Ids are unique within one sketch, so numpy's
+  fancy-indexed adds decompose into the independent scalar adds done here.
+  The (k+1)-th-largest threshold is an order statistic: any correct
+  selection returns the value ``np.partition`` returns on the same
+  multiset, so the quickselect matches it.  NaNs have no total order, so
+  they return ``FOLD_NAN`` and numpy folds that sketch.
 * ``repro_scan_header`` accepts only the canonical header grammar that
   ``json.dumps(..., sort_keys=True)`` emits.  Anything else returns
   ``SCAN_FALLBACK`` and the caller parses with ``json.loads``, so malformed
@@ -41,7 +41,7 @@ its build cache on a hash of the source text, so editing the C automatically
 invalidates stale binaries.
 """
 
-SOURCE_VERSION = 3
+SOURCE_VERSION = 4
 
 # Status codes shared by all kernels.
 MG_OK = 0
@@ -50,11 +50,11 @@ MG_NOMEM = 2
 SCAN_OK = 0
 SCAN_FALLBACK = 1
 
-# ``repro_fold_step`` statuses, in precedence order.  Every status but
-# FOLD_OK leaves the state untouched: FOLD_RANGE means a key lies outside
-# ``[low, low + domain)``, FOLD_NEGATIVE a negative counter in the frame,
-# FOLD_NAN a NaN in the frame or the live counters (the quickselect assumes
-# a total order).
+# ``repro_fold_step`` statuses per step of a run, in precedence order.
+# Every status but FOLD_OK stops the run and leaves that step's state
+# untouched: FOLD_RANGE means a key lies outside ``[low, low + domain)``,
+# FOLD_NEGATIVE a negative counter in the sketch, FOLD_NAN a NaN in the
+# sketch or the live counters (the quickselect assumes a total order).
 FOLD_OK = 0
 FOLD_RANGE = 1
 FOLD_NEGATIVE = 2
@@ -386,46 +386,48 @@ int64_t repro_mg_update(int64_t *keys, int64_t *dummy, int64_t *stored,
 /* ------------------------------------------------------------------ */
 
 /* The pos-th smallest of buf[:n] — the order statistic np.partition
-   selects.  Callers guarantee no NaNs. */
+   selects.  Callers guarantee no NaNs.  Each round splits off the values
+   below the pivot, then those equal to it, with branch-free swaps: the
+   comparisons follow the data, so branches on them would mispredict. */
 static double select_kth(double *buf, int64_t n, int64_t pos) {
-    int64_t lo = 0, hi = n - 1;
-    while (lo < hi) {
-        int64_t mid = (lo + hi) >> 1;
-        double a = buf[lo], b = buf[mid], c = buf[hi];
+    int64_t lo = 0, hi = n;
+    while (hi - lo > 1) {
+        double a = buf[lo], b = buf[lo + ((hi - lo) >> 1)], c = buf[hi - 1];
         if (a > b) { double t = a; a = b; b = t; }
         if (b > c) b = c;
         if (a > b) b = a;
         double pivot = b;
-        int64_t i = lo, lt = lo, gt = hi;
-        while (i <= gt) {
+        int64_t lt = lo;
+        for (int64_t i = lo; i < hi; i++) {
             double v = buf[i];
-            if (v < pivot) {
-                buf[i] = buf[lt];
-                buf[lt] = v;
-                lt++; i++;
-            } else if (v > pivot) {
-                buf[i] = buf[gt];
-                buf[gt] = v;
-                gt--; /* the swapped-in element is unexamined */
-            } else {
-                i++;
-            }
+            buf[i] = buf[lt];
+            buf[lt] = v;
+            lt += v < pivot;
         }
-        if (pos < lt) hi = lt - 1;
-        else if (pos > gt) lo = gt + 1;
-        else return pivot;
+        if (pos < lt) { hi = lt; continue; }
+        int64_t eq = lt;
+        for (int64_t i = lt; i < hi; i++) {
+            double v = buf[i];
+            buf[i] = buf[eq];
+            buf[eq] = v;
+            eq += v == pivot;
+        }
+        if (pos < eq) return pivot;
+        lo = eq;
     }
     return buf[lo];
 }
 
-/* One fold step after the first; returns the new live count.  Callers
-   guarantee in-range ids (id = key - low), no NaNs, no negatives, and
-   room for n_active + length entries in active and both scratch arrays. */
+/* One fold step after the first; returns the new live count, or -1 with
+   nothing changed when a key lies outside [low, last] or a value is
+   negative or NaN.  Callers guarantee NaN-free live counters and room for
+   n_active + length entries in active and both scratch arrays. */
 static int64_t fold_step_body(const int64_t *keys, const double *values,
-                              int64_t length, int64_t low, int64_t size,
-                              double *acc, int64_t *active, int64_t n_active,
-                              int64_t *scratch_ids, double *scratch_vals,
-                              const int64_t *zero_live, int64_t n_zero) {
+                              int64_t length, int64_t low, int64_t last,
+                              int64_t size, double *acc, int64_t *active,
+                              int64_t n_active, int64_t *scratch_ids,
+                              double *scratch_vals, const int64_t *zero_live,
+                              int64_t n_zero) {
     if (length == 0) {
         if (n_zero > 0) {
             int64_t w = 0;
@@ -439,10 +441,18 @@ static int64_t fold_step_body(const int64_t *keys, const double *values,
     for (int64_t j = 0; j < n_active; j++) scratch_ids[j] = active[j];
     int all_positive = 1;
     for (int64_t j = 0; j < length; j++) {
-        int64_t idv = keys[j] - low;
+        int64_t key = keys[j];
         double value = values[j];
+        if (key < low || key > last || !(value >= 0.0)) {
+            /* Put back the counters this step changed, bit for bit. */
+            for (int64_t t = 0; t < j; t++)
+                acc[keys[t] - low] = scratch_vals[t];
+            return -1;
+        }
         if (!(value > 0.0)) all_positive = 0;
+        int64_t idv = key - low;
         double before = acc[idv];
+        scratch_vals[j] = before;
         int fresh = before == 0.0;
         if (fresh && n_zero > 0) {
             for (int64_t t = 0; t < n_zero; t++) {
@@ -483,91 +493,50 @@ static int64_t fold_step_body(const int64_t *keys, const double *values,
     return w;
 }
 
-/* One FoldState step after the first; state = {n_active, n_zero}.  The
-   keys start keys_at bytes into keys_buf and the values values_at bytes
-   into values_buf: a frame body and its two column offsets, or two array
-   addresses at offset 0.  Scans the frame (and the live counters) first;
-   every status but FOLD_OK leaves the state untouched (precedence: range,
-   negative, NaN). */
+/* FoldState steps after the first, over a run of n_sketches sketches
+   laid end to end (lengths == NULL: one sketch of n keys); state =
+   {n_active, n_zero}.  The keys start keys_at bytes into keys_buf and the
+   values values_at bytes into values_buf: a frame body and its two column
+   offsets, or two array addresses at offset 0.  A status other than
+   FOLD_OK stops the run with that step's state untouched, and *applied
+   counts the steps folded before it.  The live counters are scanned for
+   NaN once: a step over NaN-free input leaves none live. */
 int64_t repro_fold_step(const char *keys_buf, int64_t keys_at,
                         const char *values_buf, int64_t values_at, int64_t n,
+                        const int64_t *lengths, int64_t n_sketches,
                         int64_t low, int64_t domain, int64_t size, double *acc,
                         int64_t *active, int64_t *scratch_ids,
                         double *scratch_vals, const int64_t *zero_live,
-                        int64_t *state) {
+                        int64_t *state, int64_t *applied) {
     const int64_t *keys = (const int64_t *) (keys_buf + keys_at);
     const double *values = (const double *) (values_buf + values_at);
     /* The id space never ends past the int64 range, so last is exact. */
     int64_t last = low + (domain - 1);
-    int nan = 0, negative = 0;
-    for (int64_t j = 0; j < n; j++) {
-        int64_t key = keys[j];
-        if (key < low || key > last) return FOLD_RANGE;
-        double value = values[j];
-        if (value < 0.0) negative = 1;
-        else if (value != value) nan = 1;
-    }
-    if (negative) return FOLD_NEGATIVE;
-    int64_t n_active = state[0];
-    for (int64_t j = 0; j < n_active; j++) {
-        double live = acc[active[j]];
-        if (live != live) nan = 1;
-    }
-    if (nan) return FOLD_NAN;
-    state[0] = fold_step_body(keys, values, n, low, size, acc, active,
-                              n_active, scratch_ids, scratch_vals, zero_live,
-                              state[1]);
-    state[1] = 0;
-    return FOLD_OK;
-}
-
-int64_t repro_fold_interned(const int64_t *flat_ids, const double *flat_values,
-                            const int64_t *lengths, int64_t n_sketches,
-                            int64_t size, double *acc, int64_t *active,
-                            int64_t *scratch_ids, double *scratch_vals,
-                            int64_t *zero_live, int64_t *out_n) {
-    int64_t n_active = 0, n_zero = 0, start = 0;
-    int first = 1;
+    int live_nan = 0;
+    for (int64_t j = 0; j < state[0]; j++)
+        if (acc[active[j]] != acc[active[j]]) live_nan = 1;
+    *applied = 0;
     for (int64_t step = 0; step < n_sketches; step++) {
-        int64_t length = lengths[step];
-        const int64_t *ids = flat_ids + start;
-        const double *values = flat_values + start;
-        start += length;
-        if (!first) {
-            n_active = fold_step_body(ids, values, length, 0, size, acc,
-                                      active, n_active, scratch_ids,
-                                      scratch_vals, zero_live, n_zero);
-            n_zero = 0;
-            continue;
-        }
-        first = 0;
-        if (length == 0) continue;
-        if (length > size) {
-            int64_t pos = length - 1 - size;
-            for (int64_t j = 0; j < length; j++) scratch_vals[j] = values[j];
-            double offset = select_kth(scratch_vals, length, pos);
-            n_active = 0;
+        int64_t length = lengths ? lengths[step] : n;
+        int64_t live = live_nan ? -1 : fold_step_body(
+            keys, values, length, low, last, size, acc, active, state[0],
+            scratch_ids, scratch_vals, zero_live, state[1]);
+        if (live < 0) {
+            /* Why it was refused, in precedence order. */
+            int negative = 0;
             for (int64_t j = 0; j < length; j++) {
-                double shifted = values[j] - offset;
-                if (shifted > 0.0) {
-                    acc[ids[j]] = shifted;
-                    active[n_active++] = ids[j];
-                } else {
-                    acc[ids[j]] = 0.0;
-                }
+                if (keys[j] < low || keys[j] > last) return FOLD_RANGE;
+                if (values[j] < 0.0) negative = 1;
             }
-        } else {
-            for (int64_t j = 0; j < length; j++) {
-                int64_t idv = ids[j];
-                acc[idv] = values[j];
-                active[j] = idv;
-                if (values[j] == 0.0) zero_live[n_zero++] = idv;
-            }
-            n_active = length;
+            return negative ? FOLD_NEGATIVE : FOLD_NAN;
         }
+        state[0] = live;
+        state[1] = 0;
+        *applied = step + 1;
+        keys += length;
+        values += length;
     }
-    *out_n = n_active;
-    return MG_OK;
+    return FOLD_OK;
 }
 
 /* ------------------------------------------------------------------ */

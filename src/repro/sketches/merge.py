@@ -23,6 +23,10 @@ equal float values — to the seed dict-based left fold, which is preserved
 verbatim in :mod:`repro.sketches._reference_merge` and property-tested against
 this implementation in ``tests/property/test_merge_equivalence.py``.
 
+:class:`FoldState` is the one fold engine: the batch merges fold their
+interned sketches through it as one run, the served
+:class:`~repro.api.framing.StreamingMerger` one step per frame.
+
 For very large ``m``, :func:`merge_tree` performs the same reduction as a
 balanced pairwise tree (any merge order keeps the Lemma 29 guarantee); tree
 rounds are embarrassingly parallel and keep every intermediate at ``<= 2k``
@@ -38,7 +42,7 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from .. import kernels as _kernels
-from ..kernels._c_src import FOLD_NAN, FOLD_NEGATIVE, FOLD_RANGE
+from ..kernels._c_src import FOLD_NAN, FOLD_NEGATIVE, FOLD_OK, FOLD_RANGE
 from .._validation import check_positive_int
 from ..exceptions import ParameterError, SketchStateError
 from .base import FrequencySketch
@@ -89,6 +93,12 @@ def merge_misra_gries(first: SketchLike, second: SketchLike, k: int) -> Dict[Has
     offset = float(np.partition(values, position)[position])
     merged = {key: value - offset for key, value in combined.items() if value - offset > 0}
     return merged
+
+
+def _first_step(counters: Dict[Hashable, float], size: int) -> Dict[Hashable, float]:
+    """The seed fold's first step on a counter dict: ``counters`` as they
+    are, unless over-sized, which a merge with nothing reduces (and checks)."""
+    return merge_misra_gries(counters, {}, size) if len(counters) > size else counters
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +250,11 @@ class FoldState:
       ``zero_live`` so the second step does not take them for fresh keys;
     * its negative counters are let through and raise at the second step.
 
-    :meth:`step` folds one sketch.  After the first step it runs the
-    compiled ``fold_step`` kernel when one resolves (bound once to this
-    state's buffers); the numpy step below is the no-compiler path and the
-    route for NaN counters.  Both are bit-identical.
+    :meth:`step` folds one sketch and :meth:`run` a run of sketches laid
+    end to end.  After the first step both call the compiled ``fold_step``
+    kernel when one resolves (bound once to this state's buffers), which
+    folds a run in one call; the numpy step below is the no-compiler path
+    and the route for NaN counters.  Both are bit-identical.
     """
 
     def __init__(self, size: int, domain: Optional[int] = None) -> None:
@@ -299,32 +310,58 @@ class FoldState:
             # No id space yet: an empty sketch only uses up the first step.
             self.first = False
             return True
-        if (self._binder is None or self.first or self._first_negative
-                or self.acc is None):
+        self._reserve(int(self._state[0]) + n)
+        if self._numpy_only():
             if n and not self._interned and not self._grow(keys):
                 return False
-            self._reserve(n)
             self._numpy_step(keys, values)
             return True
-        self._reserve(n)
-        status = self._kernel_step(keys, values, frame)
+        # ``frame`` goes along only when there is one, so array input keeps
+        # the binder's three-argument call.
+        bound = self._bound()
+        status = (bound(keys, values, self.low) if frame is None
+                  else bound(keys, values, self.low, frame))
         if status == FOLD_RANGE:
-            if not self._grow(keys):
-                return False
-            status = self._kernel_step(keys, values, frame)
+            return self._grow(keys) and self.step(keys, values, frame)
         if status == FOLD_NEGATIVE:
             _raise_negative_key(keys, values)
         if status == FOLD_NAN:
             self._numpy_step(keys, values)
         return True
 
-    def _kernel_step(self, keys, values, frame) -> int:
-        """One compiled step; ``frame`` goes along only when there is one,
-        so array input keeps the binder's three-argument call."""
-        bound = self._bound()
-        if frame is None:
-            return bound(keys, values, self.low)
-        return bound(keys, values, self.low, frame)
+    def run(self, keys: np.ndarray, values: np.ndarray,
+            lengths: Sequence[int]) -> int:
+        """:meth:`step` on each sketch laid end to end in ``keys``/``values``
+        (sketch ``i`` is the next ``lengths[i]`` entries), the compiled steps
+        in one kernel call.  It stops at a sketch it refuses, which
+        :meth:`step` folds before the run resumes.  Returns how many sketches
+        were folded: all, or fewer when the id space cannot cover the next.
+        """
+        lengths = np.ascontiguousarray(lengths, dtype=np.int64)
+        spans = lengths.tolist()
+        ends = list(itertools.accumulate(spans))
+        if spans:
+            # No step leaves more than ``size`` ids live: room for them all.
+            self._reserve(self.size + max(spans))
+        done = 0
+        while done < len(ends):
+            start = ends[done - 1] if done else 0
+            if not self._numpy_only():
+                status, applied = self._bound().run(
+                    keys[start:], values[start:], self.low, lengths[done:])
+                done += applied
+                if status == FOLD_OK:
+                    break
+                start = ends[done - 1] if done else 0
+            if not self.step(keys[start:ends[done]], values[start:ends[done]]):
+                return done
+            done += 1
+        return len(ends)
+
+    def _numpy_only(self) -> bool:
+        """Whether the next step must run in numpy."""
+        return (self._binder is None or self.first or self._first_negative
+                or self.acc is None)
 
     # -- buffers ------------------------------------------------------------
 
@@ -336,9 +373,8 @@ class FoldState:
                 self._scratch_vals, self._zero_live, self._state)
         return self._kernel
 
-    def _reserve(self, length: int) -> None:
-        """Make room for the live ids plus a ``length``-key sketch."""
-        needed = int(self._state[0]) + length
+    def _reserve(self, needed: int) -> None:
+        """Make room for ``needed`` ids: the live ones plus a sketch."""
         if needed <= self._capacity:
             return
         capacity = max(needed, 2 * self._capacity)
@@ -481,55 +517,14 @@ def _fold_interned(flat_ids: np.ndarray, flat_values: np.ndarray,
                    size: int) -> Tuple[np.ndarray, np.ndarray]:
     """Left fold of the Agarwal merge over interned (id, value) sketches.
 
-    Dispatches to the compiled ``fold_interned`` kernel
-    (:mod:`repro.kernels`) when one is available — the kernel loops the
-    same step body as the compiled ``fold_step``, bit-identical to
-    :class:`FoldState` — and otherwise (or for NaN-valued counters, where
-    the kernel's quickselect would disagree with ``np.partition``'s NaN
-    ordering) runs the steps of :class:`FoldState`.
-    """
-    if domain and flat_ids.size:
-        kernel = _kernels.get_kernel("fold_interned")
-        if kernel is not None and not np.isnan(flat_values).any():
-            return _fold_interned_kernel(
-                kernel, flat_ids, flat_values, lengths, domain, size)
-    return _fold_interned_python(flat_ids, flat_values, lengths, domain, size)
-
-
-def _fold_interned_kernel(kernel, flat_ids: np.ndarray, flat_values: np.ndarray,
-                          lengths: Sequence[int], domain: int,
-                          size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Run the compiled fold kernel; allocates its fixed-size work buffers."""
-    lengths_array = np.ascontiguousarray(np.asarray(lengths, dtype=np.int64))
-    ids = np.ascontiguousarray(flat_ids, dtype=np.int64)
-    values = np.ascontiguousarray(flat_values, dtype=np.float64)
-    acc = np.zeros(domain, dtype=np.float64)
-    # The live set never exceeds ``size`` counters; scratch holds one step's
-    # combined (live + fresh) ids, bounded by ``size + max(lengths)``.
-    active = np.empty(size + 1, dtype=np.int64)
-    scratch_cap = size + int(lengths_array.max()) + 1
-    scratch_ids = np.empty(scratch_cap, dtype=np.int64)
-    scratch_values = np.empty(scratch_cap, dtype=np.float64)
-    zero_live = np.empty(size + 1, dtype=np.int64)
-    count = kernel(ids, values, lengths_array, size, acc, active,
-                   scratch_ids, scratch_values, zero_live)
-    return active[:count], acc
-
-
-def _fold_interned_python(flat_ids: np.ndarray, flat_values: np.ndarray,
-                          lengths: Sequence[int], domain: int,
-                          size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The left fold as a loop of :class:`FoldState` steps.
-
-    A compiled step hands any frame with a NaN in it (or in the live
-    counters) back to the numpy step.  Returns ``(active_ids, acc)``.
+    One :class:`FoldState` over the id space ``[0, domain)`` runs the
+    sketches laid end to end in ``flat_ids``/``flat_values``: the first
+    step in numpy, the rest as one compiled run when a provider resolves.
+    Returns ``(active_ids, acc)``.
     """
     state = FoldState(size, domain=domain)
-    start = 0
-    for length in lengths:
-        end = start + length
-        state.step(flat_ids[start:end], flat_values[start:end])
-        start = end
+    state.run(np.ascontiguousarray(flat_ids, dtype=np.int64),
+              np.ascontiguousarray(flat_values, dtype=np.float64), lengths)
     return state.active, state.acc
 
 
@@ -553,11 +548,7 @@ def merge_many(sketches: Sequence[SketchLike], k: int) -> Dict[Hashable, float]:
     if not sketches:
         return {}
     if len(sketches) == 1:
-        result = _as_counters(sketches[0])
-        if len(result) > size:
-            # A single over-sized input is reduced through a merge with nothing.
-            return merge_misra_gries(result, {}, size)
-        return result
+        return _first_step(_as_counters(sketches[0]), size)
     views = _counter_views(sketches)
     lengths = [len(view) for view in views]
     total = sum(lengths)
@@ -612,10 +603,8 @@ def merge_many_arrays(keys_list: Sequence[np.ndarray],
         key_arrays.append(key_array)
         value_arrays.append(value_array)
     if len(key_arrays) == 1:
-        result = dict(zip(key_arrays[0].tolist(), value_arrays[0].tolist()))
-        if len(result) > size:
-            return merge_misra_gries(result, {}, size)
-        return result
+        return _first_step(dict(zip(key_arrays[0].tolist(),
+                                    value_arrays[0].tolist())), size)
     lengths = [array.size for array in key_arrays]
     # Empty arrays are excluded from the concatenation: their (arbitrary)
     # dtype must not participate in promotion.  The zero entries stay in
@@ -659,42 +648,7 @@ def merge_tree(sketches: Sequence[SketchLike], k: int) -> Dict[Hashable, float]:
         if len(level) % 2:
             next_level.append(level[-1])
         level = next_level
-    result = level[0]
-    if len(result) > size:
-        result = merge_misra_gries(result, {}, size)
-    return result
-
-
-def merge_tree_arrays(keys_list: Sequence[np.ndarray],
-                      values_list: Sequence[np.ndarray],
-                      k: int) -> Dict[int, float]:
-    """Columnar :func:`merge_tree`: sketches as parallel (keys, values) arrays.
-
-    The zero-copy sharded fit path hands the parent process one
-    ``(keys, values)`` array pair per shard, viewed directly over shared
-    memory; this entry point runs the first (widest) tree round on those
-    views through :func:`merge_many_arrays` — no per-key dict is ever built
-    from the raw shard exports — and finishes the remaining rounds on the
-    ``<= k``-counter intermediates.  The result equals
-    ``merge_tree([dict(zip(ks, vs)), ...], k)`` exactly, dict order included.
-    """
-    size = check_positive_int(k, "k")
-    if len(keys_list) != len(values_list):
-        raise ParameterError(
-            f"got {len(keys_list)} key arrays but {len(values_list)} value arrays")
-    if not keys_list:
-        return {}
-    next_level: List[Dict[Hashable, float]] = []
-    for index in range(0, len(keys_list) - 1, 2):
-        next_level.append(merge_many_arrays(
-            [keys_list[index], keys_list[index + 1]],
-            [values_list[index], values_list[index + 1]], size))
-    if len(keys_list) % 2:
-        carry = np.asarray(keys_list[-1])
-        next_level.append(dict(zip(carry.tolist(),
-                                   np.asarray(values_list[-1],
-                                              dtype=np.float64).tolist())))
-    return merge_tree(next_level, size)
+    return _first_step(level[0], size)
 
 
 def sum_counters(sketches: Iterable[SketchLike]) -> Dict[Hashable, float]:

@@ -7,10 +7,11 @@ the pure-python engines on every input.  Hypothesis drives every kernel:
 * ``mg_update`` — chunked ``update_batch`` streams under
   ``REPRO_KERNELS=cc`` against the vectorized python engine, including
   small sketches kept overfull so the eviction tie-breaks decide the state.
-* ``fold_interned`` — ``merge_many`` / ``merge_many_arrays`` / ``merge_tree``
-  under ``REPRO_KERNELS=cc`` against ``REPRO_KERNELS=python``, including
-  the NaN inputs that must route around the kernel.
-* ``fold_step`` — frame sequences folded through
+* ``fold_step`` runs — ``merge_many`` / ``merge_many_arrays`` /
+  ``merge_tree`` under ``REPRO_KERNELS=cc`` against
+  ``REPRO_KERNELS=python``, including the NaN inputs whose steps must
+  route around the kernel.
+* ``fold_step`` steps — frame sequences folded through
   :class:`~repro.sketches.merge.FoldState` with the cc step and the numpy
   step: same outcome per frame (folded, too wide, or the same error), same
   live order, same accumulator bits, same zero-valued first-frame counters.
@@ -128,7 +129,7 @@ def test_compiled_sketch_interoperates_with_sequential_updates(stream, k):
 
 
 # ---------------------------------------------------------------------------
-# fold_interned
+# fold_step runs (the batch merges)
 # ---------------------------------------------------------------------------
 
 _VALUES = st.one_of(
@@ -294,6 +295,39 @@ def test_fold_step_backends_agree(frames, base, far, poison, k):
     expected = traces.pop("numpy")
     for name, trace in traces.items():
         assert trace == expected, name
+
+
+@given(frames=_STEP_FRAMES, base=_KEY_BASES, far=_FAR_KEYS, poison=_POISON,
+       k=st.integers(1, 10))
+@example(frames=[{1: 2.0}, {2: 1.0}, {3: 4.0, 4: 1.0}, {1: 1.0}], base=0,
+         far=[(3, 5_000_000)], poison=[(2, 0, _NAN)], k=2)
+@settings(max_examples=150, deadline=None)
+def test_fold_run_matches_the_step_loop(frames, base, far, poison, k):
+    """``FoldState.run`` over the frames laid end to end folds exactly what
+    a ``step`` per frame folds: the same count, the same error, the same
+    state — the compiled run stopping and resuming at every refused frame."""
+    frames = _frame_arrays(frames, base, far, poison)
+    keys = np.concatenate([keys for keys, _ in frames] + [
+        np.empty(0, dtype=np.int64)])
+    values = np.concatenate([values for _, values in frames] + [
+        np.empty(0, dtype=np.float64)])
+    lengths = [keys.size for keys, _ in frames]
+    for name, binder in _step_binders().items():
+        trace = _fold_trace(frames, k, binder)
+        state = FoldState(k)
+        state._binder = binder
+        try:
+            folded = state.run(keys, values, lengths)
+        except SketchStateError as error:
+            assert trace[-1] == ("error", str(error)), name
+            continue
+        assert folded == sum(outcome is True for outcome, _ in trace), name
+        if trace and state.acc is not None:
+            zeros = int(state._state[1])
+            assert trace[-1][1] == (
+                state.first, state.low, state.active.tolist(),
+                state.acc.view(np.int64).tolist(),
+                state._zero_live[:zeros].tolist()), name
 
 
 def test_fold_step_span_limit_drops_to_pairwise():

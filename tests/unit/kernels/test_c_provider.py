@@ -107,6 +107,15 @@ def test_served_frames_fold_without_address_lookups(monkeypatch):
     assert merger.merged() == {1: 10.0, 2: 5.0, 3: 20.0}
 
 
+def test_ptr_is_the_data_address_of_any_accepted_array():
+    """The cheap lookup for writable buffers and ``ndarray.ctypes`` for
+    read-only ones give the same address, views and empty arrays too."""
+    base = np.arange(8, dtype=np.int64)
+    read_only = np.frombuffer(base.tobytes(), dtype=np.int64)
+    for array in (base, base[3:], base[:0], read_only, read_only[2:]):
+        assert _c_provider._ptr(array, np.dtype(np.int64)) == array.ctypes.data
+
+
 def test_abi_defines_are_rendered_once_from_the_python_ints():
     """Every status code and scan slot the C names is ``#define``d exactly
     once, with the value of the python int of the same name, so the two
@@ -179,27 +188,72 @@ class TestBindingChecks:
                 self._refused(lambda: mg_update(*arrays, chunk))
                 assert all(not array.any() for array in arrays)
 
-    def test_fold_interned(self, tmp_path, monkeypatch):
-        fold_interned = self._table(tmp_path, monkeypatch)["fold_interned"]
-
-        def arrays():
-            return [np.array([0, 1, 1], dtype=np.int64),
-                    np.array([1.0, 2.0, 3.0]),
-                    np.array([2, 1], dtype=np.int64),
-                    np.zeros(2), np.zeros(3, dtype=np.int64),
-                    np.zeros(6, dtype=np.int64), np.zeros(6),
-                    np.zeros(3, dtype=np.int64)]
-
-        dtypes = [np.int64, np.float64, np.int64, np.float64, np.int64,
-                  np.int64, np.float64, np.int64]
-        for slot, dtype in enumerate(dtypes):
-            wrong = np.float32 if dtype is np.float64 else np.int32
+    def test_fold_run(self, tmp_path, monkeypatch):
+        binder = self._table(tmp_path, monkeypatch)["fold_step"]
+        args = [np.zeros(8), np.zeros(6, dtype=np.int64),
+                np.zeros(6, dtype=np.int64), np.zeros(6),
+                np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64)]
+        run = binder(3, *args).run
+        keys = np.array([0, 1, 1, 2], dtype=np.int64)
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        lengths = np.array([2, 2], dtype=np.int64)
+        for slot, wrong in enumerate((np.int32, np.float32, np.int32)):
             for make_bad in (lambda a: a.astype(wrong),
-                             lambda a: np.repeat(a, 2)[::2]):
-                args = arrays()
-                args[slot] = make_bad(args[slot])
-                self._refused(lambda: fold_interned(*args[:3], 2, *args[3:]))
-                assert not args[3].any()
+                             lambda a: np.repeat(a, 2)[::2],
+                             lambda a: a.tolist()):
+                bad = [keys, values, lengths]
+                bad[slot] = make_bad(bad[slot])
+                self._refused(lambda: run(bad[0], bad[1], 0, bad[2]))
+        for bad_keys, bad_values, bad_lengths in (
+                (keys, values, np.array([2, 3])),    # past both arrays
+                (keys[:3], values, lengths),         # past the keys
+                (keys, values[:3], lengths),         # past the values
+                (keys, values, np.array([-1, 5]))):  # a negative length
+            with pytest.raises(ValueError, match="run lengths"):
+                run(bad_keys, bad_values, 0, bad_lengths)
+        # After one step up to 3 ids stay live, so a later 4-key sketch
+        # needs 7 slots of the 6 bound.
+        with pytest.raises(ValueError, match="too small for this run"):
+            run(np.arange(5, dtype=np.int64), np.ones(5), 0,
+                np.array([1, 4], dtype=np.int64))
+        assert not any(array.any() for array in args)
+        assert run(keys, values, 0, lengths) == (_c_src.FOLD_OK, 2)
+        assert args[5].tolist() == [3, 0]
+        assert args[0].tolist()[:3] == [1.0, 5.0, 4.0]
+        args[0][0] = np.nan  # a live NaN refuses the run's first step
+        assert run(keys, values, 0, lengths) == (_c_src.FOLD_NAN, 0)
+        assert args[5].tolist() == [3, 0] and args[0].tolist()[1:3] == [5.0, 4.0]
+
+    def test_fold_run_stops_at_a_nan_sketch_and_resumes(self, tmp_path,
+                                                        monkeypatch):
+        """A 3-sketch run with a NaN in sketch 2 stops there after one
+        applied step; ``FoldState.run`` then folds that sketch in numpy and
+        the rest in C, bit for bit the ``REPRO_KERNELS=python`` fold."""
+        from repro.sketches import merge
+
+        self._table(tmp_path, monkeypatch)
+        ids = np.array([0, 1, 2, 1, 3, 2, 4, 0, 5, 6], dtype=np.int64)
+        values = np.array([3.0, 1.0, 2.0, 2.0, 1.0, np.nan, 5.0, 1.0, 4.0,
+                           2.0])
+        lengths = [3, 2, 2, 3]
+
+        def bits(active, acc):
+            return active.tolist(), acc.view(np.int64).tolist()
+
+        monkeypatch.setenv(kernels.ENV_VAR, "python")
+        after_one = bits(*merge._fold_interned(ids[:5], values[:5], [3, 2],
+                                               8, 3))
+        expected = bits(*merge._fold_interned(ids, values, lengths, 8, 3))
+        monkeypatch.setenv(kernels.ENV_VAR, "cc")
+        state = merge.FoldState(3, domain=8)
+        assert state.step(ids[:3], values[:3])  # the first step: numpy
+        state._reserve(3 + 3)
+        status, applied = state._bound().run(
+            ids[3:], values[3:], 0, np.array(lengths[1:], dtype=np.int64))
+        assert (status, applied) == (_c_src.FOLD_NAN, 1)
+        assert bits(state.active, state.acc) == after_one
+        assert state.run(ids[5:], values[5:], lengths[2:]) == 2
+        assert bits(state.active, state.acc) == expected
 
     def test_fold_step(self, tmp_path, monkeypatch):
         binder = self._table(tmp_path, monkeypatch)["fold_step"]
