@@ -68,11 +68,10 @@ Workload groups (select with ``run_bench.py --workloads``):
     python engines it replaces, on the two interpreter-bound hot loops: the
     E11 Zipf stream through ``update_batch`` at the small-``k`` regime
     (``k = 64``, where per-chunk python overhead dominates the vectorized
-    path) and the interned columnar merge fold
-    (:func:`repro.sketches.merge._fold_interned`, the stage behind
-    ``merge_many_arrays``: one ``FoldState`` run, whose steps after the
-    first go through the compiled ``fold_step`` in one call) at ``m = 256``
-    / ``k = 1024``.  Rows select their
+    path) and the columnar merge fold (``FoldState(k).run`` over
+    ``np.unique`` ids, the stage behind ``merge_many_arrays``: a run whose
+    steps after the first go through the compiled ``fold_step`` in one
+    call) at ``m = 256`` / ``k = 1024``.  Rows select their
     backend through ``REPRO_KERNELS`` (``python`` vs ``cc``).  Both backends
     produce bit-identical results (asserted before timing), so every ratio
     is pure engine speed.  The compiled rows are skipped — and their floors
@@ -776,14 +775,15 @@ def _run_kernels_group(rows: List[Dict], quick: bool) -> None:
     the small-``k`` regime is where the vectorized python path is weakest
     (its per-chunk overhead is amortized over fewer stored keys) and where
     the seed's per-element dict loop was slowest, hence the >= 8x-over-seed
-    floor.  Fold rows time the post-interning fold stage
-    (:func:`repro.sketches.merge._fold_interned`, a ``FoldState`` run:
-    numpy steps under ``python``, the first step in numpy and the rest as
-    one compiled ``fold_step`` run under ``cc``) on columnar input, with
-    the shared ``np.unique`` interning kept out of both measurements.
+    floor.  Fold rows time the fold stage
+    (``FoldState(k).run(flat_ids, flat_values, lengths)``: numpy steps
+    under ``python``, the first step in numpy and the rest as one compiled
+    ``fold_step`` run under ``cc``) on columnar input, with the shared
+    ``np.unique`` interning kept out of both measurements: the ids are
+    dense, so the run folds them as offsets without a key table.
     """
     from repro import kernels as kernel_tier
-    from repro.sketches import merge as merge_module
+    from repro.sketches.merge import FoldState
 
     compiled = kernel_tier.available()
 
@@ -819,13 +819,13 @@ def _run_kernels_group(rows: List[Dict], quick: bool) -> None:
     flat_keys = np.concatenate(keys_list)
     flat_values = np.concatenate(values_list).astype(np.float64)
     lengths = [keys.size for keys in keys_list]
-    domain_keys, flat_ids = np.unique(flat_keys, return_inverse=True)
-    domain = int(domain_keys.size)
+    flat_ids = np.unique(flat_keys, return_inverse=True)[1].astype(np.int64)
     pairs = int(flat_keys.size)
 
     def _fold():
-        return merge_module._fold_interned(flat_ids, flat_values, lengths,
-                                           domain, size)
+        state = FoldState(size)
+        state.run(flat_ids, flat_values, lengths)
+        return state.active, state.acc
 
     with _kernels_env("python"):
         rows.append(_measure(f"kernels_fold_m{m}", size, pairs,

@@ -77,7 +77,7 @@ from ..core.results import PrivateHistogram
 from ..dp.rng import RandomState
 from ..exceptions import FramingError, ParameterError
 from ..sketches.base import FrequencySketch
-from ..sketches.merge import FoldState, _first_step, merge_many, merge_many_arrays
+from ..sketches.merge import FoldState
 from . import wire as wire_module
 from .wire import WIRE_FORMAT_VERSION, WirePayload
 
@@ -584,30 +584,22 @@ def replay_raw_frames(fileobj, count: int, what: str = "spool") -> Iterator[byte
 class StreamingMerger:
     """Fold framed sketch exports into one Agarwal-merged summary incrementally.
 
-    The merger keeps only the running ``<= k``-counter accumulator; each
-    :meth:`add` folds one frame and discards it, so the aggregator's live
-    memory is one frame plus ``O(k)`` — never the whole stream.  Integer
-    envelopes fold through one :class:`~repro.sketches.merge.FoldState`
-    (the compiled fold step after the first frame, when a provider
-    resolves); the first token-encoded envelope drops the accumulator to
-    dict mode (still the exact same fold).  The final summary is **bit-identical** to the
-    buffered ``merge_many_arrays([all frames])`` fold because both equal the
-    seed pairwise left fold.
+    The merger keeps only the running ``<= k``-counter accumulator, one
+    :class:`~repro.sketches.merge.FoldState`; each :meth:`add` folds one
+    frame as one step and discards it, so the aggregator's live memory is
+    one frame plus ``O(k)`` — never the whole stream.  The fold maps keys
+    to ids itself (offsets for bounded int keys, read in place from a
+    binary frame by the compiled step; a compacted key table for wide or
+    token keys).  The final summary is **bit-identical** to the buffered
+    ``merge_many_arrays([all frames])`` fold because both equal the seed
+    pairwise left fold.
     """
 
     def __init__(self, k: int) -> None:
         self._k = check_positive_int(k, "k")
         self._frames = 0
         self._total_length = 0
-        # Columnar accumulator, one of two representations:
-        # * dense fold (the fast path): ``_fold``, the step-wise
-        #   :class:`~repro.sketches.merge.FoldState` the batch fold loops;
-        # * pairwise fallback (very wide key universes): ``_acc_keys`` /
-        #   ``_acc_values`` arrays folded through merge_many_arrays.
-        self._fold: Optional[FoldState] = FoldState(self._k)
-        self._acc_keys: Optional[np.ndarray] = None
-        self._acc_values: Optional[np.ndarray] = None
-        self._acc_dict: Optional[Dict[Hashable, float]] = None
+        self._fold = FoldState(self._k)
 
     # ------------------------------------------------------------------
     # Accounting
@@ -625,60 +617,13 @@ class StreamingMerger:
 
     @property
     def columnar(self) -> bool:
-        """Whether the accumulator is still on the integer-array fast path."""
-        return self._acc_dict is None
+        """Whether every folded key is a plain int (the summary ships as
+        an integer key array)."""
+        return self._fold.columnar
 
     # ------------------------------------------------------------------
     # Folding
     # ------------------------------------------------------------------
-
-    def _dense_to_pairwise(self) -> None:
-        """Drop the dense accumulator to the pairwise (keys, values) arrays."""
-        if self._fold is not None:
-            if not self._fold.first:
-                # The pairwise fold re-checks negatives itself; zero-valued
-                # survivors of a sole first frame sit in the arrays and drop
-                # on the next merge.
-                self._acc_keys, self._acc_values = self._fold.arrays()
-            self._fold = None
-
-    def _to_dict_mode(self) -> Dict[Hashable, float]:
-        if self._acc_dict is None:
-            self._dense_to_pairwise()
-            if self._acc_keys is None:
-                self._acc_dict = {}
-            else:
-                self._acc_dict = dict(zip(self._acc_keys.tolist(),
-                                          self._acc_values.tolist()))
-            self._acc_keys = self._acc_values = None
-        return self._acc_dict
-
-    def _add_columnar(self, keys: np.ndarray, values: np.ndarray,
-                      frame: Optional[Tuple[bytes, int]] = None) -> None:
-        if self._fold is not None:
-            if self._fold.step(keys, values, frame):
-                return
-            self._dense_to_pairwise()
-        if self._acc_keys is None:
-            # First frame: mirror the left fold's first step (reduce a
-            # single oversized input through a merge with nothing).
-            merged = merge_many_arrays([keys], [values], self._k)
-        else:
-            merged = merge_many_arrays([self._acc_keys, keys],
-                                       [self._acc_values, values], self._k)
-        self._acc_keys = np.fromiter(merged.keys(), dtype=np.int64,
-                                     count=len(merged))
-        self._acc_values = np.fromiter(merged.values(), dtype=np.float64,
-                                       count=len(merged))
-
-    def _add_dict(self, counters: Mapping[Hashable, float], first: bool) -> None:
-        """Fold one contribution in dict mode; the seed passes the
-        ``first`` through, reducing it only when over-sized."""
-        acc = self._to_dict_mode()
-        if not acc and first:
-            self._acc_dict = _first_step(dict(counters), self._k)
-        else:
-            self._acc_dict = merge_many([acc, counters], self._k)
 
     def add(self, payload: Union[WirePayload, Mapping]) -> "StreamingMerger":
         """Fold one sketch export (decoded payload or raw v2 envelope dict)."""
@@ -687,10 +632,11 @@ class StreamingMerger:
         self._frames += 1
         self._total_length += payload.stream_length
         columnar = payload.columnar()
-        if columnar is not None and self._acc_dict is None:
-            self._add_columnar(columnar[0], columnar[1], payload.frame)
-            return self
-        self._add_dict(payload.merge_counters(), first=self._frames == 1)
+        if columnar is None:
+            counters = payload.merge_counters()
+            columnar = list(counters), np.fromiter(
+                counters.values(), dtype=np.float64, count=len(counters))
+        self._fold.step(*columnar, payload.frame)
         return self
 
     def add_summary(self, payload: Union[WirePayload, Mapping]) -> "StreamingMerger":
@@ -740,13 +686,9 @@ class StreamingMerger:
                 f"folded at k={self._k}")
         if other._frames == 0:
             return self
-        first = self._frames == 0
         self._frames += other._frames
         self._total_length += other._total_length
-        if other._acc_dict is None and self._acc_dict is None:
-            self._add_columnar(*other.merged_arrays())
-            return self
-        self._add_dict(other.merged(), first)
+        self._fold.step(*other._fold.arrays())
         return self
 
     # ------------------------------------------------------------------
@@ -755,24 +697,19 @@ class StreamingMerger:
 
     def merged(self) -> Dict[Hashable, float]:
         """The current merged summary (at most ``k`` counters)."""
-        if self._acc_dict is not None:
-            return dict(self._acc_dict)
-        keys, values = self.merged_arrays()
-        return dict(zip(keys.tolist(), values.tolist()))
+        return self._fold.counters()
 
     def merged_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The merged summary as a columnar (keys, values) pair.
 
         Key order matches the seed fold's dict insertion order.  Raises
-        :class:`~repro.exceptions.ParameterError` in dict mode (token keys
-        cannot be shipped as an integer array).
+        :class:`~repro.exceptions.ParameterError` unless :attr:`columnar`
+        (every folded key is a plain int).
         """
-        if self._acc_dict is not None:
+        if not self.columnar:
             raise ParameterError(
                 "merger left the columnar path (token-encoded frames were folded)")
-        if self._fold is not None:
-            return self._fold.arrays()
-        return self._acc_keys, self._acc_values
+        return self._fold.arrays()
 
     def release(self, mechanism: PrivateMergedRelease,
                 rng: RandomState = None) -> PrivateHistogram:
@@ -798,12 +735,12 @@ class StreamingMerger:
             raise ParameterError(
                 f"merger folded at k={self._k} but the mechanism is calibrated "
                 f"to k={mechanism.k}")
-        if self._acc_dict is None:
+        if self.columnar:
             keys, values = self.merged_arrays()
             return mechanism.release_arrays(
                 [keys], [values], rng=rng,
                 total_stream_length=self._total_length, streams=self._frames)
-        return mechanism.release([self._acc_dict], rng=rng,
+        return mechanism.release([self.merged()], rng=rng,
                                  total_stream_length=self._total_length,
                                  streams=self._frames)
 

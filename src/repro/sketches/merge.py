@@ -13,19 +13,19 @@ which is what the private merged release relies on.
 Performance
 -----------
 :func:`merge_many` is the aggregator hot path of the distributed setting
-(``m`` users each ship a size-``k`` sketch).  It is implemented as a
-*key-interning* fold: all keys across the ``m`` sketches are mapped to integer
-ids once (via ``np.unique`` for integer universes, a dict otherwise), the
-counters live in one dense float array, and each fold step is a handful of
-NumPy bulk operations (fancy-indexed add, ``np.union1d``, ``np.partition`` for
-the (k+1)-th largest, one mask).  The result is equal — same key set, exactly
-equal float values — to the seed dict-based left fold, which is preserved
-verbatim in :mod:`repro.sketches._reference_merge` and property-tested against
-this implementation in ``tests/property/test_merge_equivalence.py``.
-
-:class:`FoldState` is the one fold engine: the batch merges fold their
-interned sketches through it as one run, the served
-:class:`~repro.api.framing.StreamingMerger` one step per frame.
+(``m`` users each ship a size-``k`` sketch).  It runs the sketches through
+:class:`FoldState`, the one fold engine: keys map to integer ids (a dense
+offset for bounded integer universes, a key table otherwise), the counters
+live in one dense float array, and each fold step is a handful of NumPy
+bulk operations (fancy-indexed add, ``np.partition`` for the (k+1)-th
+largest, one mask) or one call into the compiled fold kernel.  The result
+is equal — same key set, same order, exactly equal float values — to the
+seed dict-based left fold, which is preserved verbatim in
+:mod:`repro.sketches._reference_merge` and property-tested against this
+implementation in ``tests/property/test_merge_equivalence.py``.  The
+batch merges fold their sketches as one :meth:`FoldState.run`; the served
+:class:`~repro.api.framing.StreamingMerger` one :meth:`FoldState.step`
+per frame.
 
 For very large ``m``, :func:`merge_tree` performs the same reduction as a
 balanced pairwise tree (any merge order keeps the Lemma 29 guarantee); tree
@@ -102,19 +102,26 @@ def _first_step(counters: Dict[Hashable, float], size: int) -> Dict[Hashable, fl
 
 
 # ---------------------------------------------------------------------------
-# Key interning
+# Key columns
 # ---------------------------------------------------------------------------
 
-#: Widest dense id space (``key - low``): the batch interner's dense-offset
-#: bound and the widest :class:`FoldState` the streaming fold grows to.
+#: Widest offset id space (``key - low``) a :class:`FoldState` grows to
+#: before it switches to a key table; it also spans at most
+#: ``_SPAN_PER_SLOT`` ids per counter a step holds (``max(size, keys)``),
+#: which bounds a long-lived merger's ``acc`` at 512 bytes per counter.
 _DENSE_SPAN_LIMIT = 1 << 23
+_SPAN_PER_SLOT = 64
 
-#: The int64 key range; a dense id space never reaches beyond it.
+#: A key table is compacted to the live keys once it holds more than this
+#: many times ``size`` keys.
+_TABLE_FACTOR = 4
+
+#: The int64 key range; an offset id space never reaches beyond it.
 _INT64_MIN = -(1 << 63)
 _INT64_END = 1 << 63
 
 
-def _concat_keys(counters_list: Sequence[Dict[Hashable, float]]) -> List[Hashable]:
+def _concat_keys(counters_list: Sequence[Mapping[Hashable, float]]) -> List[Hashable]:
     all_keys: List[Hashable] = []
     for counters in counters_list:
         all_keys.extend(counters.keys())
@@ -139,17 +146,20 @@ def _as_int_key_array(all_keys: List[Hashable]) -> Optional[np.ndarray]:
     return array
 
 
-def _intern_generic(all_keys: List[Hashable]) -> Tuple[List[Hashable], np.ndarray]:
-    """Intern arbitrary hashable keys with a dict (dict hashing semantics)."""
-    index: Dict[Hashable, int] = {}
-    keys: List[Hashable] = []
-    ids = np.empty(len(all_keys), dtype=np.intp)
-    for slot, key in enumerate(all_keys):
-        key_id = index.setdefault(key, len(keys))
-        if key_id == len(keys):
-            keys.append(key)
-        ids[slot] = key_id
-    return keys, ids
+def _key_column(keys) -> Union[np.ndarray, List[Hashable]]:
+    """``keys`` as an int64 array when every key is a plain int in the int64
+    range, else as a list of the keys themselves."""
+    if isinstance(keys, np.ndarray):
+        array = keys
+    else:
+        keys = keys if isinstance(keys, list) else list(keys)
+        array = _as_int_key_array(keys)
+        if array is None:
+            return keys
+    if array.dtype.kind == "i" or (array.dtype.kind == "u" and (
+            not array.size or int(array.max()) < _INT64_END)):
+        return array.astype(np.int64, copy=False)
+    return array.tolist()
 
 
 def _counter_views(sketches: Sequence[SketchLike]) -> List[Mapping[Hashable, float]]:
@@ -166,75 +176,23 @@ def _counter_views(sketches: Sequence[SketchLike]) -> List[Mapping[Hashable, flo
     return views
 
 
-def _intern_ids(views: Sequence[Mapping[Hashable, float]]) -> Tuple[np.ndarray, int, Tuple]:
-    """Map every key across all sketches to an integer id.
-
-    Returns ``(flat_ids, domain, resolver)`` where ``flat_ids`` covers the
-    concatenated sketches, ``domain`` is the id-space size and ``resolver``
-    describes how to turn ids back into keys:
-
-    * ``("dense", low)`` — integer keys in a bounded range; ``key = low + id``
-      (no ``np.unique`` pass at all);
-    * ``("unique", uniques)`` — integer keys in a wide range, interned through
-      ``np.unique``;
-    * ``("generic", keys)`` — arbitrary hashable keys interned with a dict.
-    """
-    all_keys = _concat_keys(views)
-    array = _as_int_key_array(all_keys)
-    if array is not None:
-        return _intern_int_keys(array)
-    keys, ids = _intern_generic(all_keys)
-    return ids, len(keys), ("generic", keys)
-
-
-def _intern_int_keys(flat_keys: np.ndarray) -> Tuple[np.ndarray, int, Tuple]:
-    """Intern an integer key array: dense offset when bounded, else unique."""
-    if flat_keys.size == 0:
-        return np.empty(0, dtype=np.intp), 0, ("dense", 0)
-    low = int(flat_keys.min())
-    span = int(flat_keys.max()) - low + 1
-    if span <= max(4 * flat_keys.size, 1 << 20) and span <= _DENSE_SPAN_LIMIT:
-        return np.asarray(flat_keys - low, dtype=np.intp), span, ("dense", low)
-    uniques, inverse = np.unique(flat_keys, return_inverse=True)
-    return inverse.astype(np.intp, copy=False), len(uniques), ("unique", uniques)
-
-
-def _resolve_keys(active: np.ndarray, resolver: Tuple) -> List[Hashable]:
-    """Turn surviving integer ids back into dict keys."""
-    kind = resolver[0]
-    if kind == "dense":
-        low = resolver[1]
-        return [low + key_id for key_id in active.tolist()]
-    if kind == "unique":
-        return resolver[1][active].tolist()
-    keys = resolver[1]
-    return [keys[key_id] for key_id in active.tolist()]
-
-
-def _raise_negative(views: Sequence[Mapping[Hashable, float]]) -> None:
-    """Locate the first negative counter and raise like the seed fold."""
-    for view in views:
-        for key, value in view.items():
-            if value < 0:
-                raise SketchStateError(f"negative counter for {key!r} cannot be merged")
-    raise SketchStateError("negative counter cannot be merged")
-
-
 # ---------------------------------------------------------------------------
-# Vectorized many-way merge
+# The fold
 # ---------------------------------------------------------------------------
-
-def _raise_negative_key(keys: np.ndarray, values: np.ndarray) -> None:
-    """Raise like the seed fold on the first negative counter of a sketch."""
-    offender = int(keys[int(np.flatnonzero(values < 0.0)[0])])
-    raise SketchStateError(f"negative counter for {offender!r} cannot be merged")
-
 
 class FoldState:
-    """The Agarwal left fold over integer-keyed sketches, one step at a time.
+    """The Agarwal left fold, one step at a time, over its own key ids.
 
-    ``acc`` is a dense float array over the id space ``key - low``, with the
-    invariant ``acc[id] > 0 iff id is live`` (zeroed when a counter dies);
+    While every key is a plain int and the live keys span few enough ids
+    (see ``_DENSE_SPAN_LIMIT``), a key's id is its offset ``key - low``.  A
+    step whose keys offsets cannot cover switches to a first-seen key
+    table, a dict (dict semantics: ``1``, ``1.0`` and ``True`` are one
+    key).  The switch and the compaction of a table past
+    ``_TABLE_FACTOR * size`` keys are one relabel: the live keys take ids
+    ``0..n-1`` in active order, the dead ones leave the table.
+
+    ``acc`` is a dense float array over the ids, with the invariant
+    ``acc[id] > 0 iff id is live`` (zeroed when a counter dies);
     ``active`` holds the live ids in the seed dict's *insertion order*
     (survivors keep their relative position, new keys append in sketch
     order).  Every per-key float operation matches the seed dict fold, so
@@ -257,18 +215,19 @@ class FoldState:
     and the route for NaN counters.  Both are bit-identical.
     """
 
-    def __init__(self, size: int, domain: Optional[int] = None) -> None:
+    def __init__(self, size: int) -> None:
         self.size = size
         #: Whether the next step is the fold's first.
         self.first = True
-        #: Smallest key of the id space; ``acc`` is ``None`` until the first
-        #: non-empty sketch places it.  The batch fold passes ``domain``
-        #: instead: its keys are interned ids in ``[0, domain)`` and its
-        #: caller has refused negative counters, so neither is checked again.
+        #: Smallest key of the offset id space (0 under a key table);
+        #: ``acc`` is ``None`` until the first non-empty sketch places it.
         self.low = 0
-        self.acc: Optional[np.ndarray] = (
-            None if domain is None else np.zeros(domain, dtype=np.float64))
-        self._interned = domain is not None
+        self.acc: Optional[np.ndarray] = None
+        # The key table: ``None`` while ids are offsets, else each key's
+        # id, with the key of every id in ``_id_keys``.
+        self._index: Optional[Dict[Hashable, int]] = None
+        self._id_keys: List[Hashable] = []
+        self._columnar = True
         self._first_negative = False
         # [live count, count of first-sketch zero counters still live]
         self._state = np.zeros(2, dtype=np.int64)
@@ -287,62 +246,80 @@ class FoldState:
         """Live ids in the seed dict's insertion order (a view)."""
         return self._active[:int(self._state[0])]
 
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The folded summary as fresh (keys, values) arrays, in dict order."""
+    @property
+    def columnar(self) -> bool:
+        """Whether every folded key is a plain int in the int64 range."""
+        return self._columnar
+
+    def arrays(self) -> Tuple[Union[np.ndarray, List[Hashable]], np.ndarray]:
+        """The folded summary as fresh (keys, values), in dict order; the
+        keys are an int64 array, or a list when :attr:`columnar` is false."""
         if self.acc is None:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         active = self.active
-        return active + self.low, self.acc[active]
+        keys = self._keys_of(active)
+        if self._columnar:
+            keys = np.asarray(keys, dtype=np.int64)
+        return keys, self.acc[active]
 
-    def step(self, keys: np.ndarray, values: np.ndarray,
-             frame: Optional[Tuple[bytes, int]] = None) -> bool:
-        """Fold one sketch: unique int64 ``keys`` and float64 ``values``.
+    def counters(self) -> Dict[Hashable, float]:
+        """The folded summary as the seed fold's dict."""
+        if self.acc is None:
+            return {}
+        active = self.active
+        return dict(zip(_as_list(self._keys_of(active)),
+                        self.acc[active].tolist()))
 
-        Returns ``False``, with the state untouched, when the id space
-        cannot grow to cover ``keys`` within ``_DENSE_SPAN_LIMIT``.  Raises
-        :class:`~repro.exceptions.SketchStateError` on a negative counter
-        wherever the seed fold would.  ``frame`` is ``(body, at)`` when the
-        arrays are the columns of the bytes ``body`` from byte ``at`` on
-        (a decoded binary frame): the compiled step then reads the body.
+    def step(self, keys, values: np.ndarray,
+             frame: Optional[Tuple[bytes, int]] = None) -> None:
+        """Fold one sketch: unique ``keys`` (an int array, or any hashables)
+        and float64 ``values``.
+
+        Raises :class:`~repro.exceptions.SketchStateError` on a negative
+        counter wherever the seed fold would.  ``frame`` is ``(body, at)``
+        when the arrays are the columns of the bytes ``body`` from byte
+        ``at`` on (a decoded binary frame): the compiled step then reads
+        the body.
         """
-        n = keys.shape[0]
-        if self.acc is None and n == 0:
+        keys = _key_column(keys)
+        n = len(keys)
+        if self.acc is None and not n:
             # No id space yet: an empty sketch only uses up the first step.
             self.first = False
-            return True
+            return
         self._reserve(int(self._state[0]) + n)
-        if self._numpy_only():
-            if n and not self._interned and not self._grow(keys):
-                return False
-            self._numpy_step(keys, values)
-            return True
-        # ``frame`` goes along only when there is one, so array input keeps
-        # the binder's three-argument call.
-        bound = self._bound()
-        status = (bound(keys, values, self.low) if frame is None
-                  else bound(keys, values, self.low, frame))
-        if status == FOLD_RANGE:
-            return self._grow(keys) and self.step(keys, values, frame)
-        if status == FOLD_NEGATIVE:
-            _raise_negative_key(keys, values)
-        if status == FOLD_NAN:
-            self._numpy_step(keys, values)
-        return True
+        if self._index is None and isinstance(keys, np.ndarray):
+            # Offset ids: the compiled step range-checks the keys itself,
+            # so the id space grows only when it refuses them.
+            status = (FOLD_RANGE if self._numpy_only()
+                      else self._call(keys, values, frame))
+            if status != FOLD_RANGE:
+                self._settle(status, keys, values)
+                return
+            if self._grow(keys):
+                self._fold(keys, values, frame)
+                return
+        self._fold(self._intern(keys, compact=True), values)
 
-    def run(self, keys: np.ndarray, values: np.ndarray,
-            lengths: Sequence[int]) -> int:
+    def run(self, keys, values: np.ndarray, lengths: Sequence[int]) -> None:
         """:meth:`step` on each sketch laid end to end in ``keys``/``values``
         (sketch ``i`` is the next ``lengths[i]`` entries), the compiled steps
-        in one kernel call.  It stops at a sketch it refuses, which
-        :meth:`step` folds before the run resumes.  Returns how many sketches
-        were folded: all, or fewer when the id space cannot cover the next.
+        in one kernel call.  It stops at a sketch it refuses, which is
+        folded on its own before the run resumes.  The whole run's keys are
+        covered before it starts: the offset id space grows once, or the
+        key table interns them in one call (and is not compacted inside a
+        run).
         """
+        keys = _key_column(keys)
         lengths = np.ascontiguousarray(lengths, dtype=np.int64)
         spans = lengths.tolist()
         ends = list(itertools.accumulate(spans))
         if spans:
             # No step leaves more than ``size`` ids live: room for them all.
             self._reserve(self.size + max(spans))
+        if not (self._index is None and isinstance(keys, np.ndarray)
+                and self._grow(keys)):
+            keys = self._intern(keys, compact=False)
         done = 0
         while done < len(ends):
             start = ends[done - 1] if done else 0
@@ -353,15 +330,39 @@ class FoldState:
                 if status == FOLD_OK:
                     break
                 start = ends[done - 1] if done else 0
-            if not self.step(keys[start:ends[done]], values[start:ends[done]]):
-                return done
+            self._fold(keys[start:ends[done]], values[start:ends[done]])
             done += 1
-        return len(ends)
 
     def _numpy_only(self) -> bool:
         """Whether the next step must run in numpy."""
         return (self._binder is None or self.first or self._first_negative
                 or self.acc is None)
+
+    def _call(self, keys: np.ndarray, values: np.ndarray,
+              frame: Optional[Tuple[bytes, int]] = None) -> int:
+        """One compiled step; ``frame`` goes along only when there is one,
+        so array input keeps the binder's three-argument call."""
+        bound = self._bound()
+        if frame is None:
+            return bound(keys, values, self.low)
+        return bound(keys, values, self.low, frame)
+
+    def _fold(self, keys: np.ndarray, values: np.ndarray,
+              frame: Optional[Tuple[bytes, int]] = None) -> None:
+        """One step over keys the id space covers."""
+        self._settle(FOLD_NAN if self._numpy_only()
+                     else self._call(keys, values, frame), keys, values)
+
+    def _settle(self, status: int, keys: np.ndarray,
+                values: np.ndarray) -> None:
+        """Finish a step the compiled kernel did not fold (``FOLD_NAN``:
+        the numpy step folds it)."""
+        if status == FOLD_OK:
+            return
+        ids = keys - self.low if self.low else keys
+        if status == FOLD_NEGATIVE:
+            raise self._negative(ids, values)
+        self._numpy_step(ids, values)
 
     # -- buffers ------------------------------------------------------------
 
@@ -387,40 +388,56 @@ class FoldState:
         self._kernel = None
 
     def _grow(self, keys: np.ndarray) -> bool:
-        """Extend the id space to cover ``keys`` (ids shift with ``low``)."""
-        low = int(keys.min())
-        high = int(keys.max()) + 1
+        """Extend the offset id space to cover ``keys`` (ids shift with
+        ``low``); ``False`` when even the live keys and ``keys`` span more
+        ids than the limit allows."""
+        if not keys.size:
+            return True
+        low, high = int(keys.min()), int(keys.max()) + 1
+        limit = min(_DENSE_SPAN_LIMIT,
+                    _SPAN_PER_SLOT * max(self.size, keys.size))
         if self.acc is None:
-            if high - low > _DENSE_SPAN_LIMIT:
+            if high - low > limit:
                 return False
             self.low = low
             self.acc = np.zeros(high - low, dtype=np.float64)
             self._kernel = None
             return True
         old_low, old_high = self.low, self.low + self.acc.size
-        new_low, new_high = min(low, old_low), max(high, old_high)
-        if new_high - new_low > _DENSE_SPAN_LIMIT:
-            return False
-        if new_low == old_low and new_high == old_high:
+        if old_low <= low and high <= old_high:
             return True
-        # Grow geometrically (at least double the span, capped at the dense
-        # limit and the int64 key range) with the headroom on the side(s)
-        # that forced the growth, so a stream of monotonically expanding key
-        # ranges reallocates O(log) times instead of copying on every frame.
-        needed = new_high - new_low
-        slack = min(_DENSE_SPAN_LIMIT, max(needed, 2 * self.acc.size)) - needed
-        if slack:
-            down, up = new_low < old_low, new_high > old_high
-            low_slack = slack // 2 if (down and up) else (slack if down else 0)
-            new_low = max(new_low - low_slack, _INT64_MIN)
-            new_high = min(new_high + slack - low_slack, _INT64_END)
-        grown = np.zeros(new_high - new_low, dtype=np.float64)
-        offset = old_low - new_low
-        grown[offset:offset + self.acc.size] = self.acc
-        if offset:
-            self._active[:self._state[0]] += offset
-            self._zero_live += offset
-        self.low = new_low
+        down, up = low < old_low, high > old_high
+        if max(high, old_high) - min(low, old_low) <= limit:
+            low, high = min(low, old_low), max(high, old_high)
+        else:
+            # Only the live keys must stay covered: drop the dead rest of
+            # the old space and put the headroom on both sides.
+            active = self.active
+            if active.size:
+                low = min(low, int(active.min()) + old_low)
+                high = max(high, int(active.max()) + 1 + old_low)
+            down = up = True
+        needed = high - low
+        if needed > limit:
+            return False
+        # Grow geometrically (at least double the span, capped at the limit
+        # and the int64 key range) with the headroom on the side(s) that
+        # forced the growth, so a stream of expanding key ranges
+        # reallocates O(log) times instead of copying on every frame.
+        slack = min(limit, max(needed, 2 * self.acc.size)) - needed
+        low_slack = slack // 2 if (down and up) else (slack if down else 0)
+        low = max(low - low_slack, _INT64_MIN)
+        high = min(high + slack - low_slack, _INT64_END)
+        grown = np.zeros(high - low, dtype=np.float64)
+        # Every live id lies where the old and new id spaces overlap.
+        start, end = max(old_low, low), min(old_high, high)
+        if start < end:
+            grown[start - low:end - low] = self.acc[start - old_low:
+                                                    end - old_low]
+        if old_low != low:
+            self._active[:self._state[0]] += old_low - low
+            self._zero_live += old_low - low
+        self.low = low
         self.acc = grown
         self._kernel = None
         return True
@@ -430,25 +447,83 @@ class FoldState:
         self._state[0] = ids.size
         self._state[1] = 0
 
+    # -- the key table ------------------------------------------------------
+
+    def _keys_of(self, ids: np.ndarray) -> Union[np.ndarray, List[Hashable]]:
+        """The keys of ``ids``: an int64 array of offsets, or a list from
+        the key table."""
+        if self._index is None:
+            return ids + self.low
+        id_keys = self._id_keys
+        return [id_keys[key_id] for key_id in ids.tolist()]
+
+    def _intern(self, keys: Union[np.ndarray, List[Hashable]],
+                compact: bool) -> np.ndarray:
+        """The ids of ``keys`` in the key table, which new keys join; the
+        state switches to the table first, or ``compact`` compacts it."""
+        if isinstance(keys, list):
+            self._columnar = False
+        if self._index is None or (
+                compact and len(self._id_keys) > _TABLE_FACTOR * self.size):
+            self._relabel()
+        setdefault, add_key = self._index.setdefault, self._id_keys.append
+        count = len(self._id_keys)
+        ids = []
+        for key in _as_list(keys):
+            key_id = setdefault(key, count)
+            if key_id == count:
+                add_key(key)
+                count += 1
+            ids.append(key_id)
+        if count > self.acc.size:
+            grown = np.zeros(max(count, 2 * self.acc.size))
+            grown[:self.acc.size] = self.acc
+            self.acc = grown
+            self._kernel = None
+        return np.array(ids, dtype=np.int64)
+
+    def _relabel(self) -> None:
+        """Start a key table holding only the live keys, with ids
+        ``0..n-1`` in active order."""
+        active = self.active
+        self._id_keys = _as_list(self._keys_of(active))
+        self._index = {key: key_id for key_id, key in enumerate(self._id_keys)}
+        # Room for a table about to be compacted again: no regrowth (and
+        # no kernel rebinding) between two compactions of a served fold.
+        acc = np.zeros(max(active.size, (_TABLE_FACTOR + 1) * self.size))
+        if active.size:
+            acc[:active.size] = self.acc[active]
+        self.acc = acc
+        self._zero_live = np.flatnonzero(
+            np.isin(active, self._zero_live[:int(self._state[1])]))
+        self._active[:active.size] = np.arange(active.size)
+        self.low = 0
+        self._kernel = None
+
     # -- the numpy step -----------------------------------------------------
 
-    def _numpy_step(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """One fold step in numpy; ``keys`` are covered and room reserved."""
+    def _negative(self, ids: np.ndarray, values: np.ndarray) -> SketchStateError:
+        """The seed fold's error for the first negative of ``values``, the
+        counters of ``ids``."""
+        bad = int(np.flatnonzero(values < 0.0)[0])
+        key = _as_list(self._keys_of(ids[bad:bad + 1]))[0]
+        return SketchStateError(f"negative counter for {key!r} cannot be merged")
+
+    def _numpy_step(self, ids: np.ndarray, values: np.ndarray) -> None:
+        """One fold step in numpy; ``ids`` are covered and room reserved."""
         size = self.size
         acc = self.acc
-        ids = keys - self.low if self.low else keys
         if self.first:
             self.first = False
             length = ids.size
             if length == 0:
                 return
-            self._first_negative = (not self._interned
-                                    and bool((values < 0.0).any()))
+            self._first_negative = bool((values < 0.0).any())
             if length > size:
                 # The seed reduces an over-sized single input through a
                 # merge with nothing, which validates it immediately.
                 if self._first_negative:
-                    _raise_negative_key(keys, values)
+                    raise self._negative(ids, values)
                 scratch = values.copy()
                 scratch.partition(length - 1 - size)
                 shifted = values - scratch[length - 1 - size]
@@ -468,10 +543,7 @@ class FoldState:
         if self._first_negative:
             # The seed's second fold step revisits the first sketch's
             # counters and raises on the negative it let through.
-            bad = int(np.flatnonzero(acc[active] < 0.0)[0])
-            raise SketchStateError(
-                f"negative counter for {int(active[bad]) + self.low!r} "
-                "cannot be merged")
+            raise self._negative(active, acc[active])
         n_zero = int(self._state[1])
         if ids.size == 0:
             # The seed's merge with an empty summary still drops any
@@ -479,8 +551,8 @@ class FoldState:
             if n_zero:
                 self._set_active(active[acc[active] > 0.0])
             return
-        if not self._interned and bool((values < 0.0).any()):
-            _raise_negative_key(keys, values)
+        if bool((values < 0.0).any()):
+            raise self._negative(ids, values)
         before = acc[ids]
         if n_zero:
             fresh = ids[(before == 0.0)
@@ -512,20 +584,9 @@ class FoldState:
         self._set_active(combined)
 
 
-def _fold_interned(flat_ids: np.ndarray, flat_values: np.ndarray,
-                   lengths: Sequence[int], domain: int,
-                   size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Left fold of the Agarwal merge over interned (id, value) sketches.
-
-    One :class:`FoldState` over the id space ``[0, domain)`` runs the
-    sketches laid end to end in ``flat_ids``/``flat_values``: the first
-    step in numpy, the rest as one compiled run when a provider resolves.
-    Returns ``(active_ids, acc)``.
-    """
-    state = FoldState(size, domain=domain)
-    state.run(np.ascontiguousarray(flat_ids, dtype=np.int64),
-              np.ascontiguousarray(flat_values, dtype=np.float64), lengths)
-    return state.active, state.acc
+def _as_list(keys: Union[np.ndarray, List[Hashable]]) -> List[Hashable]:
+    """Keys as python objects (an int64 array's as python ints)."""
+    return keys if isinstance(keys, list) else keys.tolist()
 
 
 def merge_many(sketches: Sequence[SketchLike], k: int) -> Dict[Hashable, float]:
@@ -533,7 +594,7 @@ def merge_many(sketches: Sequence[SketchLike], k: int) -> Dict[Hashable, float]:
 
     The error guarantee holds for any merge order; the fold matches the
     ordering used in the paper's experiments and keeps memory at ``O(k)``
-    live counters (plus the interning table).  The result is equal to the
+    live counters (plus the key table).  The result is equal to the
     seed dict-based left fold preserved in
     :func:`repro.sketches._reference_merge.reference_merge_many` — the per-key
     float operations are performed in the same order, so the values agree
@@ -551,15 +612,12 @@ def merge_many(sketches: Sequence[SketchLike], k: int) -> Dict[Hashable, float]:
         return _first_step(_as_counters(sketches[0]), size)
     views = _counter_views(sketches)
     lengths = [len(view) for view in views]
-    total = sum(lengths)
-    flat_ids, domain, resolver = _intern_ids(views)
-    flat_values = np.fromiter(
+    values = np.fromiter(
         itertools.chain.from_iterable(view.values() for view in views),
-        dtype=np.float64, count=total)
-    if bool((flat_values < 0.0).any()):
-        _raise_negative(views)
-    active, acc = _fold_interned(flat_ids, flat_values, lengths, domain, size)
-    return dict(zip(_resolve_keys(active, resolver), acc[active].tolist()))
+        dtype=np.float64, count=sum(lengths))
+    state = FoldState(size)
+    state.run(_concat_keys(views), values, lengths)
+    return state.counters()
 
 
 def merge_many_arrays(keys_list: Sequence[np.ndarray],
@@ -605,7 +663,6 @@ def merge_many_arrays(keys_list: Sequence[np.ndarray],
     if len(key_arrays) == 1:
         return _first_step(dict(zip(key_arrays[0].tolist(),
                                     value_arrays[0].tolist())), size)
-    lengths = [array.size for array in key_arrays]
     # Empty arrays are excluded from the concatenation: their (arbitrary)
     # dtype must not participate in promotion.  The zero entries stay in
     # ``lengths`` so the fold still sees those sketches as no-op steps.
@@ -615,16 +672,13 @@ def merge_many_arrays(keys_list: Sequence[np.ndarray],
     flat_keys = np.concatenate(non_empty)
     if flat_keys.dtype.kind not in "iu":
         # Mixed signed/unsigned inputs promote to float64, which would
-        # corrupt keys beyond 2**53; take the exact dict route instead.
-        return merge_many(
-            [dict(zip(keys.tolist(), values.tolist()))
-             for keys, values in zip(key_arrays, value_arrays)], size)
-    flat_values = np.concatenate([array for array in value_arrays if array.size])
-    if bool((flat_values < 0.0).any()):
-        _raise_negative_key(flat_keys, flat_values)
-    flat_ids, domain, resolver = _intern_int_keys(flat_keys)
-    active, acc = _fold_interned(flat_ids, flat_values, lengths, domain, size)
-    return dict(zip(_resolve_keys(active, resolver), acc[active].tolist()))
+        # corrupt keys beyond 2**53; fold the exact python ints instead.
+        flat_keys = [key for array in non_empty for key in array.tolist()]
+    state = FoldState(size)
+    state.run(flat_keys,
+              np.concatenate([array for array in value_arrays if array.size]),
+              [array.size for array in key_arrays])
+    return state.counters()
 
 
 def merge_tree(sketches: Sequence[SketchLike], k: int) -> Dict[Hashable, float]:

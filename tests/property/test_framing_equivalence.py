@@ -14,6 +14,7 @@ bare ``struct``/``json``/``KeyError`` from the internals.
 
 from __future__ import annotations
 
+import contextlib
 import io
 
 import numpy as np
@@ -21,10 +22,13 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
+from repro import kernels
 from repro.api.framing import FrameReader, FrameWriter, StreamingMerger
 from repro.api.wire import decode, encode_counters
 from repro.exceptions import FramingError
-from repro.sketches.merge import merge_many, merge_many_arrays
+from repro.sketches import MisraGriesSketch
+from repro.sketches._reference_merge import reference_merge_many
+from repro.sketches.merge import _TABLE_FACTOR, merge_many, merge_many_arrays
 
 # Counter dicts as the wire ships them: int64 keys, non-negative float values
 # with integral and fractional cases (merged sketches carry fractions).
@@ -34,6 +38,31 @@ _VALUES = st.one_of(
     st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False))
 _COUNTERS = st.dictionaries(_KEYS, _VALUES, min_size=0, max_size=24)
 _SKETCH_LISTS = st.lists(_COUNTERS, min_size=1, max_size=8)
+
+
+# Both kernel backends; the cc lane asserts the provider builds.
+_BACKENDS = pytest.mark.parametrize("backend", [
+    "python",
+    pytest.param("cc", marks=pytest.mark.skipif(
+        not kernels.available(), reason="no C toolchain on this host")),
+])
+
+
+@contextlib.contextmanager
+def _kernels_env(backend):
+    """Run the block under ``REPRO_KERNELS=backend`` (a manual
+    :class:`pytest.MonkeyPatch`, so Hypothesis can rerun the body)."""
+    patch = pytest.MonkeyPatch()
+    try:
+        patch.setenv(kernels.ENV_VAR, backend)
+        yield
+    finally:
+        patch.undo()
+
+
+def _exact(counters):
+    """Keys in dict order with the exact bits of their values."""
+    return [(key, float(value).hex()) for key, value in counters.items()]
 
 
 def _frame_bytes(counters_list, k):
@@ -74,6 +103,8 @@ def test_token_keyed_frames_match_dict_merge(counters_list, k):
     data = _frame_bytes(counters_list, k)
     merger = StreamingMerger(k).consume(FrameReader(io.BytesIO(data)))
     assert merger.merged() == merge_many(counters_list, k)
+    assert _exact(merger.merged()) == _exact(
+        reference_merge_many(counters_list, k))
 
 
 @given(counters_list=_SKETCH_LISTS, k=st.integers(min_value=1, max_value=16),
@@ -123,3 +154,119 @@ def test_single_frame_equals_single_buffered_input(counters, k):
     payload = decode(encode_counters(counters, k=k))
     expected = merge_many_arrays([payload.key_array], [payload.values], k)
     assert merger.merged() == expected
+
+
+# Frames that put the fold in each of its key modes: bounded ints (offset
+# ids), ints spread over the int64 range (the key table) and tokens mixed
+# with small ints (the key table, with keys shared with the first kind).
+_DENSE_FRAMES = st.dictionaries(st.integers(-40, 40), _VALUES, max_size=12)
+_WIDE_FRAMES = st.dictionaries(
+    st.one_of(st.integers(-40, 40), _KEYS), _VALUES, max_size=12)
+_TOKEN_FRAMES = st.dictionaries(
+    st.one_of(st.text(min_size=1, max_size=3), st.integers(-40, 40)),
+    _VALUES, max_size=12)
+_MIXED_FRAMES = st.lists(st.one_of(_DENSE_FRAMES, _WIDE_FRAMES,
+                                   _TOKEN_FRAMES), max_size=8)
+
+
+def _fold(frames, k):
+    """A merger over ``frames`` sent through a framed stream, and the
+    counters its envelopes carry to the fold."""
+    merger = StreamingMerger(k).consume(
+        FrameReader(io.BytesIO(_frame_bytes(frames, k))))
+    payloads = FrameReader(io.BytesIO(_frame_bytes(frames, k)))
+    return merger, [payload.merge_counters() for payload in payloads]
+
+
+@_BACKENDS
+@given(frames=_MIXED_FRAMES, others=_MIXED_FRAMES,
+       k=st.integers(min_value=1, max_value=12))
+@settings(max_examples=120, deadline=None)
+def test_mixed_key_modes_fold_like_the_seed(backend, frames, others, k):
+    """One merger switches from offset ids to the key table mid-stream;
+    absorbing a merger in another mode folds its summary as one more
+    contribution.  Both equal the seed fold, bit for bit, and the merger
+    stays columnar while every key is an int."""
+    with _kernels_env(backend):
+        merger, counters = _fold(frames, k)
+        assert _exact(merger.merged()) == _exact(
+            reference_merge_many(counters, k) if counters else {})
+        other, other_counters = _fold(others, k)
+        merger.absorb(other)
+    if other_counters:
+        counters.append(reference_merge_many(other_counters, k))
+    assert _exact(merger.merged()) == _exact(
+        reference_merge_many(counters, k) if counters else {})
+    assert merger.frames == len(frames) + len(others)
+    if all(isinstance(key, int) for frame in frames + others for key in frame):
+        assert merger.columnar
+
+
+@_BACKENDS
+@given(k=st.integers(min_value=1, max_value=4),
+       widths=st.lists(st.integers(min_value=1, max_value=6), min_size=60,
+                       max_size=60),
+       repeats=st.lists(st.booleans(), min_size=60, max_size=60),
+       values=st.lists(_VALUES, min_size=360, max_size=360))
+@settings(max_examples=40, deadline=None)
+def test_key_table_compacts_to_the_live_keys(backend, k, widths, repeats,
+                                             values):
+    """Fresh keys spread over 2**62 keep the key table growing; it is
+    compacted at least three times, never holds more than
+    ``_TABLE_FACTOR * k`` keys plus one frame, and the fold equals the
+    seed's, bit for bit."""
+    fresh = iter(range(-(2 ** 61), 2 ** 61, 2 ** 50))
+    drawn = iter(values)
+    frames, previous = [], {}
+    for width, repeat in zip(widths, repeats):
+        frame = {next(fresh): next(drawn) for _ in range(width)}
+        if repeat and previous:
+            frame[next(iter(previous))] = next(drawn)
+        frames.append(frame)
+        previous = frame
+    compactions, largest = 0, 0
+    with _kernels_env(backend):
+        merger = StreamingMerger(k)
+        table = 0
+        for payload in FrameReader(io.BytesIO(_frame_bytes(frames, k))):
+            merger.add(payload)
+            size = len(merger._fold._id_keys)
+            compactions += size < table
+            largest = max(largest, size)
+            table = size
+    assert compactions >= 3
+    assert largest <= _TABLE_FACTOR * k + max(widths)
+    assert _exact(merger.merged()) == _exact(reference_merge_many(frames, k))
+
+
+# Streams shorter than their sketch's k, so every export keeps padding.
+_PADDED = st.integers(min_value=2, max_value=16).flatmap(
+    lambda k: st.tuples(st.lists(st.lists(st.integers(0, 30),
+                                          max_size=k - 1),
+                                 min_size=1, max_size=6), st.just(k)))
+
+
+@_BACKENDS
+@given(streams_k=_PADDED)
+@settings(max_examples=60, deadline=None)
+def test_dummy_padded_exports_stay_columnar(backend, streams_k):
+    """Paper-variant sketch exports carry ``DummyKey`` padding, so they
+    travel as JSON frames; the padding is dropped before the fold and the
+    real keys are plain ints, so the merger stays on integer keys."""
+    streams, k = streams_k
+    sketches = [MisraGriesSketch(k).update_batch(np.asarray(stream,
+                                                            dtype=np.int64))
+                for stream in streams]
+    buffer = io.BytesIO()
+    with FrameWriter(buffer, k=k, frames=len(sketches)) as writer:
+        for sketch in sketches:
+            writer.write_sketch(sketch)
+    payloads = list(FrameReader(io.BytesIO(buffer.getvalue())))
+    assert all(payload.columnar() is None for payload in payloads)
+    with _kernels_env(backend):
+        merger = StreamingMerger(k).consume(payloads)
+        assert merger.columnar
+        keys, values = merger.merged_arrays()
+    expected = reference_merge_many(
+        [payload.merge_counters() for payload in payloads], k)
+    assert _exact(dict(zip(keys.tolist(), values.tolist()))) == _exact(expected)

@@ -13,8 +13,9 @@ the pure-python engines on every input.  Hypothesis drives every kernel:
   route around the kernel.
 * ``fold_step`` steps — frame sequences folded through
   :class:`~repro.sketches.merge.FoldState` with the cc step and the numpy
-  step: same outcome per frame (folded, too wide, or the same error), same
-  live order, same accumulator bits, same zero-valued first-frame counters.
+  step: same outcome per frame (the same summary or the same error), same
+  live order, same accumulator bits, same zero-valued first-frame counters,
+  across the switch from offset ids to the key table.
 * ``scan_binary_header`` — binary columnar frames decoded with the kernel
   and with ``json.loads``, on canonical frames and on byte-corrupted ones,
   where *both* paths must agree on the result or raise the same error with
@@ -33,6 +34,7 @@ from repro import kernels
 from repro.api import framing, wire
 from repro.exceptions import SketchStateError
 from repro.sketches import MisraGriesSketch
+from repro.sketches._reference_merge import reference_merge_many
 from repro.sketches.merge import (_DENSE_SPAN_LIMIT, FoldState, merge_many,
                                   merge_many_arrays, merge_tree)
 
@@ -249,14 +251,21 @@ def _frame_arrays(frames, base=0, far=(), poison=()):
             for frame in frames]
 
 
+def _summary(state):
+    """The folded summary: ``first``, the keys in dict order and the bits
+    of their values."""
+    keys, values = state.arrays()
+    return state.first, keys.tolist(), values.view(np.int64).tolist()
+
+
 def _fold_trace(frames, size, binder):
-    """Fold ``frames`` step by step; the per-step outcome and state."""
+    """Fold ``frames`` step by step; the per-step summary and state."""
     state = FoldState(size)
     state._binder = binder
     trace = []
     for keys, values in frames:
         try:
-            outcome = state.step(keys, values)
+            state.step(keys, values)
         except SketchStateError as error:
             trace.append(("error", str(error)))
             break
@@ -267,9 +276,7 @@ def _fold_trace(frames, size, binder):
             snapshot = (state.first, state.low, state.active.tolist(),
                         state.acc.view(np.int64).tolist(),
                         state._zero_live[:zeros].tolist())
-        trace.append((outcome, snapshot))
-        if not outcome:
-            break  # a merger leaves the dense fold for the pairwise one
+        trace.append((_summary(state), snapshot))
     return trace
 
 
@@ -304,8 +311,9 @@ def test_fold_step_backends_agree(frames, base, far, poison, k):
 @settings(max_examples=150, deadline=None)
 def test_fold_run_matches_the_step_loop(frames, base, far, poison, k):
     """``FoldState.run`` over the frames laid end to end folds exactly what
-    a ``step`` per frame folds: the same count, the same error, the same
-    state — the compiled run stopping and resuming at every refused frame."""
+    a ``step`` per frame folds: the same error, or the same summary — the
+    compiled run stopping and resuming at every refused frame.  The id
+    layouts may differ: a run covers all its keys before it starts."""
     frames = _frame_arrays(frames, base, far, poison)
     keys = np.concatenate([keys for keys, _ in frames] + [
         np.empty(0, dtype=np.int64)])
@@ -317,30 +325,30 @@ def test_fold_run_matches_the_step_loop(frames, base, far, poison, k):
         state = FoldState(k)
         state._binder = binder
         try:
-            folded = state.run(keys, values, lengths)
+            state.run(keys, values, lengths)
         except SketchStateError as error:
             assert trace[-1] == ("error", str(error)), name
             continue
-        assert folded == sum(outcome is True for outcome, _ in trace), name
-        if trace and state.acc is not None:
-            zeros = int(state._state[1])
-            assert trace[-1][1] == (
-                state.first, state.low, state.active.tolist(),
-                state.acc.view(np.int64).tolist(),
-                state._zero_live[:zeros].tolist()), name
+        if trace:
+            assert trace[-1][0] == _summary(state), name
 
 
-def test_fold_step_span_limit_drops_to_pairwise():
+def test_fold_step_span_limit_switches_to_the_key_table():
+    far = _DENSE_SPAN_LIMIT
+    expected = reference_merge_many([{0: 1.0, 1: 2.0}, {2: 1.0}, {far: 1.0}],
+                                    4)
     for name, binder in _step_binders().items():
         state = FoldState(4)
         state._binder = binder
-        assert state.step(np.array([0, 1], dtype=np.int64),
-                          np.array([1.0, 2.0]))
-        assert state.step(np.array([2], dtype=np.int64), np.array([1.0]))
-        far = np.array([_DENSE_SPAN_LIMIT], dtype=np.int64)
-        assert not state.step(far, np.array([1.0])), name
+        state.step(np.array([0, 1], dtype=np.int64), np.array([1.0, 2.0]))
+        state.step(np.array([2], dtype=np.int64), np.array([1.0]))
         keys, values = state.arrays()
         assert keys.tolist() == [0, 1, 2] and values.tolist() == [1.0, 2.0, 1.0]
+        assert state._index is None, name  # offset ids
+        state.step(np.array([far], dtype=np.int64), np.array([1.0]))
+        assert state._id_keys == [0, 1, 2, far], name  # the key table
+        assert state.columnar and state.low == 0, name
+        assert list(state.counters().items()) == list(expected.items()), name
 
 
 @needs_compiled

@@ -108,7 +108,7 @@ def test_network_release_bit_identical_for_n_clients(counters_list, k, seed):
     min_size=1, max_size=6), k=st.integers(min_value=1, max_value=8))
 @settings(max_examples=10, deadline=None)
 def test_network_release_matches_offline_for_token_keys(counters_list, k):
-    """String-keyed exports drop both folds to dict mode — still identical."""
+    """String-keyed exports (dict key table in both folds) — still identical."""
     exports = [encode_counters(counters, k=k) for counters in counters_list]
     chunked = _chunks(exports, 2)
     offline = _offline_release(chunked, k, seed=9)

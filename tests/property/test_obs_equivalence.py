@@ -97,7 +97,7 @@ def test_instrumented_release_bit_identical(counters_list, k, seed):
     min_size=1, max_size=6), k=st.integers(min_value=1, max_value=8))
 @settings(max_examples=8, deadline=None)
 def test_instrumented_release_identical_for_token_keys(counters_list, k):
-    """String-keyed exports (dict-mode fold) — still obs-invariant."""
+    """String-keyed exports (dict key table) — still obs-invariant."""
     exports = [encode_counters(counters, k=k) for counters in counters_list]
     chunked = _chunks(exports, 2)
     plain, _ = asyncio.run(_release(chunked, k, seed=9, metrics=False))

@@ -342,9 +342,27 @@ class TestDenseGrowth:
         merger = StreamingMerger(4)
         for counters in frames:
             merger.add(encode_counters(counters, k=4))
-        assert merger._acc_keys is None  # still dense, not pairwise
+        assert merger._fold._index is None  # still offset ids, no key table
         assert merger.merged() == merge_many(frames, 4)
         assert list(merger.merged()) == list(merge_many(frames, 4))
+
+    def test_offset_ids_follow_the_live_keys(self):
+        """The offset id space covers the live keys and the next frame, not
+        every key ever seen: windows sliding past the span limit (64 ids
+        per counter at k=4), or jumping past a state with no live counter,
+        stay on offset ids."""
+        from repro.sketches._reference_merge import reference_merge_many
+
+        sliding = [{100 * index + offset: 10.0 * (index + 1)
+                    for offset in range(4)} for index in range(12)]
+        emptied = [{0: 1.0}, {1: 1.0}, {200: 1.0}, {201: 2.0}]
+        for frames, k in ((sliding, 4), (emptied, 1)):
+            merger = StreamingMerger(k)
+            for counters in frames:
+                merger.add(encode_counters(counters, k=k))
+            assert merger._fold._index is None
+            expected = reference_merge_many(frames, k)
+            assert list(merger.merged().items()) == list(expected.items())
 
     def test_write_frames_declares_count_for_sized_collections(self, tmp_path):
         target = tmp_path / "declared.frames"

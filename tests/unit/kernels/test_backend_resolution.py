@@ -121,7 +121,7 @@ def test_auto_without_the_provider_warns_exactly_once(no_provider):
 
 @pytest.mark.parametrize("target", [
     merge.merge_many, merge.merge_many_arrays, merge.merge_tree,
-    merge._fold_interned, FoldState,
+    FoldState, FoldState.run,
     MisraGriesSketch,
 ])
 def test_no_entry_point_takes_a_backend_argument(target):

@@ -237,23 +237,29 @@ class TestBindingChecks:
                            2.0])
         lengths = [3, 2, 2, 3]
 
-        def bits(active, acc):
-            return active.tolist(), acc.view(np.int64).tolist()
+        def bits(state):
+            keys, values = state.arrays()
+            return keys.tolist(), values.view(np.int64).tolist()
+
+        def folded(ids, values, lengths):
+            state = merge.FoldState(3)
+            state.run(ids, values, lengths)
+            return bits(state)
 
         monkeypatch.setenv(kernels.ENV_VAR, "python")
-        after_one = bits(*merge._fold_interned(ids[:5], values[:5], [3, 2],
-                                               8, 3))
-        expected = bits(*merge._fold_interned(ids, values, lengths, 8, 3))
+        after_one = folded(ids[:5], values[:5], [3, 2])
+        expected = folded(ids, values, lengths)
         monkeypatch.setenv(kernels.ENV_VAR, "cc")
-        state = merge.FoldState(3, domain=8)
-        assert state.step(ids[:3], values[:3])  # the first step: numpy
+        state = merge.FoldState(3)
+        assert state._grow(ids)  # the id space the whole run covers
+        state.step(ids[:3], values[:3])  # the first step: numpy
         state._reserve(3 + 3)
         status, applied = state._bound().run(
             ids[3:], values[3:], 0, np.array(lengths[1:], dtype=np.int64))
         assert (status, applied) == (_c_src.FOLD_NAN, 1)
-        assert bits(state.active, state.acc) == after_one
-        assert state.run(ids[5:], values[5:], lengths[2:]) == 2
-        assert bits(state.active, state.acc) == expected
+        assert bits(state) == after_one
+        state.run(ids[5:], values[5:], lengths[2:])
+        assert bits(state) == expected
 
     def test_fold_step(self, tmp_path, monkeypatch):
         binder = self._table(tmp_path, monkeypatch)["fold_step"]
