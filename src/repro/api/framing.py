@@ -34,6 +34,17 @@ by its first byte:
   number parsing on the hot path — and round-trips bit-exactly (raw IEEE
   bits for values, raw two's-complement for keys).
 
+A ``misra_gries_paper`` export that has seen fewer than ``k`` distinct
+elements still holds Algorithm 1's dummy keys.  An engine-built sketch
+stores them as a prefix ``DummyKey(k-d+1) ... DummyKey(k)`` of zero
+counters, so when its envelope has exactly that prefix (each at ``+0.0``)
+followed by plain int64 keys it also goes binary: the columns carry the
+real keys only and the header declares the padding as one count,
+``"dummies": d`` (absent means 0; refused on other kinds and outside
+``0..k``).  Any other token-keyed envelope — a hand-restored sketch, a
+non-zero dummy, a string or big-int key — stays a JSON frame, so every
+frame round-trips bit for bit.
+
 Rules:
 
 * The first frame is always a header frame (JSON); its ``framing`` field
@@ -61,6 +72,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -206,8 +218,9 @@ def payload_frame_body(payload: Union[Mapping, WirePayload]) -> bytes:
     """One payload frame *body* (no length prefix) — what ``push_raw`` and
     :func:`append_frame` consume verbatim.
 
-    Integer-keyed envelopes always go binary columnar; token-keyed ones
-    stay JSON (the reader decodes both)."""
+    Integer-keyed envelopes, and paper-variant exports whose only other
+    keys are their dummy padding prefix, go binary columnar; every other
+    token-keyed envelope stays JSON (the reader decodes both)."""
     if isinstance(payload, WirePayload):
         payload = wire_module.encode_payload(payload)
     if payload.get("format") != WIRE_FORMAT_VERSION:
@@ -216,13 +229,65 @@ def payload_frame_body(payload: Union[Mapping, WirePayload]) -> bytes:
             f"got format={payload.get('format')!r}")
     if payload.get("key_encoding") == "int":
         return _binary_frame_body(payload)
+    padded = _dummy_padded_columns(payload)
+    if padded is not None:
+        return _binary_frame_body(payload, *padded)
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
-def _binary_frame_body(payload: Mapping) -> bytes:
-    """The body of one integer-keyed binary columnar frame (tag 0x01)."""
-    keys = np.asarray(payload.get("keys", []), dtype="<i8")
-    values = np.asarray(payload.get("values", []), dtype="<f8")
+#: Token prefix of a ``DummyKey`` (:mod:`repro.sketches.serialization`).
+_DUMMY_TOKEN = "__dummy__:"
+
+
+def _dummy_padded_columns(payload: Mapping) -> Optional[Tuple[int, list, list]]:
+    """``(d, real keys, real values)`` of a token-encoded paper export laid
+    out as an engine-built sketch stores it: ``d >= 1`` dummy tokens for
+    ``DummyKey(k-d+1) ... DummyKey(k)`` first, each at ``+0.0``, then only
+    int64 keys.  ``None`` for any other envelope (it stays JSON).
+    """
+    k = payload.get("k")
+    tokens = payload.get("keys")
+    values = payload.get("values")
+    if (payload.get("kind") != "misra_gries_paper"
+            or payload.get("key_encoding") != "token" or type(k) is not int
+            or not isinstance(tokens, list) or not isinstance(values, list)
+            or len(tokens) != len(values)):
+        return None
+    dummies = 0
+    for token in tokens:
+        if not (isinstance(token, str) and token.startswith(_DUMMY_TOKEN)):
+            break
+        dummies += 1
+    if not 0 < dummies <= k or tokens[:dummies] != [
+            f"{_DUMMY_TOKEN}{index}" for index in range(k - dummies + 1, k + 1)]:
+        return None
+    if not all(value == 0.0 and math.copysign(1.0, value) > 0
+               for value in values[:dummies]):
+        return None
+    keys = []
+    for token in tokens[dummies:]:
+        # The "i:" branch of serialization._decode_key, kept to int64.
+        if not (isinstance(token, str) and token.startswith("i:")):
+            return None
+        try:
+            key = int(token[2:])
+        except ValueError:
+            return None
+        if not wire_module._is_plain_int(key):
+            return None
+        keys.append(key)
+    return dummies, keys, values[dummies:]
+
+
+def _binary_frame_body(payload: Mapping, dummies: int = 0,
+                       keys: Optional[List[int]] = None,
+                       values: Optional[list] = None) -> bytes:
+    """The body of one binary columnar frame (tag 0x01): the payload's int
+    columns, or the real ``keys``/``values`` behind ``dummies`` padding."""
+    keys = np.asarray(payload.get("keys", []) if keys is None else keys,
+                      dtype="<i8")
+    values = np.asarray(payload.get("values", []) if values is None
+                        else values, dtype="<f8")
     if keys.size != values.size:
         raise FramingError(
             f"malformed columnar payload: {keys.size} keys vs {values.size} values")
@@ -230,6 +295,8 @@ def _binary_frame_body(payload: Mapping) -> bytes:
               if field in payload}
     header["key_encoding"] = "int"
     header["count"] = int(keys.size)
+    if dummies:
+        header["dummies"] = dummies
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     return b"".join((_BINARY_TAG, _LENGTH.pack(len(header_bytes)),
                      header_bytes, keys.tobytes(), values.tobytes()))
@@ -291,13 +358,29 @@ def _decode_binary_body(body: bytes) -> WirePayload:
     count = header.get("count")
     if not isinstance(count, int) or count < 0:
         raise FramingError(f"binary frame declares a bad count {count!r}")
-    keys, values, frame = _binary_columns(body, 5 + header_length, count)
     k = header.get("k")
+    dummies = _padding_count(kind, k, "dummies" in header,
+                             header.get("dummies"))
+    keys, values, frame = _binary_columns(body, 5 + header_length, count)
     # Lazy keys: the aggregator hot path never materializes the Python list.
     return WirePayload(kind=kind, keys=None, values=values,
                        k=int(k) if k is not None else None,
                        meta=dict(header.get("meta", {})), key_array=keys,
-                       frame=frame)
+                       frame=frame, dummies=dummies)
+
+
+def _padding_count(kind: str, k, declared: bool, dummies) -> int:
+    """A binary frame's validated ``dummies`` header field (0 when absent)."""
+    if not declared:
+        return 0
+    if kind != "misra_gries_paper":
+        raise FramingError(
+            f"binary frame of kind {kind!r} declares dummy padding; only "
+            "misra_gries_paper exports carry it")
+    if type(dummies) is not int or type(k) is not int or not 0 <= dummies <= k:
+        raise FramingError(
+            f"binary frame declares a bad dummies count {dummies!r} for k={k!r}")
+    return dummies
 
 
 def _binary_columns(body: bytes, offset: int, count: int) -> Tuple:
@@ -347,6 +430,9 @@ def _binary_payload_from_scan(body: bytes, header_length: int,
     count = slots[_scan.SCAN_COUNT] if slots[_scan.SCAN_HAS_COUNT] else None
     if count is None or count < 0:
         raise FramingError(f"binary frame declares a bad count {count!r}")
+    k = slots[_scan.SCAN_K] if slots[_scan.SCAN_HAS_K] else None
+    dummies = slots[_scan.SCAN_DUMMIES]
+    dummies = _padding_count(kind, k, dummies >= 0, dummies)
     keys, values, frame = _binary_columns(body, 5 + header_length, count)
     meta: Dict[str, object] = {}
     if slots[_scan.SCAN_HAS_META]:
@@ -359,10 +445,8 @@ def _binary_payload_from_scan(body: bytes, header_length: int,
                                   + sketch_length].decode("ascii")
         if slots[_scan.SCAN_HAS_STREAM_LENGTH]:
             meta["stream_length"] = slots[_scan.SCAN_STREAM_LENGTH]
-    return WirePayload(kind=kind, keys=None, values=values,
-                       k=slots[_scan.SCAN_K] if slots[_scan.SCAN_HAS_K]
-                       else None,
-                       meta=meta, key_array=keys, frame=frame)
+    return WirePayload(kind=kind, keys=None, values=values, k=k, meta=meta,
+                       key_array=keys, frame=frame, dummies=dummies)
 
 
 def parse_header_body(body: Optional[bytes]) -> FrameHeader:

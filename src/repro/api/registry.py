@@ -456,8 +456,10 @@ def _make_merged(epsilon: float = 1.0, delta: float = 1e-6, k: Optional[int] = N
         from .wire import WirePayload, payload_to_sketch
 
         items = list(fitted)
-        columnar = [item.columnar() if isinstance(item, WirePayload) else None
-                    for item in items]
+        # Padded exports stay sketches: the untrusted strategy releases a
+        # sketch over its raw counters, dummies included.
+        columnar = [item.columnar() if isinstance(item, WirePayload)
+                    and not item.dummies else None for item in items]
         if items and all(pair is not None for pair in columnar):
             # All inputs arrived on the v2 integer wire: stay columnar.
             return mechanism.release_arrays(

@@ -18,7 +18,18 @@ at all between the wire and the vectorized merge fold.  Sketches with
 non-integer keys (strings, bytes, the paper variant's dummy padding keys)
 fall back to ``key_encoding == "token"`` using the same type-prefixed tokens
 as v1, so every serializable key round-trips bit-exactly through either
-encoding.
+encoding.  An ``"int"`` envelope whose keys are not all JSON integers
+within int64 is refused with :class:`~repro.exceptions.SketchStateError`
+naming the key, never coerced.
+
+In a framed stream (:mod:`repro.api.framing`) a paper-variant export whose
+only non-integer keys are its dummy padding still travels binary: the
+padding is a stored-order prefix ``DummyKey(k-d+1) ... DummyKey(k)`` of
+zero counters, so the frame header declares it as one count ``dummies: d``
+and the columns carry only the real keys.  The decoded
+:class:`WirePayload` then keeps ``key_array``/``values`` as those real
+columns (what a merge consumes) while ``keys``, ``counters()``, equality
+and :func:`payload_to_sketch` see the full padded state.
 
 Envelope kinds
 --------------
@@ -42,7 +53,7 @@ import numpy as np
 from ..core.results import PrivateHistogram, ReleaseMetadata
 from ..exceptions import ParameterError, SketchStateError
 from ..sketches.base import FrequencySketch
-from ..sketches.misra_gries import MisraGriesSketch
+from ..sketches.misra_gries import DummyKey, MisraGriesSketch
 from ..sketches.misra_gries_standard import StandardMisraGriesSketch
 from ..sketches.serialization import _decode_key, _encode_key
 
@@ -84,6 +95,25 @@ def _is_plain_int(key: Hashable) -> bool:
             and _INT64_MIN <= key <= _INT64_MAX)
 
 
+def _int_key_array(raw_keys) -> np.ndarray:
+    """The int64 column of ``key_encoding: "int"`` keys.
+
+    A key that is not a JSON integer within int64 (a float, a string, a
+    bool, ``null``, an int past int64) raises :class:`SketchStateError`
+    naming it, rather than being coerced into another key.
+    """
+    try:
+        if set(map(type, raw_keys)) <= {int}:
+            return np.asarray(raw_keys, dtype=np.int64)
+    except OverflowError:
+        pass
+    for key in raw_keys:
+        if not _is_plain_int(key):
+            raise SketchStateError(
+                f"int-encoded key {key!r} is not an int64 integer")
+    return np.asarray(raw_keys, dtype=np.int64)
+
+
 def _encode_columns(counters: Mapping[Hashable, float]) -> Dict[str, object]:
     """Columnar ``key_encoding``/``keys``/``values`` fields for a counter dict."""
     keys = list(counters.keys())
@@ -114,15 +144,23 @@ class WirePayload:
     ``frame`` is ``(body, at)`` when ``key_array`` and ``values`` are views
     of the bytes ``body`` (keys from byte ``at``, values right after them),
     so the compiled fold can read the frame itself; ``None`` otherwise.
+
+    ``dummies`` is the paper variant's padding carried as a count (a binary
+    frame's ``dummies`` header field): the stored state starts with
+    ``DummyKey(k-d+1) ... DummyKey(k)`` at ``0.0``, and ``key_array`` /
+    ``values`` hold only the real columns after them.  ``keys``,
+    :meth:`counters` and equality include the padding.
     """
 
-    __slots__ = ("kind", "values", "k", "meta", "key_array", "_keys", "frame")
+    __slots__ = ("kind", "values", "k", "meta", "key_array", "_keys", "frame",
+                 "dummies")
 
     def __init__(self, kind: str, keys: Optional[List[Hashable]],
                  values: np.ndarray, k: Optional[int] = None,
                  meta: Optional[Dict[str, object]] = None,
                  key_array: Optional[np.ndarray] = None,
-                 frame: Optional[Tuple[bytes, int]] = None) -> None:
+                 frame: Optional[Tuple[bytes, int]] = None,
+                 dummies: int = 0) -> None:
         if keys is None and key_array is None:
             raise ParameterError(
                 "WirePayload needs decoded keys (or a key_array to derive them from)")
@@ -133,13 +171,24 @@ class WirePayload:
         self.key_array = key_array
         self._keys = keys
         self.frame = frame
+        self.dummies = dummies
 
     @property
     def keys(self) -> List[Hashable]:
-        """The decoded Python keys (materialized on first access)."""
+        """The decoded Python keys, padding included (materialized on first
+        access)."""
         if self._keys is None:
             self._keys = self.key_array.tolist()
+            if self.dummies:
+                self._keys[:0] = [DummyKey(index) for index in
+                                  range(self.k - self.dummies + 1, self.k + 1)]
         return self._keys
+
+    def _all_values(self) -> np.ndarray:
+        """``values`` with the padding's zeros in front."""
+        if not self.dummies:
+            return self.values
+        return np.concatenate((np.zeros(self.dummies), self.values))
 
     def __repr__(self) -> str:
         return (f"WirePayload(kind={self.kind!r}, count={self.values.size}, "
@@ -149,7 +198,7 @@ class WirePayload:
         if not isinstance(other, WirePayload):
             return NotImplemented
         return (self.kind == other.kind and self.keys == other.keys
-                and np.array_equal(self.values, other.values)
+                and np.array_equal(self._all_values(), other._all_values())
                 and self.k == other.k and self.meta == other.meta)
 
     @property
@@ -159,7 +208,7 @@ class WirePayload:
 
     def counters(self) -> Dict[Hashable, float]:
         """The payload's counters as a plain dict (insertion order preserved)."""
-        return dict(zip(self.keys, self.values.tolist()))
+        return dict(zip(self.keys, self._all_values().tolist()))
 
     def merge_counters(self) -> Dict[Hashable, float]:
         """The counters a merge should consume.
@@ -170,14 +219,13 @@ class WirePayload:
         """
         counters = self.counters()
         if self.kind == "misra_gries_paper":
-            from ..sketches.misra_gries import DummyKey
-
             counters = {key: value for key, value in counters.items()
                         if not isinstance(key, DummyKey)}
         return counters
 
     def columnar(self) -> Optional[tuple]:
-        """``(key_array, values)`` when the integer fast path applies, else ``None``."""
+        """``(key_array, values)`` when the integer fast path applies, else
+        ``None``.  Dummy padding carried as a count is not in the columns."""
         if self.key_array is None:
             return None
         return self.key_array, self.values
@@ -268,7 +316,7 @@ def decode(payload: Mapping) -> WirePayload:
             f"malformed columnar payload: {len(raw_keys)} keys vs {values.size} values")
     key_array: Optional[np.ndarray] = None
     if encoding == "int":
-        key_array = np.asarray(raw_keys, dtype=np.int64)
+        key_array = _int_key_array(raw_keys)
         keys: List[Hashable] = key_array.tolist()
     elif encoding == "token":
         keys = [_decode_key(token) for token in raw_keys]

@@ -41,7 +41,7 @@ its build cache on a hash of the source text, so editing the C automatically
 invalidates stale binaries.
 """
 
-SOURCE_VERSION = 4
+SOURCE_VERSION = 5
 
 # Status codes shared by all kernels.
 MG_OK = 0
@@ -76,6 +76,7 @@ SCAN_HAS_DECREMENT_ROUNDS = 11
 SCAN_DECREMENT_ROUNDS = 12
 SCAN_SKETCH_START = 13
 SCAN_SKETCH_LEN = 14
+SCAN_DUMMIES = 15  # -1 when absent; a negative count is left to json.loads
 SCAN_OUT_SLOTS = 16
 
 # The C side of the ABI: one ``#define`` per int above, in that order.
@@ -616,6 +617,7 @@ static int64_t scan_header(const uint8_t *buf, int64_t end, int64_t *out) {
     for (int64_t i = 0; i < SCAN_OUT_SLOTS; i++) out[i] = 0;
     out[SCAN_KIND_LEN] = -1;
     out[SCAN_SKETCH_LEN] = -1;
+    out[SCAN_DUMMIES] = -1;
     int64_t pos = scan_ws(buf, 0, end);
     if (pos >= end || buf[pos] != '{') return SCAN_FALLBACK;
     pos = scan_ws(buf, pos + 1, end);
@@ -624,8 +626,8 @@ static int64_t scan_header(const uint8_t *buf, int64_t end, int64_t *out) {
         return pos == end ? SCAN_OK : SCAN_FALLBACK;
     }
     /* Canonical (sorted) key order turns "seen" tracking into a monotone
-       index: count(0) < format(1) < k(2) < key_encoding(3) < kind(4)
-       < meta(5). */
+       index: count(0) < dummies(1) < format(2) < k(3) < key_encoding(4)
+       < kind(5) < meta(6). */
     int64_t last_key = -1;
     for (;;) {
         int64_t kstart, klen;
@@ -643,9 +645,16 @@ static int64_t scan_header(const uint8_t *buf, int64_t end, int64_t *out) {
                 return SCAN_FALLBACK;
             out[SCAN_HAS_COUNT] = 1;
             out[SCAN_COUNT] = value;
-        } else if (match_lit(buf, kstart, klen, "format", 6)) {
+        } else if (match_lit(buf, kstart, klen, "dummies", 7)) {
             if (last_key >= 1) return SCAN_FALLBACK;
             last_key = 1;
+            int64_t value;
+            if (scan_int(buf, &pos, end, &value) != SCAN_OK || value < 0)
+                return SCAN_FALLBACK;
+            out[SCAN_DUMMIES] = value;
+        } else if (match_lit(buf, kstart, klen, "format", 6)) {
+            if (last_key >= 2) return SCAN_FALLBACK;
+            last_key = 2;
             if (buf[pos] == 'n') {
                 if (!is_null_at(buf, pos, end)) return SCAN_FALLBACK;
                 pos += 4;
@@ -657,8 +666,8 @@ static int64_t scan_header(const uint8_t *buf, int64_t end, int64_t *out) {
                 out[SCAN_FORMAT] = value;
             }
         } else if (match_lit(buf, kstart, klen, "k", 1)) {
-            if (last_key >= 2) return SCAN_FALLBACK;
-            last_key = 2;
+            if (last_key >= 3) return SCAN_FALLBACK;
+            last_key = 3;
             if (buf[pos] == 'n') {
                 if (!is_null_at(buf, pos, end)) return SCAN_FALLBACK;
                 pos += 4;
@@ -670,22 +679,22 @@ static int64_t scan_header(const uint8_t *buf, int64_t end, int64_t *out) {
                 out[SCAN_K] = value;
             }
         } else if (match_lit(buf, kstart, klen, "key_encoding", 12)) {
-            if (last_key >= 3) return SCAN_FALLBACK;
-            last_key = 3;
+            if (last_key >= 4) return SCAN_FALLBACK;
+            last_key = 4;
             int64_t vstart, vlen; /* value is ignored by the decoder */
             if (scan_string(buf, &pos, end, &vstart, &vlen) != SCAN_OK)
                 return SCAN_FALLBACK;
         } else if (match_lit(buf, kstart, klen, "kind", 4)) {
-            if (last_key >= 4) return SCAN_FALLBACK;
-            last_key = 4;
+            if (last_key >= 5) return SCAN_FALLBACK;
+            last_key = 5;
             int64_t vstart, vlen;
             if (scan_string(buf, &pos, end, &vstart, &vlen) != SCAN_OK)
                 return SCAN_FALLBACK;
             out[SCAN_KIND_START] = vstart;
             out[SCAN_KIND_LEN] = vlen;
         } else if (match_lit(buf, kstart, klen, "meta", 4)) {
-            if (last_key >= 5) return SCAN_FALLBACK;
-            last_key = 5;
+            if (last_key >= 6) return SCAN_FALLBACK;
+            last_key = 6;
             if (pos >= end || buf[pos] != '{') return SCAN_FALLBACK;
             pos = scan_ws(buf, pos + 1, end);
             out[SCAN_HAS_META] = 1;

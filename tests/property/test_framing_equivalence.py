@@ -250,9 +250,10 @@ _PADDED = st.integers(min_value=2, max_value=16).flatmap(
 @given(streams_k=_PADDED)
 @settings(max_examples=60, deadline=None)
 def test_dummy_padded_exports_stay_columnar(backend, streams_k):
-    """Paper-variant sketch exports carry ``DummyKey`` padding, so they
-    travel as JSON frames; the padding is dropped before the fold and the
-    real keys are plain ints, so the merger stays on integer keys."""
+    """Paper-variant sketch exports carry ``DummyKey`` padding; it travels
+    as the binary header's ``dummies`` count, the columns hold the real
+    int keys, so the fold reads the frame in place and the merger stays on
+    integer keys."""
     streams, k = streams_k
     sketches = [MisraGriesSketch(k).update_batch(np.asarray(stream,
                                                             dtype=np.int64))
@@ -262,7 +263,8 @@ def test_dummy_padded_exports_stay_columnar(backend, streams_k):
         for sketch in sketches:
             writer.write_sketch(sketch)
     payloads = list(FrameReader(io.BytesIO(buffer.getvalue())))
-    assert all(payload.columnar() is None for payload in payloads)
+    assert all(payload.columnar() is not None and payload.frame is not None
+               for payload in payloads)
     with _kernels_env(backend):
         merger = StreamingMerger(k).consume(payloads)
         assert merger.columnar

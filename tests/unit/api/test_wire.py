@@ -102,6 +102,55 @@ class TestColumnarFastPath:
         assert merged == merge_many([sketch.counters() for sketch in sketches], 32)
 
 
+def _int_envelope(keys):
+    return {"format": 2, "kind": "counters", "key_encoding": "int",
+            "keys": keys, "values": [1.0] * len(keys)}
+
+
+class TestIntKeysAreNotCoerced:
+    """``key_encoding: "int"`` keys must be JSON integers within int64;
+    anything else is refused with the key named, never coerced."""
+
+    def _refused(self, keys, named):
+        with pytest.raises(SketchStateError, match="int-encoded key") as excinfo:
+            wire.decode(_json_roundtrip(_int_envelope(keys)))
+        assert named in str(excinfo.value)
+
+    def test_float_key_refused(self):
+        self._refused([3, 1.5], "1.5")
+
+    def test_fractional_keys_do_not_collapse_into_duplicates(self):
+        self._refused([1.5, 1.7], "1.5")
+
+    def test_string_key_refused(self):
+        self._refused(["7"], "'7'")
+
+    def test_bool_key_refused(self):
+        self._refused([2, True], "True")
+
+    def test_key_past_int64_refused(self):
+        self._refused([1, 2 ** 63], str(2 ** 63))
+
+    def test_key_below_int64_refused(self):
+        self._refused([-(2 ** 63) - 1], str(-(2 ** 63) - 1))
+
+    def test_null_key_refused(self):
+        self._refused([4, None], "None")
+
+    def test_int64_ends_still_decode(self):
+        keys = [-(2 ** 63), 0, 2 ** 63 - 1]
+        decoded = wire.decode(_json_roundtrip(_int_envelope(keys)))
+        assert decoded.key_array.tolist() == keys
+
+    def test_json_frame_wraps_the_refusal_as_framing_error(self):
+        from repro.api.framing import decode_payload_body
+        from repro.exceptions import FramingError
+
+        body = json.dumps(_int_envelope([1.5, 1.7])).encode("utf-8")
+        with pytest.raises(FramingError, match="int-encoded key 1.5"):
+            decode_payload_body(body)
+
+
 class TestVersioning:
     def test_wire_version_detection(self):
         sketch = MisraGriesSketch.from_stream(4, [1, 2, 1])
