@@ -11,9 +11,9 @@ Workload groups (select with ``run_bench.py --workloads``):
 ``merge``
     The aggregator hot path of Section 7: ``m = 256`` size-``k = 1024``
     per-user sketch exports (E11-style Zipf traffic) merged into one summary.
-    The vectorized key-interning fold over dict inputs
-    (:func:`repro.sketches.merge.merge_many`) and over columnar wire inputs
-    (:func:`repro.sketches.merge.merge_many_arrays`) are measured against the
+    The vectorized key-interning fold
+    (:func:`repro.sketches.merge.merge_many`) over dict inputs and over
+    columnar wire inputs (``(keys, values)`` array pairs) is measured against the
     frozen seed dict-based left fold preserved in
     :mod:`repro.sketches._reference_merge`; all three produce exactly the
     same merged summary.
@@ -69,7 +69,7 @@ Workload groups (select with ``run_bench.py --workloads``):
     E11 Zipf stream through ``update_batch`` at the small-``k`` regime
     (``k = 64``, where per-chunk python overhead dominates the vectorized
     path) and the columnar merge fold (``FoldState(k).run`` over
-    ``np.unique`` ids, the stage behind ``merge_many_arrays``: a run whose
+    ``np.unique`` ids, the stage behind ``merge_many``: a run whose
     steps after the first go through the compiled ``fold_step`` in one
     call) at ``m = 256`` / ``k = 1024``.  Rows select their
     backend through ``REPRO_KERNELS`` (``python`` vs ``cc``).  Both backends
@@ -126,7 +126,6 @@ from repro.core._reference import reference_trusted_sum_filter
 from repro.core.merging import _noisy_threshold_filter
 from repro.dp.thresholds import stability_histogram_threshold
 from repro.sketches import MisraGriesSketch, SpaceSavingSketch, merge_many
-from repro.sketches.merge import merge_many_arrays
 from repro.sketches._reference import ReferenceMisraGries
 from repro.sketches._reference_merge import reference_merge_many
 from repro.streams import uniform_stream, zipf_stream
@@ -245,8 +244,8 @@ def _run_merge_group(rows: List[Dict], quick: bool) -> None:
 
     The seed path must materialize per-sketch dicts before its left fold, so
     that conversion is part of its measurement; ``optimized_dicts`` pays the
-    same conversion into the vectorized fold; ``optimized_arrays`` is the
-    columnar wire path (:func:`repro.sketches.merge.merge_many_arrays`).
+    same conversion into the vectorized fold; ``optimized_arrays`` hands
+    the same fold the columnar wire exports as ``(keys, values)`` pairs.
     """
     m, k = MERGE_M, MERGE_K
     keys_list, values_list = _per_user_sketch_exports(
@@ -261,9 +260,9 @@ def _run_merge_group(rows: List[Dict], quick: bool) -> None:
                          lambda: reference_merge_many(_as_dicts(), k), repeats=3))
     rows.append(_measure(f"merge_m{m}", k, pairs, "optimized_dicts",
                          lambda: merge_many(_as_dicts(), k), repeats=3))
+    columns = list(zip(keys_list, values_list))
     rows.append(_measure(f"merge_m{m}", k, pairs, "optimized_arrays",
-                         lambda: merge_many_arrays(keys_list, values_list, k),
-                         repeats=3))
+                         lambda: merge_many(columns, k), repeats=3))
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +811,7 @@ def _run_kernels_group(rows: List[Dict], quick: bool) -> None:
                                  lambda: MisraGriesSketch(k).update_batch(zipf),
                                  repeats=3))
 
-    # -- the interned fold behind merge_many_arrays at m=256, k=1024 ---------
+    # -- the interned fold behind merge_many at m=256, k=1024 ----------------
     m, size = MERGE_M, MERGE_K
     keys_list, values_list = _per_user_sketch_exports(
         m, size, n_per_user=5_000 if quick else 20_000)

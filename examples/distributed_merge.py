@@ -11,9 +11,9 @@ This example drives the whole scenario through the unified API:
   ``Pipeline(mechanism={"name": "merged", "strategy": ...})`` and releases
   under each of the three aggregation regimes; for the default
   ``trusted_merged`` strategy the integer envelopes stay columnar all the
-  way into :func:`~repro.sketches.merge.merge_many_arrays` (no per-key
-  Python), while the other strategies reconstruct per-sketch state for
-  their Algorithm 3 / Algorithm 2 post-processing.
+  way into :func:`~repro.sketches.merge.merge_many` (their key and value
+  arrays, no per-key Python), while the other strategies build per-sketch
+  counter dicts for their Algorithm 3 / Algorithm 2 post-processing.
 
 Run with ``python examples/distributed_merge.py`` (``--quick`` for CI).
 """

@@ -12,11 +12,12 @@ full transport loop:
    :class:`repro.api.framing.StreamingMerger` — live memory is one frame
    plus the ``<= k``-counter accumulator, never the whole file;
 3. the folded aggregate feeds
-   :meth:`repro.core.merging.PrivateMergedRelease.release_arrays` (the
+   :meth:`repro.core.merging.PrivateMergedRelease.release_merged` (the
    trusted-merged GSHM release).
 
-The same merged summary is also computed with the buffered
-``merge_many_arrays`` fold to show the streamed result is bit-identical, and
+The same merged summary is also computed with the buffered ``merge_many``
+fold over the exports' ``(keys, values)`` arrays to show the streamed
+result is bit-identical, and
 a sharded ``Pipeline.fit(stream, workers=2)`` demonstrates the process-level
 fan-out on a single machine.
 
@@ -33,8 +34,7 @@ from repro.analysis import format_table
 from repro.api import Pipeline
 from repro.api.framing import FrameReader, FrameWriter, StreamingMerger
 from repro.core.merging import PrivateMergedRelease
-from repro.sketches import MisraGriesSketch
-from repro.sketches.merge import merge_many_arrays
+from repro.sketches import MisraGriesSketch, merge_many
 from repro.streams import zipf_stream
 
 
@@ -74,11 +74,10 @@ def main() -> None:
     histogram = merger.release(mechanism, rng=args.seed + 1)
 
     # Cross-check: the buffered fold produces the identical summary.
-    keys_list = [np.fromiter(c.keys(), dtype=np.int64, count=len(c))
-                 for c in exports]
-    values_list = [np.fromiter(c.values(), dtype=np.float64, count=len(c))
-                   for c in exports]
-    buffered = merge_many_arrays(keys_list, values_list, args.k)
+    columns = [(np.fromiter(c.keys(), dtype=np.int64, count=len(c)),
+                np.fromiter(c.values(), dtype=np.float64, count=len(c)))
+               for c in exports]
+    buffered = merge_many(columns, args.k)
     assert merger.merged() == buffered, "streamed fold must match buffered fold"
 
     # Bonus: shard one big stream over two worker processes (merge_tree fan-in).

@@ -61,11 +61,12 @@ Rules:
 
 :class:`StreamingMerger` folds decoded frames into a running Agarwal merge
 as they arrive — the aggregator never materializes the whole file, only the
-current frame plus the ``<= k``-counter accumulator — and feeds
-:meth:`~repro.core.merging.PrivateMergedRelease.release_arrays` at the end.
-The incremental fold is *bit-identical* to the buffered
-``load_payload`` → :func:`~repro.sketches.merge.merge_many_arrays` path
-(property-tested in ``tests/property/test_framing_equivalence.py``).
+current frame plus the ``<= k``-counter accumulator — and hands the summary
+to :meth:`~repro.core.merging.PrivateMergedRelease.release_merged` at the
+end.  The incremental fold is *bit-identical* to the buffered
+``load_payload`` → :func:`~repro.sketches.merge.merge_many` path over the
+frames' column pairs (property-tested in
+``tests/property/test_framing_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -675,8 +676,8 @@ class StreamingMerger:
     to ids itself (offsets for bounded int keys, read in place from a
     binary frame by the compiled step; a compacted key table for wide or
     token keys).  The final summary is **bit-identical** to the buffered
-    ``merge_many_arrays([all frames])`` fold because both equal the seed
-    pairwise left fold.
+    ``merge_many([all frames])`` fold because both equal the seed pairwise
+    left fold.
     """
 
     def __init__(self, k: int) -> None:
@@ -698,12 +699,6 @@ class StreamingMerger:
     def total_stream_length(self) -> int:
         """Sum of the folded envelopes' declared stream lengths."""
         return self._total_length
-
-    @property
-    def columnar(self) -> bool:
-        """Whether every folded key is a plain int (the summary ships as
-        an integer key array)."""
-        return self._fold.columnar
 
     # ------------------------------------------------------------------
     # Folding
@@ -783,28 +778,15 @@ class StreamingMerger:
         """The current merged summary (at most ``k`` counters)."""
         return self._fold.counters()
 
-    def merged_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The merged summary as a columnar (keys, values) pair.
-
-        Key order matches the seed fold's dict insertion order.  Raises
-        :class:`~repro.exceptions.ParameterError` unless :attr:`columnar`
-        (every folded key is a plain int).
-        """
-        if not self.columnar:
-            raise ParameterError(
-                "merger left the columnar path (token-encoded frames were folded)")
-        return self._fold.arrays()
-
     def release(self, mechanism: PrivateMergedRelease,
                 rng: RandomState = None) -> PrivateHistogram:
         """Release the folded aggregate through a :class:`PrivateMergedRelease`.
 
-        Columnar accumulators feed
-        :meth:`~repro.core.merging.PrivateMergedRelease.release_arrays`
-        directly; the already-merged summary folds through as a single input,
-        which leaves it unchanged — so the released histogram is exactly what
-        the buffered release of all frames would produce for the default
-        trusted-merged strategy.
+        The summary is already the Agarwal fold of every frame, so it goes
+        straight to
+        :meth:`~repro.core.merging.PrivateMergedRelease.release_merged`:
+        the released histogram is exactly what the buffered release of all
+        frames would produce for the trusted-merged strategy.
         """
         from ..core.merging import MergeStrategy
 
@@ -819,14 +801,8 @@ class StreamingMerger:
             raise ParameterError(
                 f"merger folded at k={self._k} but the mechanism is calibrated "
                 f"to k={mechanism.k}")
-        if self.columnar:
-            keys, values = self.merged_arrays()
-            return mechanism.release_arrays(
-                [keys], [values], rng=rng,
-                total_stream_length=self._total_length, streams=self._frames)
-        return mechanism.release([self.merged()], rng=rng,
-                                 total_stream_length=self._total_length,
-                                 streams=self._frames)
+        return mechanism.release_merged(self.merged(), rng,
+                                        self._total_length, self._frames)
 
 
 # ---------------------------------------------------------------------------

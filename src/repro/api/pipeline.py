@@ -28,8 +28,8 @@ each factory filters to its own signature.
 
 ``merge`` folds other pipelines, sketches, counter mappings or columnar wire
 payloads into a new pipeline via the Agarwal et al. bounded merge; payloads
-that arrived on the v2 integer wire route through
-:func:`~repro.sketches.merge.merge_many_arrays` with no per-key Python.
+that arrived on the v2 integer wire join :func:`~repro.sketches.merge.merge_many`
+as their key and value columns, with no per-key Python.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .._validation import check_positive_int
 from ..core.results import PrivateHistogram
 from ..exceptions import ParameterError, SketchStateError
 from ..sketches.base import FrequencySketch
-from ..sketches.merge import merge_many, merge_many_arrays, merge_tree
+from ..sketches.merge import merge_many, merge_tree
 from . import wire as wire_module
 from .registry import (
     MechanismAdapter,
@@ -287,9 +287,8 @@ class Pipeline:
                                        wire_module.WirePayload]) -> "Pipeline":
         """Add a pre-built sketch or wire envelope (``sketch_list`` mechanisms only).
 
-        Decoded v2 payloads are kept as-is: when every added input is an
-        integer-encoded envelope, the merged release stays on the columnar
-        :func:`~repro.sketches.merge.merge_many_arrays` path.
+        Decoded v2 payloads are kept as-is: an unpadded integer-encoded
+        envelope reaches the merged release as its key and value columns.
         """
         if self._mechanism.consumes != "sketch_list":
             raise SketchStateError(
@@ -439,7 +438,9 @@ class Pipeline:
         return {key: float(value) for key, value in entry.items()}
 
     def _merge_contribution(self, other: Mergeable):
-        """Normalize a merge input to (counters_or_None, columnar_or_None, length)."""
+        """Normalize a merge input to ``(sketch, stream length)``: a
+        counter dict, or the ``(keys, values)`` columns of an integer wire
+        payload."""
         if isinstance(other, Pipeline):
             if other._buffer:
                 raise ParameterError(
@@ -453,19 +454,19 @@ class Pipeline:
                         "merging a sketch_list pipeline requires its parameter k")
                 return (merge_tree([self._entry_counters(sketch)
                                     for sketch in other._sketches], size),
-                        None, other.stream_length)
-            return other.counters(), None, other.stream_length
+                        other.stream_length)
+            return other.counters(), other.stream_length
         if isinstance(other, wire_module.WirePayload):
-            columnar = other.columnar()
-            if columnar is not None:
-                return None, columnar, other.stream_length
-            return other.merge_counters(), None, other.stream_length
+            columns = other.columnar()
+            if columns is None:
+                columns = other.merge_counters()
+            return columns, other.stream_length
         if isinstance(other, FrequencySketch):
-            return other.counters(), None, other.stream_length
+            return other.counters(), other.stream_length
         if isinstance(other, Mapping):
             if other.get("format") == wire_module.WIRE_FORMAT_VERSION:
                 return self._merge_contribution(wire_module.decode(other))
-            return {key: float(value) for key, value in other.items()}, None, 0
+            return {key: float(value) for key, value in other.items()}, 0
         raise ParameterError(f"cannot merge {type(other)!r} into a pipeline")
 
     def merge(self, others: Union[Mergeable, Sequence[Mergeable]]) -> "Pipeline":
@@ -480,9 +481,8 @@ class Pipeline:
         (trusted-merged strategy only; the untrusted and trusted-sum
         strategies need their per-sketch structure and are rejected).
         The result is a new :class:`Pipeline` with the same mechanism whose
-        fitted state is the size-``k`` merged summary.  When every input is
-        columnar (v2 integer wire), the fold runs through
-        :func:`merge_many_arrays`; otherwise through :func:`merge_many`.
+        fitted state is the size-``k`` merged summary.  Integer v2 wire
+        payloads join the fold as their ``(keys, values)`` columns.
 
         .. warning::
             Merged summaries carry the merged sensitivity structure
@@ -501,25 +501,16 @@ class Pipeline:
         contributions.extend(self._merge_contribution(other) for other in others)
         if not contributions:
             raise SketchStateError("nothing to merge")
-        total_length = sum(length for _, _, length in contributions)
+        total_length = sum(length for _, length in contributions)
+        sketches = [sketch for sketch, _ in contributions]
         if self._mechanism.consumes == "sketch_list":
             self._require_tree_mergeable(self)
             # Tree reduction over the contributing summaries: each sketch_list
             # contribution is already a tree-merged summary of its servers, so
             # one more pairwise tree round combines the server groups.
-            merged = merge_tree(
-                [counters if counters is not None
-                 else dict(zip(columnar[0].tolist(), columnar[1].tolist()))
-                 for counters, columnar, _ in contributions], size)
-        elif all(columnar is not None for _, columnar, _ in contributions):
-            merged = merge_many_arrays([columnar[0] for _, columnar, _ in contributions],
-                                       [columnar[1] for _, columnar, _ in contributions],
-                                       size)
+            merged = merge_tree(sketches, size)
         else:
-            merged = merge_many(
-                [counters if counters is not None
-                 else dict(zip(columnar[0].tolist(), columnar[1].tolist()))
-                 for counters, columnar, _ in contributions], size)
+            merged = merge_many(sketches, size)
         result = Pipeline(sketch=self._sketch_spec, mechanism=self._mechanism_spec,
                           **self._params)
         result._counters = merged

@@ -455,26 +455,27 @@ def _make_merged(epsilon: float = 1.0, delta: float = 1e-6, k: Optional[int] = N
     def release(mechanism, fitted, rng, context):
         from .wire import WirePayload, payload_to_sketch
 
-        items = list(fitted)
-        # Padded exports stay sketches: the untrusted strategy releases a
-        # sketch over its raw counters, dummies included.
-        columnar = [item.columnar() if isinstance(item, WirePayload)
-                    and not item.dummies else None for item in items]
-        if items and all(pair is not None for pair in columnar):
-            # All inputs arrived on the v2 integer wire: stay columnar.
-            return mechanism.release_arrays(
-                [pair[0] for pair in columnar], [pair[1] for pair in columnar],
-                rng=rng, total_stream_length=context.get("stream_length"))
-
-        def materialize(item):
+        def as_sketch(item):
             if not isinstance(item, WirePayload):
                 return item
+            # Unpadded integer exports go as their column pair; padded ones
+            # stay sketches, because the untrusted strategy releases a sketch
+            # over its raw counters, dummies included.
+            columns = None if item.dummies else item.columnar()
+            if columns is not None:
+                return columns
             if item.kind in ("misra_gries_paper", "misra_gries_standard"):
                 return payload_to_sketch(item)
             return item.counters()
 
-        return mechanism.release([materialize(item) for item in items], rng=rng,
-                                 total_stream_length=context.get("stream_length"))
+        items = list(fitted)
+        length = context.get("stream_length")
+        if length is None:
+            # A column pair does not carry its export's stream length.
+            length = sum(item.stream_length for item in items
+                         if isinstance(item, (WirePayload, FrequencySketch)))
+        return mechanism.release([as_sketch(item) for item in items], rng=rng,
+                                 total_stream_length=length)
 
     return MechanismAdapter(name="merged", consumes="sketch_list", impl=impl,
                             _release=release)

@@ -13,7 +13,7 @@ travel as two parallel JSON arrays,
 
 so the integer fast path (``key_encoding == "int"``, the common case for the
 paper's workloads) decodes each sketch into one ``np.asarray`` call and feeds
-:func:`repro.sketches.merge.merge_many_arrays` directly — no per-key Python
+:func:`repro.sketches.merge.merge_many` its ``(keys, values)`` columns — no per-key Python
 at all between the wire and the vectorized merge fold.  Sketches with
 non-integer keys (strings, bytes, the paper variant's dummy padding keys)
 fall back to ``key_encoding == "token"`` using the same type-prefixed tokens
@@ -131,7 +131,7 @@ class WirePayload:
     ``keys`` holds the decoded Python keys.  When the envelope used the
     integer encoding, ``key_array`` additionally holds the keys as an int64
     ndarray (decoded with a single ``np.asarray`` call) so columnar consumers
-    like :func:`~repro.sketches.merge.merge_many_arrays` can skip Python keys
+    like :func:`~repro.sketches.merge.merge_many` can skip Python keys
     entirely; it is ``None`` for token-encoded payloads.
 
     ``keys`` is **lazy** for integer payloads: a decoder that already has
@@ -300,7 +300,8 @@ def decode(payload: Mapping) -> WirePayload:
 
     Integer-encoded keys are materialized with a single ``np.asarray`` call —
     the decoded ``key_array``/``values`` pair can be handed to
-    :func:`merge_many_arrays` without touching a Python object per key.
+    :func:`~repro.sketches.merge.merge_many` without touching a Python
+    object per key.
     """
     if payload.get("format") != WIRE_FORMAT_VERSION:
         raise SketchStateError(

@@ -23,8 +23,8 @@ Pick any registered mechanism by name (``repro list`` shows them all)::
     repro release --mechanism pamg --stream users.txt --user-level -m 8 \
         --epsilon 1.0 --delta 1e-6 -k 256
 
-Merge sketches produced on several servers (v2 files ride the columnar
-``merge_many_arrays`` path; ``--format v1`` keeps the old row format)::
+Merge sketches produced on several servers (v2 integer files join the fold
+as key and value columns; ``--format v1`` keeps the old row format)::
 
     repro merge --epsilon 1.0 --delta 1e-6 -k 256 \
         --out merged.hist.json server1.sketch.json server2.sketch.json
@@ -689,8 +689,8 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         if k is None:
             return 2
     # One dispatch path with `release --mechanism merged`: the registered
-    # adapter keeps all-columnar v2 inputs on the merge_many_arrays wire
-    # route and materializes per-sketch state otherwise.
+    # adapter hands v2 integer inputs over as key and value columns and
+    # materializes per-sketch state otherwise.
     pipeline = Pipeline(mechanism={"name": "merged", "strategy": args.strategy},
                         k=k, epsilon=args.epsilon, delta=args.delta)
     for payload in payloads:

@@ -31,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,19 +41,12 @@ from ..dp.rng import RandomState, ensure_rng
 from ..dp.thresholds import stability_histogram_threshold
 from ..exceptions import ParameterError
 from ..sketches.base import FrequencySketch
-from ..sketches.merge import (
-    merge_many,
-    merge_many_arrays,
-    merge_tree,
-    sum_counters,
-)
+from ..sketches.merge import SketchLike, _as_counters, merge_many, merge_tree, sum_counters
 from ..sketches.misra_gries import MisraGriesSketch
 from .gshm import GaussianSparseHistogram
 from .private_misra_gries import PrivateMisraGries
 from .results import PrivateHistogram, ReleaseMetadata
 from .sensitivity_reduction import reduce_sensitivity
-
-SketchLike = Union[MisraGriesSketch, Mapping[Hashable, float], FrequencySketch]
 
 
 def merge_sketches(sketches: Sequence[SketchLike], k: int) -> Dict[Hashable, float]:
@@ -304,9 +297,11 @@ class PrivateMergedRelease:
                 streams: Optional[int] = None) -> PrivateHistogram:
         """Aggregate the given per-stream sketches and release privately.
 
-        ``streams`` overrides the stream count recorded in the release
-        metadata — used by the streaming aggregator, which folds ``m``
-        framed exports into one summary before handing it here.
+        The trusted-merged strategy folds the sketches with
+        :func:`~repro.sketches.merge.merge_many` (array pairs concatenate
+        with no per-key Python) and hands the summary to
+        :meth:`release_merged`.  ``streams`` overrides the stream count
+        recorded in the release metadata.
         """
         if not sketches:
             raise ParameterError("at least one sketch is required")
@@ -316,39 +311,9 @@ class PrivateMergedRelease:
         if self.strategy is MergeStrategy.TRUSTED_SUM:
             return self._release_trusted_sum(sketches, generator, length, count)
         if self.strategy is MergeStrategy.TRUSTED_MERGED:
-            return self._release_trusted_merged(sketches, generator, length, count)
+            return self.release_merged(merge_many(sketches, self.k),
+                                       generator, length, count)
         return self._release_untrusted(sketches, generator, length, count)
-
-    def release_arrays(self, keys_list: Sequence[np.ndarray],
-                       values_list: Sequence[np.ndarray],
-                       rng: RandomState = None,
-                       total_stream_length: Optional[int] = None,
-                       streams: Optional[int] = None) -> PrivateHistogram:
-        """Release sketches that arrive in columnar wire form.
-
-        This is the aggregator's v2 wire entry point: each sketch is a
-        parallel (integer keys, float values) array pair, e.g. decoded
-        straight off :mod:`repro.api.wire` envelopes.  The default
-        ``TRUSTED_MERGED`` strategy folds the arrays through
-        :func:`~repro.sketches.merge.merge_many_arrays` — no per-key Python
-        between the wire and the private release — and produces exactly the
-        histogram :meth:`release` computes on the corresponding dicts.  The
-        other strategies need per-sketch dict post-processing (Algorithm 3,
-        or one Algorithm 2 release per sketch) and fall back to it.
-        """
-        if not len(keys_list):
-            raise ParameterError("at least one sketch is required")
-        generator = ensure_rng(rng)
-        length = total_stream_length if total_stream_length is not None else 0
-        count = streams if streams is not None else len(keys_list)
-        if self.strategy is MergeStrategy.TRUSTED_MERGED:
-            merged = merge_many_arrays(keys_list, values_list, self.k)
-            return self._gshm_release(merged, generator, length, count,
-                                      ", columnar wire")
-        sketches = [dict(zip(np.asarray(keys).tolist(), np.asarray(values, dtype=float).tolist()))
-                    for keys, values in zip(keys_list, values_list)]
-        return self.release(sketches, rng=generator, total_stream_length=length,
-                            streams=count)
 
     # -- trusted aggregator, post-process then sum --------------------------------
 
@@ -372,19 +337,20 @@ class PrivateMergedRelease:
 
     # -- trusted aggregator, Agarwal merge then GSHM -------------------------------
 
-    def _release_trusted_merged(self, sketches, generator, length, count) -> PrivateHistogram:
-        merged = merge_many([self._counters(sketch) for sketch in sketches], self.k)
-        return self._gshm_release(merged, generator, length, count, "")
+    def release_merged(self, summary: Mapping[Hashable, float],
+                       rng: RandomState = None, total_stream_length: int = 0,
+                       streams: int = 1) -> PrivateHistogram:
+        """The trusted-merged release of an already merged summary: GSHM
+        with ``l = k`` (Corollary 18).
 
-    def _gshm_release(self, merged: Mapping[Hashable, float], generator,
-                      length: int, streams: int, note: str) -> PrivateHistogram:
-        """The trusted-merged GSHM release of an already-merged summary.
-
-        Shared by the dict and columnar wire entry points so the two paths
-        cannot drift.
+        ``summary`` is the Agarwal fold of ``streams`` sketches to at most
+        ``k`` counters — the result of
+        :func:`~repro.sketches.merge.merge_many`, or the running fold of a
+        :class:`~repro.api.framing.StreamingMerger`.
         """
         mechanism = GaussianSparseHistogram(epsilon=self.epsilon, delta=self.delta, l=self.k)
-        histogram = mechanism.release(merged, rng=generator, stream_length=length,
+        histogram = mechanism.release(summary, rng=ensure_rng(rng),
+                                      stream_length=total_stream_length,
                                       sketch_size=self.k)
         metadata = ReleaseMetadata(
             mechanism="MergedMG-TrustedMerged",
@@ -393,8 +359,8 @@ class PrivateMergedRelease:
             noise_scale=histogram.metadata.noise_scale,
             threshold=histogram.metadata.threshold,
             sketch_size=self.k,
-            stream_length=length,
-            notes=f"streams={streams}, GSHM with l=k={self.k}{note}",
+            stream_length=total_stream_length,
+            notes=f"streams={streams}, GSHM with l=k={self.k}",
         )
         return PrivateHistogram(counts=histogram.counts, metadata=metadata)
 
@@ -407,7 +373,7 @@ class PrivateMergedRelease:
             if isinstance(sketch, MisraGriesSketch):
                 histogram = mechanism.release(sketch, rng=generator)
             else:
-                histogram = mechanism.release(dict(self._counters(sketch)), rng=generator, k=self.k)
+                histogram = mechanism.release(dict(_as_counters(sketch)), rng=generator, k=self.k)
             noisy_summaries.append(histogram.as_dict())
         merged = merge_many(noisy_summaries, self.k)
         threshold = mechanism.threshold(self.k)
@@ -428,15 +394,10 @@ class PrivateMergedRelease:
     # Helpers
     # ------------------------------------------------------------------
 
-    def _counters(self, sketch: SketchLike) -> Dict[Hashable, float]:
-        if isinstance(sketch, FrequencySketch):
-            return sketch.counters()
-        return {key: float(value) for key, value in sketch.items()}
-
     def _reduce(self, sketch: SketchLike) -> Dict[Hashable, float]:
         if isinstance(sketch, MisraGriesSketch):
             return reduce_sensitivity(sketch)
-        return reduce_sensitivity(self._counters(sketch), self.k)
+        return reduce_sensitivity(_as_counters(sketch), self.k)
 
     def _total_length(self, sketches: Sequence[SketchLike]) -> int:
         total = 0

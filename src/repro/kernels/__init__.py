@@ -6,7 +6,7 @@ merge fold (``fold_step``: a binder that takes one
 :class:`~repro.sketches.merge.FoldState`'s buffers once and returns a
 per-frame ``step(keys, values, low[, frame]) -> status`` for the served
 ``StreamingMerger``; ``step.run(keys, values, low, lengths)`` folds the
-run of sketches behind ``merge_many``/``merge_many_arrays``; either way
+run of sketches behind ``merge_many``; either way
 over the state's key ids — offsets from ``low``, or key-table ids at
 ``low = 0``), and the binary columnar frame-header parse — have compiled
 implementations in one provider:

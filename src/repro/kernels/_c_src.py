@@ -30,7 +30,12 @@ data itself, never on hash-iteration order:
   The (k+1)-th-largest threshold is an order statistic: any correct
   selection returns the value ``np.partition`` returns on the same
   multiset, so the quickselect matches it.  NaNs have no total order, so
-  they return ``FOLD_NAN`` and numpy folds that sketch.
+  they return ``FOLD_NAN`` and numpy folds that sketch.  A sketch that
+  repeats an id is malformed and returns ``FOLD_REPEAT``: the step marks
+  each id it adds to by flipping the sign of its (non-negative) counter
+  and clears the marks as it settles the combined counters, so a mark
+  seen again is a repeat, found with no extra pass over a clean sketch
+  when the step reduces (sign flips and ``fabs`` are exact).
 * ``repro_scan_header`` accepts only the canonical header grammar that
   ``json.dumps(..., sort_keys=True)`` emits.  Anything else returns
   ``SCAN_FALLBACK`` and the caller parses with ``json.loads``, so malformed
@@ -41,7 +46,7 @@ its build cache on a hash of the source text, so editing the C automatically
 invalidates stale binaries.
 """
 
-SOURCE_VERSION = 5
+SOURCE_VERSION = 6
 
 # Status codes shared by all kernels.
 MG_OK = 0
@@ -53,12 +58,14 @@ SCAN_FALLBACK = 1
 # ``repro_fold_step`` statuses per step of a run, in precedence order.
 # Every status but FOLD_OK stops the run and leaves that step's state
 # untouched: FOLD_RANGE means a key lies outside ``[low, low + domain)``,
-# FOLD_NEGATIVE a negative counter in the sketch, FOLD_NAN a NaN in the
-# sketch or the live counters (the quickselect assumes a total order).
+# FOLD_NEGATIVE a negative counter in the sketch, FOLD_REPEAT a key the
+# sketch lists twice, FOLD_NAN a NaN in the sketch or the live counters
+# (the quickselect assumes a total order).
 FOLD_OK = 0
 FOLD_RANGE = 1
 FOLD_NEGATIVE = 2
 FOLD_NAN = 3
+FOLD_REPEAT = 4
 
 # ``repro_scan_header`` output slots (int64[SCAN_OUT_SLOTS]).
 SCAN_HAS_FORMAT = 0
@@ -85,6 +92,7 @@ _ABI_DEFINES = "".join(
     if name.startswith(("MG_", "FOLD_", "SCAN_")))
 
 C_SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -419,10 +427,12 @@ static double select_kth(double *buf, int64_t n, int64_t pos) {
     return buf[lo];
 }
 
-/* One fold step after the first; returns the new live count, or -1 with
-   nothing changed when a key lies outside [low, last] or a value is
-   negative or NaN.  Callers guarantee NaN-free live counters and room for
-   n_active + length entries in active and both scratch arrays. */
+/* One fold step after the first; returns the new live count, or -1 when
+   a key lies outside [low, last] or a value is negative or NaN, and -2
+   when an id repeats.  A refused step changes nothing but the first
+   sketch's zero counters, reset to +0.0 (which folds to the same bits).
+   Callers guarantee NaN-free live counters and room for n_active + length
+   entries in active and both scratch arrays. */
 static int64_t fold_step_body(const int64_t *keys, const double *values,
                               int64_t length, int64_t low, int64_t last,
                               int64_t size, double *acc, int64_t *active,
@@ -440,15 +450,19 @@ static int64_t fold_step_body(const int64_t *keys, const double *values,
     }
     int64_t n_comb = n_active;
     for (int64_t j = 0; j < n_active; j++) scratch_ids[j] = active[j];
+    /* The first sketch's zero counters may be -0.0, which would read as a
+       mark below. */
+    for (int64_t t = 0; t < n_zero; t++) acc[zero_live[t]] = 0.0;
     int all_positive = 1;
     for (int64_t j = 0; j < length; j++) {
         int64_t key = keys[j];
         double value = values[j];
-        if (key < low || key > last || !(value >= 0.0)) {
+        int bad = key < low || key > last || !(value >= 0.0);
+        if (bad || signbit(acc[key - low])) {
             /* Put back the counters this step changed, bit for bit. */
             for (int64_t t = 0; t < j; t++)
                 acc[keys[t] - low] = scratch_vals[t];
-            return -1;
+            return bad ? -1 : -2;
         }
         if (!(value > 0.0)) all_positive = 0;
         int64_t idv = key - low;
@@ -460,18 +474,22 @@ static int64_t fold_step_body(const int64_t *keys, const double *values,
                 if (zero_live[t] == idv) { fresh = 0; break; }
             }
         }
-        acc[idv] = before + value;
+        /* Marked: every sum is +0.0 or more, so its negation has the
+           sign bit set.  Every id added to is in scratch_ids, and fabs
+           reads a marked sum back exactly; each path below clears the
+           marks. */
+        acc[idv] = -(before + value);
         if (fresh) scratch_ids[n_comb++] = idv;
     }
     if (n_comb > size) {
         int64_t pos = n_comb - 1 - size;
         for (int64_t j = 0; j < n_comb; j++)
-            scratch_vals[j] = acc[scratch_ids[j]];
+            scratch_vals[j] = fabs(acc[scratch_ids[j]]);
         double offset = select_kth(scratch_vals, n_comb, pos);
         int64_t w = 0;
         for (int64_t j = 0; j < n_comb; j++) {
             int64_t idv = scratch_ids[j];
-            double shifted = acc[idv] - offset;
+            double shifted = fabs(acc[idv]) - offset;
             if (shifted > 0.0) {
                 acc[idv] = shifted;
                 active[w++] = idv;
@@ -482,14 +500,20 @@ static int64_t fold_step_body(const int64_t *keys, const double *values,
         return w;
     }
     if (n_zero == 0 && all_positive) {
+        for (int64_t j = 0; j < length; j++) acc[keys[j] - low] *= -1.0;
         for (int64_t j = 0; j < n_comb; j++) active[j] = scratch_ids[j];
         return n_comb;
     }
     int64_t w = 0;
     for (int64_t j = 0; j < n_comb; j++) {
         int64_t idv = scratch_ids[j];
-        if (acc[idv] > 0.0) active[w++] = idv;
-        else acc[idv] = 0.0;
+        double count = fabs(acc[idv]);
+        if (count > 0.0) {
+            acc[idv] = count;
+            active[w++] = idv;
+        } else {
+            acc[idv] = 0.0;
+        }
     }
     return w;
 }
@@ -529,7 +553,8 @@ int64_t repro_fold_step(const char *keys_buf, int64_t keys_at,
                 if (keys[j] < low || keys[j] > last) return FOLD_RANGE;
                 if (values[j] < 0.0) negative = 1;
             }
-            return negative ? FOLD_NEGATIVE : FOLD_NAN;
+            if (negative) return FOLD_NEGATIVE;
+            return live == -2 ? FOLD_REPEAT : FOLD_NAN;
         }
         state[0] = live;
         state[1] = 0;

@@ -139,15 +139,14 @@ def parse_address(address: Union[str, Address]) -> Address:
     return Address(kind="tcp", host=host or "127.0.0.1", port=int(port))
 
 
-async def open_channel(address: Union[str, Address],
-                       chunk_size: int = DEFAULT_CHUNK_SIZE) -> "FrameChannel":
+async def open_channel(address: Union[str, Address]) -> "FrameChannel":
     """Connect to an aggregator endpoint and wrap the streams in a channel."""
     target = parse_address(address)
     if target.kind == "unix":
         reader, writer = await asyncio.open_unix_connection(target.path)
     else:
         reader, writer = await asyncio.open_connection(target.host, target.port)
-    return FrameChannel(reader, writer, chunk_size=chunk_size)
+    return FrameChannel(reader, writer)
 
 
 class FrameChannel:

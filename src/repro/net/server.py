@@ -45,7 +45,7 @@ from ..exceptions import ParameterError, ProtocolError, RemoteError
 from ..obs.metrics import as_registry
 from ..obs.trace import Tracer
 from .budget import BudgetAccountant
-from .protocol import Address, DEFAULT_CHUNK_SIZE, FrameChannel, parse_address
+from .protocol import Address, FrameChannel, parse_address
 from .session import CommittedSession, Session
 from .store import CheckpointStore
 from .wal import SessionWal
@@ -73,9 +73,6 @@ class AggregatorServer:
     drain_timeout:
         Seconds :meth:`aclose` waits for in-flight sessions before
         cancelling them.
-    chunk_size:
-        Per-``read()`` byte ceiling of every session channel (bounded reads;
-        TCP backpressure does the rest).
     wal_dir:
         Directory for the write-ahead log (:mod:`repro.net.wal`).  When set,
         every accepted PUSH frame is spooled verbatim before it is folded,
@@ -135,7 +132,6 @@ class AggregatorServer:
 
     def __init__(self, epsilon: float, delta: float, k: Optional[int] = None,
                  *, drain_timeout: float = 5.0,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
                  max_releases: Optional[int] = None,
                  wal_dir: Optional[Union[str, Path]] = None,
                  store: Optional[CheckpointStore] = None,
@@ -173,7 +169,6 @@ class AggregatorServer:
         self.delta = delta
         self._k = k
         self._drain_timeout = drain_timeout
-        self._chunk_size = chunk_size
         self._max_releases = max_releases
         self.metrics = as_registry(metrics)
         self.tracer = Tracer(self.metrics, stream=log_json)
@@ -321,7 +316,7 @@ class AggregatorServer:
 
     def _on_connect(self, reader: asyncio.StreamReader,
                     writer: asyncio.StreamWriter) -> None:
-        channel = FrameChannel(reader, writer, chunk_size=self._chunk_size)
+        channel = FrameChannel(reader, writer)
         session = Session(self, channel)
         task = asyncio.ensure_future(session.run())
         self._tasks.add(task)

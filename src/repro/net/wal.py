@@ -215,9 +215,7 @@ class SessionWal:
 
     ``store`` defaults to a :class:`SqliteCheckpointStore` at
     ``wal_dir/sessions.db``; any :class:`CheckpointStore` implementation
-    can be swapped in.  ``fsync=False`` trades durability for speed (used
-    by benchmarks to isolate the spooling cost from the disk's sync cost
-    where explicitly noted; the server default is always ``True``).
+    can be swapped in.  Every commit fsyncs the spools it advances.
 
     The committer thread behind :meth:`commit` starts on the first awaited
     commit, so tools that only inspect or replay a WAL never start it;
@@ -226,12 +224,11 @@ class SessionWal:
 
     def __init__(self, wal_dir: Union[str, Path],
                  store: Optional[CheckpointStore] = None,
-                 fsync: bool = True, metrics=NULL_METRICS) -> None:
+                 metrics=NULL_METRICS) -> None:
         self.wal_dir = Path(wal_dir)
         self.wal_dir.mkdir(parents=True, exist_ok=True)
         self.store = store if store is not None else SqliteCheckpointStore(
             self.wal_dir / STORE_FILENAME)
-        self.fsync = fsync
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self._committer: Optional[ThreadPoolExecutor] = None
         self._queued: List[Tuple[SessionJournal, asyncio.Future]] = []
@@ -296,15 +293,14 @@ class SessionWal:
         try:
             for journal in pending:
                 journal._file.flush()
-                if self.fsync:
-                    fsync_start = clock()
-                    os.fsync(journal._file.fileno())
-                    fsync_seconds.append(clock() - fsync_start)
+                fsync_start = clock()
+                os.fsync(journal._file.fileno())
+                fsync_seconds.append(clock() - fsync_start)
             records = [journal.record.advanced(frames=journal._frames,
                                                bytes_=journal._offset)
                        for journal in pending]
             self.store.put(*records)
-            if self.fsync and not all(journal._durable for journal in pending):
+            if not all(journal._durable for journal in pending):
                 self.fsync_dir()
         except (OSError, sqlite3.Error) as error:
             raise _commit_failed_error(error) from error

@@ -10,7 +10,7 @@ from .base import FrequencySketch, SketchSummary
 from .count_min import CountMinSketch
 from .count_sketch import CountSketch
 from .exact import ExactCounter
-from .merge import merge_many, merge_many_arrays, merge_misra_gries, merge_tree, sum_counters
+from .merge import merge_many, merge_misra_gries, merge_tree, sum_counters
 from .misra_gries import MisraGriesSketch
 from .misra_gries_standard import StandardMisraGriesSketch
 from .serialization import (
@@ -35,7 +35,6 @@ __all__ = [
     "load_histogram",
     "load_sketch",
     "merge_many",
-    "merge_many_arrays",
     "merge_misra_gries",
     "merge_tree",
     "save_histogram",

@@ -23,9 +23,12 @@ is equal — same key set, same order, exactly equal float values — to the
 seed dict-based left fold, which is preserved verbatim in
 :mod:`repro.sketches._reference_merge` and property-tested against this
 implementation in ``tests/property/test_merge_equivalence.py``.  The
-batch merges fold their sketches as one :meth:`FoldState.run`; the served
+batch merge folds its sketches as one :meth:`FoldState.run`; the served
 :class:`~repro.api.framing.StreamingMerger` one :meth:`FoldState.step`
-per frame.
+per frame.  A sketch may also arrive as a ``(keys, values)`` array pair
+(what :meth:`repro.api.wire.WirePayload.columnar` returns): integer key
+arrays concatenate with no per-key Python.  A sketch that lists a key
+twice is malformed and refused (code ``repeated_key``).
 
 For very large ``m``, :func:`merge_tree` performs the same reduction as a
 balanced pairwise tree (any merge order keeps the Lemma 29 guarantee); tree
@@ -42,22 +45,65 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from .. import kernels as _kernels
-from ..kernels._c_src import FOLD_NAN, FOLD_NEGATIVE, FOLD_OK, FOLD_RANGE
+from ..kernels._c_src import FOLD_NAN, FOLD_NEGATIVE, FOLD_OK, FOLD_RANGE, FOLD_REPEAT
 from .._validation import check_positive_int
 from ..exceptions import ParameterError, SketchStateError
 from .base import FrequencySketch
 
 CounterMapping = Mapping[Hashable, float]
-SketchLike = Union[CounterMapping, FrequencySketch]
+#: A sketch as parallel integer-key and float-value arrays.
+ColumnPair = Tuple[np.ndarray, np.ndarray]
+SketchLike = Union[CounterMapping, FrequencySketch, ColumnPair]
+
+
+def _pair_columns(pair: ColumnPair) -> Tuple[np.ndarray, np.ndarray]:
+    """The checked key and float64 value arrays of a ``(keys, values)`` pair."""
+    if len(pair) != 2:
+        raise ParameterError(
+            f"a sketch pair holds (keys, values), got {len(pair)} items")
+    keys, values = pair
+    key_array = np.asarray(keys)
+    value_array = np.asarray(values, dtype=np.float64)
+    if key_array.ndim != 1 or value_array.ndim != 1:
+        raise ParameterError("sketch key/value arrays must be one-dimensional")
+    if key_array.size != value_array.size:
+        raise ParameterError(
+            f"sketch has {key_array.size} keys but {value_array.size} values")
+    if key_array.size and key_array.dtype.kind not in "iu":
+        raise ParameterError(
+            f"sketch keys must be integers, got dtype {key_array.dtype}")
+    return key_array, value_array
+
+
+def _repeated_key(keys: Iterable[Hashable]) -> SketchStateError:
+    """The error for a sketch that lists a key twice (code ``repeated_key``),
+    naming the first repeat.  An engine export never repeats a key, so
+    only malformed outside input does."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            break
+        seen.add(key)
+    error = SketchStateError(f"key {key!r} appears twice in one sketch")
+    error.code = "repeated_key"
+    return error
 
 
 def _as_counters(sketch: SketchLike) -> Dict[Hashable, float]:
-    """Normalize a sketch object or mapping to a plain counter dict."""
+    """Normalize a sketch object, mapping or column pair to a counter dict."""
     if isinstance(sketch, FrequencySketch):
         return sketch.counters()
     if isinstance(sketch, Mapping):
         return {key: float(value) for key, value in sketch.items()}
-    raise ParameterError(f"expected a FrequencySketch or mapping, got {type(sketch)!r}")
+    if isinstance(sketch, tuple):
+        keys, values = _pair_columns(sketch)
+        key_list = keys.tolist()
+        counters = dict(zip(key_list, values.tolist()))
+        if len(counters) != len(key_list):
+            raise _repeated_key(key_list)
+        return counters
+    raise ParameterError("expected a FrequencySketch, mapping or (keys, values) "
+                         f"pair, got {type(sketch)!r}")
 
 
 def merge_misra_gries(first: SketchLike, second: SketchLike, k: int) -> Dict[Hashable, float]:
@@ -121,13 +167,6 @@ _INT64_MIN = -(1 << 63)
 _INT64_END = 1 << 63
 
 
-def _concat_keys(counters_list: Sequence[Mapping[Hashable, float]]) -> List[Hashable]:
-    all_keys: List[Hashable] = []
-    for counters in counters_list:
-        all_keys.extend(counters.keys())
-    return all_keys
-
-
 def _as_int_key_array(all_keys: List[Hashable]) -> Optional[np.ndarray]:
     """``all_keys`` as an integer ndarray, or ``None`` when that is unsafe.
 
@@ -162,18 +201,47 @@ def _key_column(keys) -> Union[np.ndarray, List[Hashable]]:
     return array.tolist()
 
 
-def _counter_views(sketches: Sequence[SketchLike]) -> List[Mapping[Hashable, float]]:
-    """Per-sketch counter mappings, without copying plain dicts."""
-    views: List[Mapping[Hashable, float]] = []
+def _columns(sketches: Sequence[SketchLike]):
+    """Every sketch's keys and float64 values laid end to end, and each
+    sketch's length.
+
+    Integer key arrays concatenate as they are; empty ones stay out of the
+    dtype promotion (their zero lengths still count as steps).  Signed and
+    unsigned arrays together would promote to float64, which corrupts keys
+    past 2**53, and any mapping among the sketches makes a key list: the
+    keys then go as exact python objects.
+    """
+    key_parts: List = []
+    value_parts: List[np.ndarray] = []
+    lengths: List[int] = []
     for sketch in sketches:
-        if isinstance(sketch, FrequencySketch):
-            views.append(sketch.counters())
-        elif isinstance(sketch, Mapping):
-            views.append(sketch)
+        if isinstance(sketch, tuple):
+            keys, values = _pair_columns(sketch)
         else:
-            raise ParameterError(
-                f"expected a FrequencySketch or mapping, got {type(sketch)!r}")
-    return views
+            if isinstance(sketch, FrequencySketch):
+                sketch = sketch.counters()
+            elif not isinstance(sketch, Mapping):
+                raise ParameterError(
+                    "expected a FrequencySketch, mapping or (keys, values) "
+                    f"pair, got {type(sketch)!r}")
+            keys = sketch.keys()
+            values = np.fromiter(sketch.values(), dtype=np.float64,
+                                 count=len(sketch))
+        lengths.append(values.size)
+        if values.size:
+            key_parts.append(keys)
+            value_parts.append(values)
+    if not value_parts:
+        return np.empty(0, dtype=np.int64), np.empty(0), lengths
+    values = np.concatenate(value_parts)
+    if all(isinstance(part, np.ndarray) for part in key_parts):
+        flat_keys = np.concatenate(key_parts)
+        if flat_keys.dtype.kind in "iu":
+            return flat_keys, values, lengths
+    flat_keys = []
+    for part in key_parts:
+        flat_keys.extend(part.tolist() if isinstance(part, np.ndarray) else part)
+    return flat_keys, values, lengths
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +295,6 @@ class FoldState:
         # id, with the key of every id in ``_id_keys``.
         self._index: Optional[Dict[Hashable, int]] = None
         self._id_keys: List[Hashable] = []
-        self._columnar = True
         self._first_negative = False
         # [live count, count of first-sketch zero counters still live]
         self._state = np.zeros(2, dtype=np.int64)
@@ -246,21 +313,13 @@ class FoldState:
         """Live ids in the seed dict's insertion order (a view)."""
         return self._active[:int(self._state[0])]
 
-    @property
-    def columnar(self) -> bool:
-        """Whether every folded key is a plain int in the int64 range."""
-        return self._columnar
-
     def arrays(self) -> Tuple[Union[np.ndarray, List[Hashable]], np.ndarray]:
         """The folded summary as fresh (keys, values), in dict order; the
-        keys are an int64 array, or a list when :attr:`columnar` is false."""
+        keys are an int64 array under offset ids, else a list."""
         if self.acc is None:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         active = self.active
-        keys = self._keys_of(active)
-        if self._columnar:
-            keys = np.asarray(keys, dtype=np.int64)
-        return keys, self.acc[active]
+        return self._keys_of(active), self.acc[active]
 
     def counters(self) -> Dict[Hashable, float]:
         """The folded summary as the seed fold's dict."""
@@ -276,7 +335,8 @@ class FoldState:
         and float64 ``values``.
 
         Raises :class:`~repro.exceptions.SketchStateError` on a negative
-        counter wherever the seed fold would.  ``frame`` is ``(body, at)``
+        counter wherever the seed fold would, and on a repeated key (code
+        ``repeated_key``) with the summary untouched.  ``frame`` is ``(body, at)``
         when the arrays are the columns of the bytes ``body`` from byte
         ``at`` on (a decoded binary frame): the compiled step then reads
         the body.
@@ -362,6 +422,8 @@ class FoldState:
         ids = keys - self.low if self.low else keys
         if status == FOLD_NEGATIVE:
             raise self._negative(ids, values)
+        if status == FOLD_REPEAT:
+            raise _repeated_key(_as_list(self._keys_of(ids)))
         self._numpy_step(ids, values)
 
     # -- buffers ------------------------------------------------------------
@@ -461,8 +523,6 @@ class FoldState:
                 compact: bool) -> np.ndarray:
         """The ids of ``keys`` in the key table, which new keys join; the
         state switches to the table first, or ``compact`` compacts it."""
-        if isinstance(keys, list):
-            self._columnar = False
         if self._index is None or (
                 compact and len(self._id_keys) > _TABLE_FACTOR * self.size):
             self._relabel()
@@ -509,13 +569,20 @@ class FoldState:
         key = _as_list(self._keys_of(ids[bad:bad + 1]))[0]
         return SketchStateError(f"negative counter for {key!r} cannot be merged")
 
+    def _refuse_repeats(self, ids: np.ndarray) -> None:
+        """Raise when ``ids`` lists an id twice."""
+        ordered = np.sort(ids)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise _repeated_key(_as_list(self._keys_of(ids)))
+
     def _numpy_step(self, ids: np.ndarray, values: np.ndarray) -> None:
         """One fold step in numpy; ``ids`` are covered and room reserved."""
         size = self.size
         acc = self.acc
         if self.first:
-            self.first = False
             length = ids.size
+            self._refuse_repeats(ids)
+            self.first = False
             if length == 0:
                 return
             self._first_negative = bool((values < 0.0).any())
@@ -553,14 +620,16 @@ class FoldState:
             return
         if bool((values < 0.0).any()):
             raise self._negative(ids, values)
+        self._refuse_repeats(ids)
         before = acc[ids]
         if n_zero:
             fresh = ids[(before == 0.0)
                         & ~np.isin(ids, self._zero_live[:n_zero])]
         else:
             fresh = ids[before == 0.0]
-        # Keys are unique within one sketch, so a fancy-indexed add matches
-        # the seed's per-key ``combined.get(key, 0.0) + value``.
+        # Keys are unique within one sketch (checked above), so a
+        # fancy-indexed add matches the seed's per-key
+        # ``combined.get(key, 0.0) + value``.
         acc[ids] = before + values
         combined = np.concatenate((active, fresh)) if fresh.size else active
         count = combined.size
@@ -592,101 +661,43 @@ def _as_list(keys: Union[np.ndarray, List[Hashable]]) -> List[Hashable]:
 def merge_many(sketches: Sequence[SketchLike], k: int) -> Dict[Hashable, float]:
     """Fold :func:`merge_misra_gries` over a sequence of sketches, vectorized.
 
+    Each sketch is a :class:`~repro.sketches.base.FrequencySketch`, a
+    counter mapping, or a ``(keys, values)`` array pair with integer keys
+    (e.g. decoded straight off the aggregator's wire protocol).  Integer
+    key arrays concatenate with no per-key Python, which is where a fold
+    over dicts spends about half its time.
+
     The error guarantee holds for any merge order; the fold matches the
     ordering used in the paper's experiments and keeps memory at ``O(k)``
     live counters (plus the key table).  The result is equal to the
     seed dict-based left fold preserved in
-    :func:`repro.sketches._reference_merge.reference_merge_many` — the per-key
-    float operations are performed in the same order, so the values agree
-    exactly, not just approximately.
+    :func:`repro.sketches._reference_merge.reference_merge_many` on the
+    corresponding dicts — the per-key float operations are performed in the
+    same order, so the values agree exactly, not just approximately.
 
-    Sketches that already live in columnar form (key and value arrays, e.g.
-    deserialized straight off the aggregator's wire protocol) should go
-    through :func:`merge_many_arrays`, which skips the per-object dict
-    traversal entirely.
+    Negative values raise :class:`~repro.exceptions.SketchStateError`
+    exactly where the seed fold would: multi-sketch inputs are checked,
+    while a single sketch is passed through unvalidated.  A pair that lists
+    a key twice raises it with ``code == "repeated_key"``.
     """
     size = check_positive_int(k, "k")
     if not sketches:
         return {}
     if len(sketches) == 1:
         return _first_step(_as_counters(sketches[0]), size)
-    views = _counter_views(sketches)
-    lengths = [len(view) for view in views]
-    values = np.fromiter(
-        itertools.chain.from_iterable(view.values() for view in views),
-        dtype=np.float64, count=sum(lengths))
+    keys, values, lengths = _columns(sketches)
     state = FoldState(size)
-    state.run(_concat_keys(views), values, lengths)
-    return state.counters()
-
-
-def merge_many_arrays(keys_list: Sequence[np.ndarray],
-                      values_list: Sequence[np.ndarray],
-                      k: int) -> Dict[int, float]:
-    """Columnar :func:`merge_many`: sketches as parallel (keys, values) arrays.
-
-    This is the aggregator's wire path for the distributed setting of
-    Section 7: ``m`` users each ship a size-``k`` sketch as an integer key
-    array plus a float counter array (the natural serialization of
-    ``counters()``), and the merge runs entirely on NumPy arrays — no per-key
-    Python object traversal at all, which is where the dict path spends about
-    half its time.  The result is exactly the left fold the seed computes on
-    the corresponding dicts, i.e. ``merge_many([dict(zip(ks, vs)), ...], k)``,
-    and is property-tested against the frozen seed reference.
-
-    Keys must be unique within each sketch (``counters()`` guarantees this).
-    Negative values raise :class:`~repro.exceptions.SketchStateError` exactly
-    where :func:`merge_many` would: multi-sketch inputs are checked, while a
-    single sketch is passed through unvalidated like the seed fold does.
-    """
-    size = check_positive_int(k, "k")
-    if len(keys_list) != len(values_list):
-        raise ParameterError(
-            f"got {len(keys_list)} key arrays but {len(values_list)} value arrays")
-    if not keys_list:
-        return {}
-    key_arrays: List[np.ndarray] = []
-    value_arrays: List[np.ndarray] = []
-    for keys, values in zip(keys_list, values_list):
-        key_array = np.asarray(keys)
-        value_array = np.asarray(values, dtype=np.float64)
-        if key_array.ndim != 1 or value_array.ndim != 1:
-            raise ParameterError("sketch key/value arrays must be one-dimensional")
-        if key_array.size != value_array.size:
-            raise ParameterError(
-                f"sketch has {key_array.size} keys but {value_array.size} values")
-        if key_array.size and key_array.dtype.kind not in "iu":
-            raise ParameterError(
-                f"sketch keys must be integers, got dtype {key_array.dtype}")
-        key_arrays.append(key_array)
-        value_arrays.append(value_array)
-    if len(key_arrays) == 1:
-        return _first_step(dict(zip(key_arrays[0].tolist(),
-                                    value_arrays[0].tolist())), size)
-    # Empty arrays are excluded from the concatenation: their (arbitrary)
-    # dtype must not participate in promotion.  The zero entries stay in
-    # ``lengths`` so the fold still sees those sketches as no-op steps.
-    non_empty = [array for array in key_arrays if array.size]
-    if not non_empty:
-        return {}
-    flat_keys = np.concatenate(non_empty)
-    if flat_keys.dtype.kind not in "iu":
-        # Mixed signed/unsigned inputs promote to float64, which would
-        # corrupt keys beyond 2**53; fold the exact python ints instead.
-        flat_keys = [key for array in non_empty for key in array.tolist()]
-    state = FoldState(size)
-    state.run(flat_keys,
-              np.concatenate([array for array in value_arrays if array.size]),
-              [array.size for array in key_arrays])
+    state.run(keys, values, lengths)
     return state.counters()
 
 
 def merge_tree(sketches: Sequence[SketchLike], k: int) -> Dict[Hashable, float]:
     """Merge as a balanced pairwise tree instead of a left fold.
 
-    Lemma 29 holds for *any* merge order, so the tree result carries the same
-    ``N/(k+1)`` guarantee as :func:`merge_many` (the values themselves differ
-    from the left fold in general).  Trees are preferable for very large
+    Takes the same sketches as :func:`merge_many`.  Lemma 29 holds for
+    *any* merge order, so the tree result carries the same ``N/(k+1)``
+    guarantee as :func:`merge_many` (the values themselves differ from the
+    left fold in general).  Trees are preferable for very large
     ``m``: every intermediate holds at most ``2k`` counters, rounds are
     embarrassingly parallel, and each element participates in only
     ``O(log m)`` reductions.
@@ -722,8 +733,7 @@ def sum_counters(sketches: Iterable[SketchLike]) -> Dict[Hashable, float]:
     counters_list = [_as_counters(sketch) for sketch in sketches]
     if not counters_list:
         return {}
-    all_keys = _concat_keys(counters_list)
-    array = _as_int_key_array(all_keys)
+    array = _as_int_key_array(list(itertools.chain.from_iterable(counters_list)))
     if array is not None:
         if array.size == 0:
             return {}

@@ -52,9 +52,6 @@ from .base import FrequencySketch
 
 __all__ = ["DummyKey", "MisraGriesSketch"]
 
-# Backwards-compatible alias: earlier revisions defined the sort key here.
-_eviction_order = eviction_order
-
 #: Elements per NumPy chunk in :meth:`MisraGriesSketch.update_batch`.
 _BATCH_CHUNK = 8192
 

@@ -11,7 +11,8 @@ Two on-disk formats are understood:
   ``{token: value}`` object with per-key type-prefixed tokens.
 * **v2** (:mod:`repro.api.wire`): a columnar envelope with parallel ``keys``
   and ``values`` arrays whose integer fast path feeds
-  :func:`repro.sketches.merge.merge_many_arrays` with no per-key Python.
+  :func:`repro.sketches.merge.merge_many` as a ``(keys, values)`` pair,
+  with no per-key Python.
 
 ``save_sketch``/``save_histogram`` write v2 by default (``format="v1"`` keeps
 the old layout); the loaders accept either version transparently.

@@ -7,12 +7,13 @@ v1 <-> v2 wire-format cross-reads.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.api import list_mechanisms, mechanism_entry
 from repro.cli import main
 from repro.sketches import load_histogram, load_sketch
-from repro.sketches.merge import merge_many_arrays
+from repro.sketches.merge import merge_many
 
 
 @pytest.fixture(scope="module")
@@ -74,18 +75,21 @@ def test_every_mechanism_runs_end_to_end(name, flat_workspace, user_workspace, t
 
 
 def test_merge_v2_routes_through_columnar_path(flat_workspace, tmp_path, monkeypatch):
-    """repro merge over v2 files must call merge_many_arrays on the wire arrays."""
+    """repro merge over v2 files must hand merge_many the wire arrays."""
     _, _, first, second = flat_workspace
     assert json.loads(first.read_text())["format"] == 2
     calls = []
 
-    def spy(keys_list, values_list, k):
-        calls.append((len(keys_list), k))
-        return merge_many_arrays(keys_list, values_list, k)
+    def spy(sketches, k):
+        assert all(isinstance(sketch, tuple)
+                   and all(isinstance(column, np.ndarray) for column in sketch)
+                   for sketch in sketches)
+        calls.append((len(sketches), k))
+        return merge_many(sketches, k)
 
     import repro.core.merging as merging
 
-    monkeypatch.setattr(merging, "merge_many_arrays", spy)
+    monkeypatch.setattr(merging, "merge_many", spy)
     out = tmp_path / "merged.hist.json"
     assert main(["merge", "--epsilon", "1.0", "--delta", "1e-6", "-k", "16",
                  "--seed", "4", "--out", str(out), str(first), str(second)]) == 0

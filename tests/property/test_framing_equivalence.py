@@ -2,8 +2,8 @@
 
 The streaming aggregator folds frames one at a time
 (:class:`repro.api.framing.StreamingMerger`); the buffered aggregator decodes
-every envelope (``load_payload``-style) and hands all arrays to
-:func:`repro.sketches.merge.merge_many_arrays` at once.  Both must produce
+every envelope (``load_payload``-style) and hands every ``(keys, values)``
+column pair to :func:`repro.sketches.merge.merge_many` at once.  Both must produce
 *exactly* the same merged summary — same key set, same insertion order, bit
 equal float values — because both equal the seed pairwise left fold.
 
@@ -28,7 +28,7 @@ from repro.api.wire import decode, encode_counters
 from repro.exceptions import FramingError
 from repro.sketches import MisraGriesSketch
 from repro.sketches._reference_merge import reference_merge_many
-from repro.sketches.merge import _TABLE_FACTOR, merge_many, merge_many_arrays
+from repro.sketches.merge import _TABLE_FACTOR, merge_many
 
 # Counter dicts as the wire ships them: int64 keys, non-negative float values
 # with integral and fractional cases (merged sketches carry fractions).
@@ -78,11 +78,10 @@ def _frame_bytes(counters_list, k):
 def test_streamed_fold_bit_identical_to_buffered_arrays(counters_list, k):
     data = _frame_bytes(counters_list, k)
 
-    # Buffered path: decode every envelope, one merge_many_arrays call.
+    # Buffered path: decode every envelope, one merge_many call on the pairs.
     payloads = [decode(encode_counters(counters, k=k, stream_length=100 * index))
                 for index, counters in enumerate(counters_list)]
-    buffered = merge_many_arrays([payload.key_array for payload in payloads],
-                                 [payload.values for payload in payloads], k)
+    buffered = merge_many([payload.columnar() for payload in payloads], k)
 
     # Streamed path: fold one frame at a time off the framed bytes.
     merger = StreamingMerger(k).consume(FrameReader(io.BytesIO(data)))
@@ -138,8 +137,7 @@ def test_dense_fold_bit_identical_on_bounded_universes(counters_list, k):
     merger = StreamingMerger(k).consume(FrameReader(io.BytesIO(data)))
     payloads = [decode(encode_counters(counters, k=k))
                 for counters in counters_list]
-    buffered = merge_many_arrays([payload.key_array for payload in payloads],
-                                 [payload.values for payload in payloads], k)
+    buffered = merge_many([payload.columnar() for payload in payloads], k)
     streamed = merger.merged()
     assert list(streamed.keys()) == list(buffered.keys())
     assert all(streamed[key] == buffered[key] for key in buffered)
@@ -152,7 +150,7 @@ def test_single_frame_equals_single_buffered_input(counters, k):
     data = _frame_bytes([counters], k)
     merger = StreamingMerger(k).consume(FrameReader(io.BytesIO(data)))
     payload = decode(encode_counters(counters, k=k))
-    expected = merge_many_arrays([payload.key_array], [payload.values], k)
+    expected = merge_many([payload.columnar()], k)
     assert merger.merged() == expected
 
 
@@ -185,8 +183,8 @@ def _fold(frames, k):
 def test_mixed_key_modes_fold_like_the_seed(backend, frames, others, k):
     """One merger switches from offset ids to the key table mid-stream;
     absorbing a merger in another mode folds its summary as one more
-    contribution.  Both equal the seed fold, bit for bit, and the merger
-    stays columnar while every key is an int."""
+    contribution.  Both equal the seed fold, bit for bit, and the merged
+    keys stay plain ints while every folded key is one."""
     with _kernels_env(backend):
         merger, counters = _fold(frames, k)
         assert _exact(merger.merged()) == _exact(
@@ -199,7 +197,7 @@ def test_mixed_key_modes_fold_like_the_seed(backend, frames, others, k):
         reference_merge_many(counters, k) if counters else {})
     assert merger.frames == len(frames) + len(others)
     if all(isinstance(key, int) for frame in frames + others for key in frame):
-        assert merger.columnar
+        assert all(type(key) is int for key in merger.merged())
 
 
 @_BACKENDS
@@ -266,9 +264,8 @@ def test_dummy_padded_exports_stay_columnar(backend, streams_k):
     assert all(payload.columnar() is not None and payload.frame is not None
                for payload in payloads)
     with _kernels_env(backend):
-        merger = StreamingMerger(k).consume(payloads)
-        assert merger.columnar
-        keys, values = merger.merged_arrays()
+        merged = StreamingMerger(k).consume(payloads).merged()
+    assert all(type(key) is int for key in merged)
     expected = reference_merge_many(
         [payload.merge_counters() for payload in payloads], k)
-    assert _exact(dict(zip(keys.tolist(), values.tolist()))) == _exact(expected)
+    assert _exact(merged) == _exact(expected)

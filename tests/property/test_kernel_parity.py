@@ -7,10 +7,11 @@ the pure-python engines on every input.  Hypothesis drives every kernel:
 * ``mg_update`` — chunked ``update_batch`` streams under
   ``REPRO_KERNELS=cc`` against the vectorized python engine, including
   small sketches kept overfull so the eviction tie-breaks decide the state.
-* ``fold_step`` runs — ``merge_many`` / ``merge_many_arrays`` /
-  ``merge_tree`` under ``REPRO_KERNELS=cc`` against
+* ``fold_step`` runs — ``merge_many`` over dicts and over array pairs,
+  and ``merge_tree``, under ``REPRO_KERNELS=cc`` against
   ``REPRO_KERNELS=python``, including the NaN inputs whose steps must
-  route around the kernel.
+  route around the kernel.  A sketch that repeats a key is refused with
+  the same ``repeated_key`` error on both, served frame or pair.
 * ``fold_step`` steps — frame sequences folded through
   :class:`~repro.sketches.merge.FoldState` with the cc step and the numpy
   step: same outcome per frame (the same summary or the same error), same
@@ -36,8 +37,7 @@ from repro.api import framing, wire
 from repro.exceptions import SketchStateError
 from repro.sketches import MisraGriesSketch
 from repro.sketches._reference_merge import reference_merge_many
-from repro.sketches.merge import (_DENSE_SPAN_LIMIT, FoldState, merge_many,
-                                  merge_many_arrays, merge_tree)
+from repro.sketches.merge import _DENSE_SPAN_LIMIT, FoldState, merge_many, merge_tree
 
 COMPILED = kernels.available()
 
@@ -163,15 +163,14 @@ def test_compiled_merge_fold_is_bit_identical(summaries, k):
 @given(summaries=_SUMMARIES, k=_SIZES)
 @settings(max_examples=30, deadline=None)
 def test_compiled_columnar_and_tree_merges_are_bit_identical(summaries, k):
-    keys_list = [np.fromiter(s.keys(), dtype=np.int64, count=len(s))
-                 for s in summaries]
-    values_list = [np.fromiter(s.values(), dtype=np.float64, count=len(s))
-                   for s in summaries]
+    pairs = [(np.fromiter(s.keys(), dtype=np.int64, count=len(s)),
+              np.fromiter(s.values(), dtype=np.float64, count=len(s)))
+             for s in summaries]
     with _kernels_env("python"):
-        python = merge_many_arrays(keys_list, values_list, k)
+        python = merge_many(pairs, k)
         tree_python = merge_tree(summaries, k)
     with _kernels_env("cc"):
-        compiled = merge_many_arrays(keys_list, values_list, k)
+        compiled = merge_many(pairs, k)
         tree_compiled = merge_tree(summaries, k)
     assert python == compiled and list(python) == list(compiled)
     assert tree_python == tree_compiled
@@ -226,6 +225,10 @@ _FAR_KEYS = st.lists(
 _POISON = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 13),
                              st.sampled_from([-1.0, -0.5, _NAN])),
                    max_size=3)
+# (frame index, key position, at) insertions listing that key once more at
+# ``at``: a malformed frame both steps must refuse alike.
+_REPEATS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 13),
+                              st.integers(0, 14)), max_size=1)
 
 
 def _step_binders():
@@ -237,7 +240,7 @@ def _step_binders():
     return binders
 
 
-def _frame_arrays(frames, base=0, far=(), poison=()):
+def _frame_arrays(frames, base=0, far=(), poison=(), repeats=()):
     frames = [{base + key: value for key, value in frame.items()}
               for frame in frames]
     for index, key in far:
@@ -247,16 +250,25 @@ def _frame_arrays(frames, base=0, far=(), poison=()):
         if index < len(frames) and frames[index]:
             keys = list(frames[index])
             frames[index][keys[position % len(keys)]] = value
-    return [(np.fromiter(frame.keys(), dtype=np.int64, count=len(frame)),
-             np.fromiter(frame.values(), dtype=np.float64, count=len(frame)))
-            for frame in frames]
+    arrays = [(np.fromiter(frame.keys(), dtype=np.int64, count=len(frame)),
+               np.fromiter(frame.values(), dtype=np.float64, count=len(frame)))
+              for frame in frames]
+    for index, position, at in repeats:
+        if index < len(arrays) and arrays[index][0].size:
+            keys, values = arrays[index]
+            at %= keys.size + 1
+            arrays[index] = (np.insert(keys, at, keys[position % keys.size]),
+                             np.insert(values, at, 1.0))
+    return arrays
 
 
 def _summary(state):
     """The folded summary: ``first``, the keys in dict order and the bits
     of their values."""
     keys, values = state.arrays()
-    return state.first, keys.tolist(), values.view(np.int64).tolist()
+    if isinstance(keys, np.ndarray):
+        keys = keys.tolist()
+    return state.first, keys, values.view(np.int64).tolist()
 
 
 def _fold_trace(frames, size, binder):
@@ -282,22 +294,24 @@ def _fold_trace(frames, size, binder):
 
 
 @given(frames=_STEP_FRAMES, base=_KEY_BASES, far=_FAR_KEYS, poison=_POISON,
-       k=st.integers(1, 10))
+       repeats=_REPEATS, k=st.integers(1, 10))
 @example(frames=[{1: 0.0, 2: 3.0}, {1: 2.0, 3: 1.0}], base=0, far=[],
-         poison=[], k=4)
+         poison=[], repeats=[], k=4)
 @example(frames=[{1: 4.0, 2: 1.0, 3: 2.0}, {4: 1.0}], base=0, far=[],
-         poison=[], k=2)
+         poison=[], repeats=[], k=2)
 @example(frames=[{1: 2.0}, {2: 1.0}], base=0, far=[], poison=[(0, 0, -1.0)],
-         k=4)
+         repeats=[], k=4)
 @example(frames=[{1: 2.0, 2: 1.0, 3: 5.0}], base=0, far=[],
-         poison=[(0, 1, -1.0)], k=2)
+         poison=[(0, 1, -1.0)], repeats=[], k=2)
 @example(frames=[{1: 2.0}, {2: 1.0}, {3: 4.0}], base=0, far=[],
-         poison=[(0, 0, _NAN)], k=4)
+         poison=[(0, 0, _NAN)], repeats=[], k=4)
 @example(frames=[{}, {1: 1.0}, {2: 2.0}], base=0,
-         far=[(1, 5_000_000), (2, -3_000_000)], poison=[], k=3)
+         far=[(1, 5_000_000), (2, -3_000_000)], poison=[], repeats=[], k=3)
+@example(frames=[{1: 1.0, 3: 1.0}, {7: 2.0, 2: 1.0}], base=0, far=[],
+         poison=[], repeats=[(1, 0, 1)], k=4)
 @settings(max_examples=200, deadline=None)
-def test_fold_step_backends_agree(frames, base, far, poison, k):
-    frames = _frame_arrays(frames, base, far, poison)
+def test_fold_step_backends_agree(frames, base, far, poison, repeats, k):
+    frames = _frame_arrays(frames, base, far, poison, repeats)
     traces = {name: _fold_trace(frames, k, binder)
               for name, binder in _step_binders().items()}
     expected = traces.pop("numpy")
@@ -306,16 +320,17 @@ def test_fold_step_backends_agree(frames, base, far, poison, k):
 
 
 @given(frames=_STEP_FRAMES, base=_KEY_BASES, far=_FAR_KEYS, poison=_POISON,
-       k=st.integers(1, 10))
+       repeats=_REPEATS, k=st.integers(1, 10))
 @example(frames=[{1: 2.0}, {2: 1.0}, {3: 4.0, 4: 1.0}, {1: 1.0}], base=0,
-         far=[(3, 5_000_000)], poison=[(2, 0, _NAN)], k=2)
+         far=[(3, 5_000_000)], poison=[(2, 0, _NAN)], repeats=[], k=2)
 @settings(max_examples=150, deadline=None)
-def test_fold_run_matches_the_step_loop(frames, base, far, poison, k):
+def test_fold_run_matches_the_step_loop(frames, base, far, poison, repeats,
+                                        k):
     """``FoldState.run`` over the frames laid end to end folds exactly what
     a ``step`` per frame folds: the same error, or the same summary — the
     compiled run stopping and resuming at every refused frame.  The id
     layouts may differ: a run covers all its keys before it starts."""
-    frames = _frame_arrays(frames, base, far, poison)
+    frames = _frame_arrays(frames, base, far, poison, repeats)
     keys = np.concatenate([keys for keys, _ in frames] + [
         np.empty(0, dtype=np.int64)])
     values = np.concatenate([values for _, values in frames] + [
@@ -334,6 +349,38 @@ def test_fold_run_matches_the_step_loop(frames, base, far, poison, k):
             assert trace[-1][0] == _summary(state), name
 
 
+def _repeated_frame():
+    """A served binary frame whose keys are ``[7, 7, 2]``."""
+    envelope = {"format": 2, "kind": "counters", "k": 4, "key_encoding": "int",
+                "keys": [7, 7, 2], "values": [2.0, 3.0, 1.0],
+                "meta": {"stream_length": 6}}
+    body = framing.payload_frame_body(envelope)
+    assert body[0] == framing.BINARY_FRAME_TAG
+    return framing.decode_payload_body(body)
+
+
+@pytest.mark.parametrize("backend", ["python", "cc"] if COMPILED else ["python"])
+@pytest.mark.parametrize("first", [{1: 1.0, 2: 2.0}, {7: 1.0, 2: 2.0}, None])
+def test_repeated_key_frame_and_pair_share_one_error(backend, first):
+    """The served fold and ``merge_many`` refuse a repeated key with one
+    coded error, first frame or later, on either backend."""
+    payload = _repeated_frame()
+    with _kernels_env(backend):
+        merger = framing.StreamingMerger(4)
+        pairs = [payload.columnar()]
+        if first is not None:
+            merger.add(wire.encode_counters(first, k=4))
+            pairs.insert(0, (np.array(list(first)), np.array(list(first.values()))))
+        before = merger.merged()
+        errors = []
+        for fold in (lambda: merger.add(payload), lambda: merge_many(pairs, 4)):
+            with pytest.raises(SketchStateError) as caught:
+                fold()
+            errors.append((caught.value.code, str(caught.value)))
+        assert merger.merged() == before
+    assert errors == [("repeated_key", "key 7 appears twice in one sketch")] * 2
+
+
 def test_fold_step_span_limit_switches_to_the_key_table():
     far = _DENSE_SPAN_LIMIT
     expected = reference_merge_many([{0: 1.0, 1: 2.0}, {2: 1.0}, {far: 1.0}],
@@ -348,7 +395,8 @@ def test_fold_step_span_limit_switches_to_the_key_table():
         assert state._index is None, name  # offset ids
         state.step(np.array([far], dtype=np.int64), np.array([1.0]))
         assert state._id_keys == [0, 1, 2, far], name  # the key table
-        assert state.columnar and state.low == 0, name
+        assert all(type(key) is int for key in state.counters()), name
+        assert state.low == 0, name
         assert list(state.counters().items()) == list(expected.items()), name
 
 

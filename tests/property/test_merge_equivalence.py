@@ -1,8 +1,8 @@
 """Bit-identity of the vectorized aggregation tier vs the frozen seed fold.
 
 The vectorized key-interning merge (:func:`repro.sketches.merge.merge_many`),
-its columnar wire-path twin (:func:`~repro.sketches.merge.merge_many_arrays`)
-and the single-pass :func:`~repro.sketches.merge.sum_counters` must produce
+fed counter dicts, ``(keys, values)`` array pairs or a mix of both, and the
+single-pass :func:`~repro.sketches.merge.sum_counters` must produce
 *exactly* the results of the seed dict-based implementations preserved in
 :mod:`repro.sketches._reference_merge` — same keys in the same dict
 iteration order, exactly equal float values (the per-key float operations
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import SketchStateError
-from repro.sketches.merge import merge_many, merge_many_arrays, merge_tree, sum_counters
+from repro.sketches.merge import merge_many, merge_tree, sum_counters
 from repro.sketches._reference_merge import (
     reference_merge_many,
     reference_sum_counters,
@@ -88,15 +88,44 @@ def test_single_oversized_input_matches_seed(counters, k):
     assert list(got.items()) == list(expected.items())
 
 
-@given(sketches=_collections(small_ints), k=sketch_sizes)
+def _as_pair(sketch, dtype=np.int64):
+    return (np.fromiter(sketch.keys(), dtype=dtype, count=len(sketch)),
+            np.fromiter(sketch.values(), dtype=np.float64, count=len(sketch)))
+
+
+def _fold_every_way(sketches, k, as_pair, mask):
+    """Fold ``sketches`` as dicts, as pairs and as the mix ``mask`` picks
+    (a pair where it is true); each must be the seed fold, order included."""
+    expected = list(reference_merge_many([dict(s) for s in sketches], k).items())
+    mix = [as_pair(s) if pick else dict(s)
+           for s, pick in zip(sketches, mask + [True] * len(sketches))]
+    for items in ([dict(s) for s in sketches], [as_pair(s) for s in sketches], mix):
+        assert list(merge_many(items, k).items()) == expected
+
+
+@given(sketches=_collections(small_ints), k=sketch_sizes,
+       mask=st.lists(st.booleans(), max_size=6))
 @settings(max_examples=200, deadline=None)
-def test_merge_many_arrays_matches_seed_fold(sketches, k):
-    keys_list = [np.fromiter(s.keys(), dtype=np.int64, count=len(s)) for s in sketches]
-    values_list = [np.fromiter(s.values(), dtype=np.float64, count=len(s))
-                   for s in sketches]
-    got = merge_many_arrays(keys_list, values_list, k)
-    expected = reference_merge_many([dict(s) for s in sketches], k)
-    assert list(got.items()) == list(expected.items())
+def test_merge_many_pairs_and_mixes_match_seed_fold(sketches, k, mask):
+    _fold_every_way(sketches, k, _as_pair, mask)
+
+
+@given(sketches=_collections(wide_ints), k=sketch_sizes,
+       mask=st.lists(st.booleans(), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_merge_many_pairs_and_mixes_match_seed_fold_wide_ints(sketches, k, mask):
+    _fold_every_way(sketches, k, _as_pair, mask)
+
+
+@given(sketches=_collections(st.integers(0, 2 ** 64 - 1)), k=sketch_sizes,
+       mask=st.lists(st.booleans(), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_merge_many_uint64_pairs_fold_as_exact_ints(sketches, k, mask):
+    """uint64 pairs beside int64 ones must not promote to float64."""
+    def as_pair(sketch):
+        wide = any(key >= 2 ** 63 for key in sketch)
+        return _as_pair(sketch, np.uint64 if wide else np.int64)
+    _fold_every_way(sketches, k, as_pair, mask)
 
 
 @given(sketches=_collections(mixed_keys))

@@ -24,7 +24,7 @@ from repro.api.wire import encode_counters, encode_sketch
 from repro.core.merging import MergeStrategy, PrivateMergedRelease
 from repro.exceptions import FramingError, ParameterError
 from repro.sketches import MisraGriesSketch
-from repro.sketches.merge import merge_many, merge_many_arrays
+from repro.sketches.merge import merge_many
 from repro.streams import zipf_stream
 
 
@@ -225,12 +225,11 @@ class TestStreamingMerger:
     def test_columnar_accumulator_matches_buffered_arrays(self):
         data, sketches = _framed_exports(count=5, k=16)
         merger = merge_frames(io.BytesIO(data))
-        keys_list = [np.fromiter(s.counters().keys(), dtype=np.int64)
-                     for s in sketches]
-        values_list = [np.fromiter(s.counters().values(), dtype=np.float64)
-                       for s in sketches]
-        assert merger.columnar
-        assert merger.merged() == merge_many_arrays(keys_list, values_list, 16)
+        pairs = [(np.fromiter(s.counters().keys(), dtype=np.int64),
+                  np.fromiter(s.counters().values(), dtype=np.float64))
+                 for s in sketches]
+        assert all(type(key) is int for key in merger.merged())
+        assert merger.merged() == merge_many(pairs, 16)
         assert merger.total_stream_length == sum(s.stream_length for s in sketches)
 
     def test_token_frames_drop_to_dict_mode_with_same_fold(self):
@@ -238,22 +237,19 @@ class TestStreamingMerger:
         merger = StreamingMerger(2)
         for item in counters:
             merger.add(encode_counters(item, k=2))
-        assert not merger.columnar
+        assert merger._fold._index is not None  # the key table
         assert merger.merged() == merge_many(counters, 2)
-        with pytest.raises(ParameterError, match="columnar"):
-            merger.merged_arrays()
 
-    def test_release_matches_buffered_release_arrays(self):
+    def test_release_matches_buffered_release_of_pairs(self):
         data, sketches = _framed_exports(count=4, k=16)
         merger = merge_frames(io.BytesIO(data))
         mechanism = PrivateMergedRelease(epsilon=1.0, delta=1e-6, k=16)
         streamed = merger.release(mechanism, rng=7)
-        keys_list = [np.fromiter(s.counters().keys(), dtype=np.int64)
-                     for s in sketches]
-        values_list = [np.fromiter(s.counters().values(), dtype=np.float64)
-                       for s in sketches]
-        buffered = mechanism.release_arrays(
-            keys_list, values_list, rng=7,
+        pairs = [(np.fromiter(s.counters().keys(), dtype=np.int64),
+                  np.fromiter(s.counters().values(), dtype=np.float64))
+                 for s in sketches]
+        buffered = mechanism.release(
+            pairs, rng=7,
             total_stream_length=sum(s.stream_length for s in sketches))
         assert streamed.counts == buffered.counts
         assert streamed.metadata.notes == buffered.metadata.notes
@@ -334,7 +330,7 @@ class TestDenseGrowth:
         merger = StreamingMerger(1024)
         for counters in frames:
             merger.add(encode_counters(counters, k=1024))
-        assert merger.columnar  # monotone growth stays on the dense path
+        assert all(type(key) is int for key in merger.merged())
         assert merger.merged() == merge_many(frames, 1024)
 
     def test_empty_first_frame_does_not_pin_the_id_space_at_zero(self):

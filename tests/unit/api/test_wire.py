@@ -13,7 +13,6 @@ from repro.sketches import (
     StandardMisraGriesSketch,
     load_sketch,
     merge_many,
-    merge_many_arrays,
     save_sketch,
 )
 from repro.sketches.misra_gries import DummyKey
@@ -96,9 +95,9 @@ class TestColumnarFastPath:
         sketches = [MisraGriesSketch.from_stream(32, stream) for stream in streams]
         payloads = [wire.decode(_json_roundtrip(wire.encode_counters(sketch)))
                     for sketch in sketches]
-        keys_list, values_list = zip(*(payload.columnar() for payload in payloads))
-        assert all(keys.dtype == np.int64 for keys in keys_list)
-        merged = merge_many_arrays(list(keys_list), list(values_list), 32)
+        pairs = [payload.columnar() for payload in payloads]
+        assert all(keys.dtype == np.int64 for keys, _ in pairs)
+        merged = merge_many(pairs, 32)
         assert merged == merge_many([sketch.counters() for sketch in sketches], 32)
 
 

@@ -120,7 +120,7 @@ def test_auto_without_the_provider_warns_exactly_once(no_provider):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("target", [
-    merge.merge_many, merge.merge_many_arrays, merge.merge_tree,
+    merge.merge_many, merge.merge_tree,
     FoldState, FoldState.run,
     MisraGriesSketch,
 ])

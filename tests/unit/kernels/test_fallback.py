@@ -17,7 +17,7 @@ import pytest
 from repro import kernels
 from repro.api import Pipeline
 from repro.sketches import MisraGriesSketch
-from repro.sketches.merge import merge_many_arrays
+from repro.sketches.merge import merge_many
 
 
 @pytest.fixture
@@ -52,12 +52,12 @@ def test_sketch_and_merge_answers_survive_the_fallback(no_providers,
         fallback = MisraGriesSketch(16).update_batch(stream)
         keys = np.fromiter(fallback.counters().keys(), dtype=np.int64)
         values = np.fromiter(fallback.counters().values(), dtype=np.float64)
-        merged = merge_many_arrays([keys, keys], [values, values], 16)
+        merged = merge_many([(keys, values), (keys, values)], 16)
     monkeypatch.setenv(kernels.ENV_VAR, "python")
     explicit = MisraGriesSketch(16).update_batch(stream)
     assert fallback.counters() == explicit.counters()
     assert list(fallback.counters()) == list(explicit.counters())
-    expected_merge = merge_many_arrays([keys, keys], [values, values], 16)
+    expected_merge = merge_many([(keys, values), (keys, values)], 16)
     assert merged == expected_merge and list(merged) == list(expected_merge)
 
 

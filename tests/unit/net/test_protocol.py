@@ -132,7 +132,7 @@ class TestAbsorbAndCombine:
         columnar = _merger_of([{1: 2.0}], 4)
         token = StreamingMerger(4)
         token.add(encode_counters({"a": 3.0}, k=4))
-        assert not token.columnar
+        assert token._fold._index is not None  # the key table
         combined = StreamingMerger(4).absorb(columnar).absorb(token)
         assert combined.merged() == {1: 2.0, "a": 3.0}
 

@@ -7,7 +7,6 @@ from repro.exceptions import ParameterError, SketchStateError
 from repro.sketches import ExactCounter, MisraGriesSketch
 from repro.sketches.merge import (
     merge_many,
-    merge_many_arrays,
     merge_misra_gries,
     merge_tree,
     sum_counters,
@@ -88,51 +87,72 @@ class TestMergeMany:
         assert len(merge_many(sketches, k=5)) <= 5
 
 
-class TestMergeManyArrays:
+class TestMergeManyPairs:
     def test_matches_dict_merge(self):
         keys_list = [np.array([1, 2, 3]), np.array([2, 4])]
         values_list = [np.array([2.0, 5.0, 1.0]), np.array([3.0, 7.0])]
         dicts = [dict(zip(keys.tolist(), values.tolist()))
                  for keys, values in zip(keys_list, values_list)]
-        assert merge_many_arrays(keys_list, values_list, 3) == merge_many(dicts, 3)
+        assert merge_many(list(zip(keys_list, values_list)), 3) == merge_many(dicts, 3)
 
     def test_empty_collection(self):
-        assert merge_many_arrays([], [], 4) == {}
+        assert merge_many([], 4) == {}
 
     def test_single_sketch_passthrough(self):
-        merged = merge_many_arrays([np.array([5, 6])], [np.array([1.0, 0.0])], 4)
+        merged = merge_many([(np.array([5, 6]), np.array([1.0, 0.0]))], 4)
         assert merged == {5: 1.0, 6: 0.0}  # seed keeps zeros for a single input
 
     def test_negative_counter_raises(self):
         with pytest.raises(SketchStateError):
-            merge_many_arrays([np.array([1]), np.array([2])],
-                              [np.array([1.0]), np.array([-2.0])], 4)
+            merge_many([(np.array([1]), np.array([1.0])),
+                        (np.array([2]), np.array([-2.0]))], 4)
 
     def test_negative_counter_raises_beside_a_nan(self):
         # The seed fold refuses every negative counter of a multi-sketch
         # input; a NaN elsewhere must not hide it.
         with pytest.raises(SketchStateError, match="negative counter for 2"):
-            merge_many_arrays([np.array([1]), np.array([2])],
-                              [np.array([float("nan")]), np.array([-2.0])], 4)
+            merge_many([(np.array([1]), np.array([float("nan")])),
+                        (np.array([2]), np.array([-2.0]))], 4)
         with pytest.raises(SketchStateError, match="negative counter for 2"):
             merge_many([{1: float("nan")}, {2: -2.0}], 4)
 
     def test_mismatched_lengths_raise(self):
         with pytest.raises(ParameterError):
-            merge_many_arrays([np.array([1])], [], 4)
+            merge_many([(np.array([1]),)], 4)
         with pytest.raises(ParameterError):
-            merge_many_arrays([np.array([1, 2])], [np.array([1.0])], 4)
+            merge_many([(np.array([1, 2]), np.array([1.0]))], 4)
 
     def test_non_integer_keys_raise(self):
         with pytest.raises(ParameterError):
-            merge_many_arrays([np.array([1.5])], [np.array([1.0])], 4)
+            merge_many([(np.array([1.5]), np.array([1.0]))], 4)
 
     def test_wide_key_range_uses_unique_interning(self):
         keys_list = [np.array([0, 2 ** 60]), np.array([2 ** 60, -2 ** 60])]
         values_list = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
         dicts = [dict(zip(keys.tolist(), values.tolist()))
                  for keys, values in zip(keys_list, values_list)]
-        assert merge_many_arrays(keys_list, values_list, 8) == merge_many(dicts, 8)
+        assert merge_many(list(zip(keys_list, values_list)), 8) == merge_many(dicts, 8)
+
+    def test_pairs_and_mappings_mix(self):
+        pairs = [(np.array([1, 2, 3]), np.array([2.0, 5.0, 1.0])),
+                 (np.array([2, 4]), np.array([3.0, 7.0]))]
+        dicts = [dict(zip(keys.tolist(), values.tolist())) for keys, values in pairs]
+        expected = merge_many(dicts, 3)
+        for mixed in ([pairs[0], dicts[1]], [dicts[0], pairs[1]]):
+            merged = merge_many(mixed, 3)
+            assert merged == expected and list(merged) == list(expected)
+        assert merge_tree(pairs, 3) == merge_tree(dicts, 3)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_repeated_key_is_refused(self, position):
+        repeated = (np.array([7, 7, 2]), np.array([2.0, 3.0, 1.0]))
+        other = (np.array([1, 2]), np.array([1.0, 1.0]))
+        sketches = [other, other]
+        sketches[position] = repeated
+        for items in (sketches, [repeated]):
+            with pytest.raises(SketchStateError, match="key 7 appears twice") as caught:
+                merge_many(items, 4)
+            assert caught.value.code == "repeated_key"
 
 
 class TestMergeTree:
@@ -177,21 +197,20 @@ class TestSumCounters:
         assert sum_counters([]) == {}
 
 
-class TestMergeManyArraysDtypeSafety:
+class TestMergeManyPairDtypeSafety:
     def test_empty_float_key_array_does_not_poison_dtype(self):
-        merged = merge_many_arrays(
-            [np.array([2 ** 53, 2 ** 53 + 1]), np.array([])],
-            [np.array([5.0, 7.0]), np.array([])], 10)
+        merged = merge_many(
+            [(np.array([2 ** 53, 2 ** 53 + 1]), np.array([5.0, 7.0])),
+             (np.array([]), np.array([]))], 10)
         assert merged == {2 ** 53: 5.0, 2 ** 53 + 1: 7.0}
 
     def test_mixed_signed_unsigned_keys_stay_exact(self):
-        merged = merge_many_arrays(
-            [np.array([2 ** 53, 1], dtype=np.int64),
-             np.array([2 ** 53 + 1, 1], dtype=np.uint64)],
-            [np.array([5.0, 1.0]), np.array([7.0, 2.0])], 10)
+        merged = merge_many(
+            [(np.array([2 ** 53, 1], dtype=np.int64), np.array([5.0, 1.0])),
+             (np.array([2 ** 53 + 1, 1], dtype=np.uint64), np.array([7.0, 2.0]))], 10)
         assert merged == {2 ** 53: 5.0, 2 ** 53 + 1: 7.0, 1: 3.0}
         assert all(type(key) is int for key in merged)
 
     def test_all_empty_sketches(self):
-        assert merge_many_arrays([np.array([]), np.array([])],
-                                 [np.array([]), np.array([])], 4) == {}
+        assert merge_many([(np.array([]), np.array([])),
+                           (np.array([]), np.array([]))], 4) == {}
