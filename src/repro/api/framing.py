@@ -56,8 +56,9 @@ Rules:
   replaces — the versioned columnar wire protocol.
 * A clean stream ends exactly at a frame boundary.  A truncated length
   prefix, a truncated frame body, an implausible length, an unrecognized
-  frame tag, bytes that do not parse, or payload frames beyond a declared
-  ``frames`` count all raise :class:`~repro.exceptions.FramingError`.
+  frame tag, bytes that do not parse, a header field of the wrong type or
+  range, or payload frames beyond a declared ``frames`` count all raise
+  :class:`~repro.exceptions.FramingError`.
 
 :class:`StreamingMerger` folds decoded frames into a running Agarwal merge
 as they arrive — the aggregator never materializes the whole file, only the
@@ -71,7 +72,6 @@ frames' column pairs (property-tested in
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -82,10 +82,8 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, 
 
 import numpy as np
 
-from .. import kernels as _kernels
 from .._validation import check_positive_int
 from ..core.merging import PrivateMergedRelease
-from ..kernels import _c_src as _scan
 from ..core.results import PrivateHistogram
 from ..dp.rng import RandomState
 from ..exceptions import FramingError, ParameterError
@@ -328,13 +326,9 @@ def decode_payload_body(body: bytes, what: str = "frame") -> WirePayload:
 def _decode_binary_body(body: bytes) -> WirePayload:
     """Decode a binary columnar frame: two ``frombuffer`` views, no JSON keys.
 
-    The JSON header of a canonical frame (the only kind our writers emit) is
-    parsed by the compiled ``scan_binary_header`` kernel when one is
-    available — a single pass over the bytes with no per-frame dict or
-    string churn.  The scanner accepts exactly the canonical
-    ``json.dumps(..., sort_keys=True)`` grammar; any deviation falls back to
-    ``json.loads`` below, so malformed or foreign frames keep byte-exact
-    python error behaviour.
+    Only the short JSON header goes through ``json.loads``; every header
+    field is outside input, checked before use, and a bad one raises
+    :class:`FramingError` naming it.
     """
     if type(body) is not bytes:
         body = bytes(body)  # the columns are views of an immutable body
@@ -343,11 +337,6 @@ def _decode_binary_body(body: bytes) -> WirePayload:
     (header_length,) = _LENGTH.unpack_from(body, 1)
     if 5 + header_length > len(body):
         raise FramingError("binary frame header overruns the frame body")
-    kernel = _kernels.get_kernel("scan_binary_header")
-    if kernel is not None:
-        slots = kernel(body, 5, header_length)
-        if slots is not None:
-            return _binary_payload_from_scan(body, header_length, slots)
     header = FrameReader._parse_json_body(body[5:5 + header_length])
     kind = header.get("kind")
     if header.get("format") != wire_module.WIRE_FORMAT_VERSION:
@@ -357,17 +346,15 @@ def _decode_binary_body(body: bytes) -> WirePayload:
     if kind not in wire_module._KINDS:
         raise FramingError(f"unrecognized wire v2 kind {kind!r}")
     count = header.get("count")
-    if not isinstance(count, int) or count < 0:
+    if type(count) is not int or count < 0:
         raise FramingError(f"binary frame declares a bad count {count!r}")
-    k = header.get("k")
+    k, meta = wire_module.header_k_meta(header, "binary frame", FramingError)
     dummies = _padding_count(kind, k, "dummies" in header,
                              header.get("dummies"))
     keys, values, frame = _binary_columns(body, 5 + header_length, count)
     # Lazy keys: the aggregator hot path never materializes the Python list.
-    return WirePayload(kind=kind, keys=None, values=values,
-                       k=int(k) if k is not None else None,
-                       meta=dict(header.get("meta", {})), key_array=keys,
-                       frame=frame, dummies=dummies)
+    return WirePayload(kind=kind, keys=None, values=values, k=k, meta=meta,
+                       key_array=keys, frame=frame, dummies=dummies)
 
 
 def _padding_count(kind: str, k, declared: bool, dummies) -> int:
@@ -405,51 +392,6 @@ def _binary_columns(body: bytes, offset: int, count: int) -> Tuple:
     return keys.astype(np.int64), values.astype(np.float64), None
 
 
-def _binary_payload_from_scan(body: bytes, header_length: int,
-                              slots: List[int]) -> WirePayload:
-    """Build a :class:`WirePayload` from a kernel-scanned canonical header.
-
-    Replays the validation sequence of the ``json.loads`` path above in the
-    same order with the same messages, and assembles ``meta`` in canonical
-    (sorted) key order — which is the text order of a canonical header, so
-    the resulting payload is indistinguishable from the fallback path's.
-    """
-    declared = slots[_scan.SCAN_FORMAT] if slots[_scan.SCAN_HAS_FORMAT] \
-        else None
-    if declared != wire_module.WIRE_FORMAT_VERSION:
-        raise FramingError(
-            f"binary frame declares format {declared!r}, "
-            f"expected {wire_module.WIRE_FORMAT_VERSION}")
-    kind_length = slots[_scan.SCAN_KIND_LEN]
-    if kind_length >= 0:
-        kind_start = 5 + slots[_scan.SCAN_KIND_START]
-        kind = body[kind_start:kind_start + kind_length].decode("ascii")
-    else:
-        kind = None
-    if kind not in wire_module._KINDS:
-        raise FramingError(f"unrecognized wire v2 kind {kind!r}")
-    count = slots[_scan.SCAN_COUNT] if slots[_scan.SCAN_HAS_COUNT] else None
-    if count is None or count < 0:
-        raise FramingError(f"binary frame declares a bad count {count!r}")
-    k = slots[_scan.SCAN_K] if slots[_scan.SCAN_HAS_K] else None
-    dummies = slots[_scan.SCAN_DUMMIES]
-    dummies = _padding_count(kind, k, dummies >= 0, dummies)
-    keys, values, frame = _binary_columns(body, 5 + header_length, count)
-    meta: Dict[str, object] = {}
-    if slots[_scan.SCAN_HAS_META]:
-        if slots[_scan.SCAN_HAS_DECREMENT_ROUNDS]:
-            meta["decrement_rounds"] = slots[_scan.SCAN_DECREMENT_ROUNDS]
-        sketch_length = slots[_scan.SCAN_SKETCH_LEN]
-        if sketch_length >= 0:
-            sketch_start = 5 + slots[_scan.SCAN_SKETCH_START]
-            meta["sketch"] = body[sketch_start:sketch_start
-                                  + sketch_length].decode("ascii")
-        if slots[_scan.SCAN_HAS_STREAM_LENGTH]:
-            meta["stream_length"] = slots[_scan.SCAN_STREAM_LENGTH]
-    return WirePayload(kind=kind, keys=None, values=values, k=k, meta=meta,
-                       key_array=keys, frame=frame, dummies=dummies)
-
-
 def parse_header_body(body: Optional[bytes]) -> FrameHeader:
     """Validate and decode the mandatory first (header) frame body."""
     header = FrameReader._parse_json_body(body) if body is not None else None
@@ -460,12 +402,10 @@ def parse_header_body(body: Optional[bytes]) -> FrameHeader:
         raise FramingError(f"header declares framing version {framing!r}, "
                            f"expected {FRAMING_VERSION}")
     frames = header.get("frames")
-    if frames is not None and (not isinstance(frames, int) or frames < 0):
+    if frames is not None and (type(frames) is not int or frames < 0):
         raise FramingError(f"header declares a bad frame count {frames!r}")
-    k = header.get("k")
-    return FrameHeader(framing=FRAMING_VERSION, frames=frames,
-                       k=int(k) if k is not None else None,
-                       meta=dict(header.get("meta") or {}))
+    k, meta = wire_module.header_k_meta(header, "header", FramingError)
+    return FrameHeader(framing=FRAMING_VERSION, frames=frames, k=k, meta=meta)
 
 
 class FrameWriter:

@@ -36,8 +36,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Union
 
-import numpy as np
-
 from .._batching import as_int_array
 from .._validation import check_positive_int
 from ..core.results import PrivateHistogram

@@ -46,7 +46,7 @@ Envelope kinds
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -93,6 +93,40 @@ def _is_plain_int(key: Hashable) -> bool:
     # fast path never overflows (and JSON numbers stay interoperable).
     return (isinstance(key, int) and not isinstance(key, bool)
             and _INT64_MIN <= key <= _INT64_MAX)
+
+
+def header_k_meta(fields: Mapping, what: str,
+                  error: type = SketchStateError) -> Tuple[Optional[int], Dict]:
+    """The ``k`` and ``meta`` of an envelope or frame header, checked as
+    outside input.
+
+    ``k`` must be a JSON integer >= 1 (not a bool) or null, and ``meta`` a
+    JSON object whose ``stream_length``, which every fold sums, is an
+    integer >= 0 when present; ``k`` and ``meta`` may be absent.  A
+    ``private_histogram`` may declare ``k = 0``: a release built without a
+    sketch (the exact baseline) records that size.  Anything else raises
+    ``error`` naming the field, rather than being coerced (``int(64.7)``
+    would pass a ``k = 64`` agreement check).
+    """
+    k = fields.get("k")
+    least = 0 if fields.get("kind") == "private_histogram" else 1
+    if k is not None and not _is_count(k, least):
+        raise error(f"{what} declares a bad k {k!r}; k must be an integer "
+                    f">= {least} or null")
+    meta = fields.get("meta", {})
+    if not isinstance(meta, Mapping):
+        raise error(f"{what} declares a bad meta {meta!r}; meta must be a "
+                    "JSON object")
+    if "stream_length" in meta and not _is_count(meta["stream_length"], 0):
+        raise error(f"{what} declares a bad meta stream_length "
+                    f"{meta['stream_length']!r}; it must be a non-negative "
+                    "integer")
+    return k, dict(meta)
+
+
+def _is_count(value, least: int) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= least)
 
 
 def _int_key_array(raw_keys) -> np.ndarray:
@@ -323,10 +357,8 @@ def decode(payload: Mapping) -> WirePayload:
         keys = [_decode_key(token) for token in raw_keys]
     else:
         raise SketchStateError(f"unrecognized key encoding {encoding!r}")
-    k = payload.get("k")
-    return WirePayload(kind=kind, keys=keys, values=values,
-                       k=int(k) if k is not None else None,
-                       meta=dict(payload.get("meta", {})),
+    k, meta = header_k_meta(payload, "wire v2 payload")
+    return WirePayload(kind=kind, keys=keys, values=values, k=k, meta=meta,
                        key_array=key_array)
 
 

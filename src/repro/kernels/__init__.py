@@ -1,15 +1,14 @@
 """Optional compiled kernel tier for the interpreter-bound hot paths.
 
 The hot loops that stay python-bound after vectorization — the
-Misra-Gries per-element eviction loop behind ``update_batch``, the Agarwal
+Misra-Gries per-element eviction loop behind ``update_batch`` and the Agarwal
 merge fold (``fold_step``: a binder that takes one
 :class:`~repro.sketches.merge.FoldState`'s buffers once and returns a
 per-frame ``step(keys, values, low[, frame]) -> status`` for the served
 ``StreamingMerger``; ``step.run(keys, values, low, lengths)`` folds the
 run of sketches behind ``merge_many``; either way
 over the state's key ids — offsets from ``low``, or key-table ids at
-``low = 0``), and the binary columnar frame-header parse — have compiled
-implementations in one provider:
+``low = 0``) — have compiled implementations in one provider:
 
 ``cc``
     The C source in :mod:`repro.kernels._c_src`, compiled on demand with
@@ -58,7 +57,7 @@ __all__ = [
 BACKENDS = ("auto", "python", "cc")
 
 #: The kernels the provider implements.
-KERNEL_NAMES = ("mg_update", "fold_step", "scan_binary_header")
+KERNEL_NAMES = ("mg_update", "fold_step")
 
 #: Environment variable selecting the kernel backend.
 ENV_VAR = "REPRO_KERNELS"
@@ -116,11 +115,11 @@ def resolve_backend() -> str:
 def get_kernel(name: str) -> Optional[Callable]:
     """The compiled kernel ``name``, or ``None`` to use the python engine.
 
-    Hot paths call this once per frame, so the resolution is memoized on
-    the raw ``REPRO_KERNELS`` string: flipping the variable still switches
-    the backend on the next call, while an unchanged value costs one
-    environment read.  Refused values are never memoized; they raise on
-    every call.
+    Hot paths call this once per batch or fold, so the resolution is
+    memoized on the raw ``REPRO_KERNELS`` string: flipping the variable
+    still switches the backend on the next call, while an unchanged value
+    costs one environment read.  Refused values are never memoized; they
+    raise on every call.
     """
     raw = os.environ.get(ENV_VAR)
     try:

@@ -24,8 +24,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ._c_src import (C_SOURCE, MG_NOMEM, SCAN_OK, SCAN_OUT_SLOTS,
-                     SOURCE_VERSION)
+from ._c_src import C_SOURCE, MG_NOMEM, SOURCE_VERSION
 
 PROVIDER_NAME = "cc"
 
@@ -37,9 +36,7 @@ _loaded = False
 _I64 = np.dtype(np.int64)
 _F64 = np.dtype(np.float64)
 _P = ctypes.c_void_p
-_C = ctypes.c_char_p
 _N = ctypes.c_int64
-_ScanSlots = ctypes.c_int64 * SCAN_OUT_SLOTS
 _NoBytes = ctypes.c_char * 0
 
 
@@ -135,14 +132,11 @@ def _bind(lib) -> Dict:
     lib.repro_mg_update.restype = _N
     lib.repro_mg_update.argtypes = [_P, _P, _P, _P, _P, _N, _P, _N]
     # A c_void_p argument takes an address or a bytes object, whose buffer
-    # ctypes passes without a copy; c_char_p takes only bytes.
+    # ctypes passes without a copy.
     lib.repro_fold_step.restype = _N
     lib.repro_fold_step.argtypes = [_P, _N, _P, _N, _N, _P, _N, _N, _N, _N,
                                     _P, _P, _P, _P, _P, _P, _P]
     fold_step_c = lib.repro_fold_step
-    lib.repro_scan_header.restype = _N
-    lib.repro_scan_header.argtypes = [_C, _N, _N, _P]
-    scan_c = lib.repro_scan_header
 
     def mg_update(keys, dummy, stored, ins_seq, io, chunk):
         state = [_ptr(array, _I64)
@@ -217,21 +211,7 @@ def _bind(lib) -> Dict:
         bound.run = run
         return bound
 
-    def scan_binary_header(body, start, length):
-        """Scan ``body[start:start + length]``; the slot list, or ``None``
-        when the header is not canonical (the caller parses it instead)."""
-        if type(body) is not bytes:
-            raise TypeError(
-                f"scan_binary_header needs bytes, got {type(body).__name__}")
-        _check(0 <= start and 0 <= length and start + length <= len(body),
-               "scan_binary_header range overruns the frame body")
-        out = _ScanSlots()
-        if scan_c(body, start, length, out) != SCAN_OK:
-            return None
-        return out[:]
-
-    return {"mg_update": mg_update, "fold_step": fold_step,
-            "scan_binary_header": scan_binary_header}
+    return {"mg_update": mg_update, "fold_step": fold_step}
 
 
 def load() -> Optional[Dict]:

@@ -2,10 +2,9 @@
 
 :mod:`repro.kernels._c_provider` compiles this translation unit once with the
 system C compiler (``cc -O2 -fPIC -shared``) into a cached shared object and
-loads it through :mod:`ctypes`.  The ABI — every status code and the
-header-scan slot indices — is defined here once, as python ints; the C
-``#define`` block is rendered from them, and the python callers import them
-from this module.
+loads it through :mod:`ctypes`.  The ABI — every status code — is defined
+here once, as python ints; the C ``#define`` block is rendered from them,
+and the python callers import them from this module.
 
 Bit-identity
 ------------
@@ -36,24 +35,18 @@ data itself, never on hash-iteration order:
   and clears the marks as it settles the combined counters, so a mark
   seen again is a repeat, found with no extra pass over a clean sketch
   when the step reduces (sign flips and ``fabs`` are exact).
-* ``repro_scan_header`` accepts only the canonical header grammar that
-  ``json.dumps(..., sort_keys=True)`` emits.  Anything else returns
-  ``SCAN_FALLBACK`` and the caller parses with ``json.loads``, so malformed
-  frames raise byte-for-byte the python path's errors.
 
 Keep ``SOURCE_VERSION`` in sync with behavioural changes: the provider keys
 its build cache on a hash of the source text, so editing the C automatically
 invalidates stale binaries.
 """
 
-SOURCE_VERSION = 6
+SOURCE_VERSION = 7
 
-# Status codes shared by all kernels.
+# ``repro_mg_update`` statuses.
 MG_OK = 0
 MG_CORRUPT = 1
 MG_NOMEM = 2
-SCAN_OK = 0
-SCAN_FALLBACK = 1
 
 # ``repro_fold_step`` statuses per step of a run, in precedence order.
 # Every status but FOLD_OK stops the run and leaves that step's state
@@ -67,29 +60,10 @@ FOLD_NEGATIVE = 2
 FOLD_NAN = 3
 FOLD_REPEAT = 4
 
-# ``repro_scan_header`` output slots (int64[SCAN_OUT_SLOTS]).
-SCAN_HAS_FORMAT = 0
-SCAN_FORMAT = 1
-SCAN_KIND_START = 2
-SCAN_KIND_LEN = 3
-SCAN_HAS_K = 4
-SCAN_K = 5
-SCAN_HAS_COUNT = 6
-SCAN_COUNT = 7
-SCAN_HAS_META = 8
-SCAN_HAS_STREAM_LENGTH = 9
-SCAN_STREAM_LENGTH = 10
-SCAN_HAS_DECREMENT_ROUNDS = 11
-SCAN_DECREMENT_ROUNDS = 12
-SCAN_SKETCH_START = 13
-SCAN_SKETCH_LEN = 14
-SCAN_DUMMIES = 15  # -1 when absent; a negative count is left to json.loads
-SCAN_OUT_SLOTS = 16
-
 # The C side of the ABI: one ``#define`` per int above, in that order.
 _ABI_DEFINES = "".join(
     f"#define {name} {value}\n" for name, value in globals().items()
-    if name.startswith(("MG_", "FOLD_", "SCAN_")))
+    if name.startswith(("MG_", "FOLD_")))
 
 C_SOURCE = r"""
 #include <math.h>
@@ -563,235 +537,5 @@ int64_t repro_fold_step(const char *keys_buf, int64_t keys_at,
         values += length;
     }
     return FOLD_OK;
-}
-
-/* ------------------------------------------------------------------ */
-/* Canonical binary-frame header scanner.                             */
-/* ------------------------------------------------------------------ */
-
-static int64_t scan_ws(const uint8_t *buf, int64_t pos, int64_t end) {
-    while (pos < end) {
-        uint8_t c = buf[pos];
-        if (c != 32 && c != 9 && c != 10 && c != 13) break;
-        pos++;
-    }
-    return pos;
-}
-
-static int scan_int(const uint8_t *buf, int64_t *pos_io, int64_t end,
-                    int64_t *value_out) {
-    int64_t pos = *pos_io;
-    int neg = 0;
-    if (pos < end && buf[pos] == '-') { neg = 1; pos++; }
-    int64_t first = pos, value = 0;
-    while (pos < end) {
-        uint8_t c = buf[pos];
-        if (c < '0' || c > '9') break;
-        int64_t digit = c - '0';
-        if (value > 922337203685477580LL ||
-            (value == 922337203685477580LL && digit > 7))
-            return SCAN_FALLBACK; /* beyond int64: python handles it */
-        value = value * 10 + digit;
-        pos++;
-    }
-    if (pos == first) return SCAN_FALLBACK;
-    if (buf[first] == '0' && pos - first > 1) return SCAN_FALLBACK;
-    if (pos < end) {
-        uint8_t c = buf[pos];
-        if (c == '.' || c == 'e' || c == 'E') return SCAN_FALLBACK;
-    }
-    *value_out = neg ? -value : value;
-    *pos_io = pos;
-    return SCAN_OK;
-}
-
-static int scan_string(const uint8_t *buf, int64_t *pos_io, int64_t end,
-                       int64_t *start_out, int64_t *len_out) {
-    int64_t pos = *pos_io;
-    if (pos >= end || buf[pos] != '"') return SCAN_FALLBACK;
-    pos++;
-    int64_t begin = pos;
-    while (pos < end) {
-        uint8_t c = buf[pos];
-        if (c == '"') {
-            *start_out = begin;
-            *len_out = pos - begin;
-            *pos_io = pos + 1;
-            return SCAN_OK;
-        }
-        if (c == '\\' || c < 32 || c > 126) return SCAN_FALLBACK;
-        pos++;
-    }
-    return SCAN_FALLBACK;
-}
-
-static int match_lit(const uint8_t *buf, int64_t start, int64_t length,
-                     const char *lit, int64_t lit_len) {
-    if (length != lit_len) return 0;
-    for (int64_t i = 0; i < length; i++)
-        if (buf[start + i] != (uint8_t) lit[i]) return 0;
-    return 1;
-}
-
-static int is_null_at(const uint8_t *buf, int64_t pos, int64_t end) {
-    return pos + 4 <= end && buf[pos] == 'n' && buf[pos + 1] == 'u'
-        && buf[pos + 2] == 'l' && buf[pos + 3] == 'l';
-}
-
-static int64_t scan_header(const uint8_t *buf, int64_t end, int64_t *out) {
-    for (int64_t i = 0; i < SCAN_OUT_SLOTS; i++) out[i] = 0;
-    out[SCAN_KIND_LEN] = -1;
-    out[SCAN_SKETCH_LEN] = -1;
-    out[SCAN_DUMMIES] = -1;
-    int64_t pos = scan_ws(buf, 0, end);
-    if (pos >= end || buf[pos] != '{') return SCAN_FALLBACK;
-    pos = scan_ws(buf, pos + 1, end);
-    if (pos < end && buf[pos] == '}') {
-        pos = scan_ws(buf, pos + 1, end);
-        return pos == end ? SCAN_OK : SCAN_FALLBACK;
-    }
-    /* Canonical (sorted) key order turns "seen" tracking into a monotone
-       index: count(0) < dummies(1) < format(2) < k(3) < key_encoding(4)
-       < kind(5) < meta(6). */
-    int64_t last_key = -1;
-    for (;;) {
-        int64_t kstart, klen;
-        if (scan_string(buf, &pos, end, &kstart, &klen) != SCAN_OK)
-            return SCAN_FALLBACK;
-        pos = scan_ws(buf, pos, end);
-        if (pos >= end || buf[pos] != ':') return SCAN_FALLBACK;
-        pos = scan_ws(buf, pos + 1, end);
-        if (pos >= end) return SCAN_FALLBACK;
-        if (match_lit(buf, kstart, klen, "count", 5)) {
-            if (last_key >= 0) return SCAN_FALLBACK;
-            last_key = 0;
-            int64_t value;
-            if (scan_int(buf, &pos, end, &value) != SCAN_OK)
-                return SCAN_FALLBACK;
-            out[SCAN_HAS_COUNT] = 1;
-            out[SCAN_COUNT] = value;
-        } else if (match_lit(buf, kstart, klen, "dummies", 7)) {
-            if (last_key >= 1) return SCAN_FALLBACK;
-            last_key = 1;
-            int64_t value;
-            if (scan_int(buf, &pos, end, &value) != SCAN_OK || value < 0)
-                return SCAN_FALLBACK;
-            out[SCAN_DUMMIES] = value;
-        } else if (match_lit(buf, kstart, klen, "format", 6)) {
-            if (last_key >= 2) return SCAN_FALLBACK;
-            last_key = 2;
-            if (buf[pos] == 'n') {
-                if (!is_null_at(buf, pos, end)) return SCAN_FALLBACK;
-                pos += 4;
-            } else {
-                int64_t value;
-                if (scan_int(buf, &pos, end, &value) != SCAN_OK)
-                    return SCAN_FALLBACK;
-                out[SCAN_HAS_FORMAT] = 1;
-                out[SCAN_FORMAT] = value;
-            }
-        } else if (match_lit(buf, kstart, klen, "k", 1)) {
-            if (last_key >= 3) return SCAN_FALLBACK;
-            last_key = 3;
-            if (buf[pos] == 'n') {
-                if (!is_null_at(buf, pos, end)) return SCAN_FALLBACK;
-                pos += 4;
-            } else {
-                int64_t value;
-                if (scan_int(buf, &pos, end, &value) != SCAN_OK)
-                    return SCAN_FALLBACK;
-                out[SCAN_HAS_K] = 1;
-                out[SCAN_K] = value;
-            }
-        } else if (match_lit(buf, kstart, klen, "key_encoding", 12)) {
-            if (last_key >= 4) return SCAN_FALLBACK;
-            last_key = 4;
-            int64_t vstart, vlen; /* value is ignored by the decoder */
-            if (scan_string(buf, &pos, end, &vstart, &vlen) != SCAN_OK)
-                return SCAN_FALLBACK;
-        } else if (match_lit(buf, kstart, klen, "kind", 4)) {
-            if (last_key >= 5) return SCAN_FALLBACK;
-            last_key = 5;
-            int64_t vstart, vlen;
-            if (scan_string(buf, &pos, end, &vstart, &vlen) != SCAN_OK)
-                return SCAN_FALLBACK;
-            out[SCAN_KIND_START] = vstart;
-            out[SCAN_KIND_LEN] = vlen;
-        } else if (match_lit(buf, kstart, klen, "meta", 4)) {
-            if (last_key >= 6) return SCAN_FALLBACK;
-            last_key = 6;
-            if (pos >= end || buf[pos] != '{') return SCAN_FALLBACK;
-            pos = scan_ws(buf, pos + 1, end);
-            out[SCAN_HAS_META] = 1;
-            if (pos < end && buf[pos] == '}') {
-                pos++;
-            } else {
-                int64_t meta_last = -1;
-                for (;;) {
-                    int64_t mstart, mlen;
-                    if (scan_string(buf, &pos, end, &mstart, &mlen) != SCAN_OK)
-                        return SCAN_FALLBACK;
-                    pos = scan_ws(buf, pos, end);
-                    if (pos >= end || buf[pos] != ':') return SCAN_FALLBACK;
-                    pos = scan_ws(buf, pos + 1, end);
-                    if (pos >= end) return SCAN_FALLBACK;
-                    if (match_lit(buf, mstart, mlen, "decrement_rounds", 16)) {
-                        if (meta_last >= 0) return SCAN_FALLBACK;
-                        meta_last = 0;
-                        int64_t value;
-                        if (scan_int(buf, &pos, end, &value) != SCAN_OK)
-                            return SCAN_FALLBACK;
-                        out[SCAN_HAS_DECREMENT_ROUNDS] = 1;
-                        out[SCAN_DECREMENT_ROUNDS] = value;
-                    } else if (match_lit(buf, mstart, mlen, "sketch", 6)) {
-                        if (meta_last >= 1) return SCAN_FALLBACK;
-                        meta_last = 1;
-                        int64_t vstart, vlen;
-                        if (scan_string(buf, &pos, end, &vstart, &vlen) != SCAN_OK)
-                            return SCAN_FALLBACK;
-                        out[SCAN_SKETCH_START] = vstart;
-                        out[SCAN_SKETCH_LEN] = vlen;
-                    } else if (match_lit(buf, mstart, mlen, "stream_length", 13)) {
-                        if (meta_last >= 2) return SCAN_FALLBACK;
-                        meta_last = 2;
-                        int64_t value;
-                        if (scan_int(buf, &pos, end, &value) != SCAN_OK)
-                            return SCAN_FALLBACK;
-                        out[SCAN_HAS_STREAM_LENGTH] = 1;
-                        out[SCAN_STREAM_LENGTH] = value;
-                    } else {
-                        return SCAN_FALLBACK;
-                    }
-                    pos = scan_ws(buf, pos, end);
-                    if (pos < end && buf[pos] == ',') {
-                        pos = scan_ws(buf, pos + 1, end);
-                        continue;
-                    }
-                    if (pos < end && buf[pos] == '}') { pos++; break; }
-                    return SCAN_FALLBACK;
-                }
-            }
-        } else {
-            return SCAN_FALLBACK;
-        }
-        pos = scan_ws(buf, pos, end);
-        if (pos < end && buf[pos] == ',') {
-            pos = scan_ws(buf, pos + 1, end);
-            continue;
-        }
-        if (pos < end && buf[pos] == '}') {
-            pos = scan_ws(buf, pos + 1, end);
-            break;
-        }
-        return SCAN_FALLBACK;
-    }
-    return pos == end ? SCAN_OK : SCAN_FALLBACK;
-}
-
-/* Scan the header frame[start, start + length); positions in out count
-   from start. */
-int64_t repro_scan_header(const uint8_t *frame, int64_t start, int64_t length,
-                          int64_t *out) {
-    return scan_header(frame + start, length, out);
 }
 """

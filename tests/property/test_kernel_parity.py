@@ -17,16 +17,11 @@ the pure-python engines on every input.  Hypothesis drives every kernel:
   step: same outcome per frame (the same summary or the same error), same
   live order, same accumulator bits, same zero-valued first-frame counters,
   across the switch from offset ids to the key table.
-* ``scan_binary_header`` — binary columnar frames decoded with the kernel
-  and with ``json.loads``, on canonical frames and on byte-corrupted ones,
-  where *both* paths must agree on the result or raise the same error with
-  the same message.
 """
 
 from __future__ import annotations
 
 import contextlib
-import struct
 
 import numpy as np
 import pytest
@@ -440,139 +435,3 @@ def test_served_fold_runs_every_later_frame_in_the_cc_step(frames, k):
     expected = merge_many(frames, k)
     assert merger.merged() == expected
     assert list(merger.merged()) == list(expected)
-
-
-# ---------------------------------------------------------------------------
-# scan_binary_header
-# ---------------------------------------------------------------------------
-
-def _decode_both_ways(body):
-    """Decode once with the cc scanner and once forced pure-python."""
-    outcomes = []
-    for backend in ("cc", "python"):
-        with _kernels_env(backend):
-            try:
-                payload = framing.decode_payload_body(bytes(body))
-                outcomes.append(("ok", payload))
-            except framing.FramingError as error:
-                outcomes.append(("error", str(error)))
-    return outcomes
-
-
-def _assert_same_outcome(with_kernel, without_kernel):
-    assert with_kernel[0] == without_kernel[0]
-    if with_kernel[0] == "error":
-        assert with_kernel[1] == without_kernel[1]
-        return
-    left, right = with_kernel[1], without_kernel[1]
-    assert left.kind == right.kind and left.k == right.k
-    assert left.meta == right.meta and left.dummies == right.dummies
-    assert np.array_equal(left.key_array, right.key_array)
-    assert np.array_equal(left.values, right.values)
-
-
-_COUNTERS = st.dictionaries(st.integers(min_value=-(2**62), max_value=2**62),
-                            st.integers(0, 10**9).map(float), max_size=20)
-
-
-@needs_compiled
-@given(counters=_COUNTERS,
-       k=st.none() | st.integers(1, 4096),
-       stream_length=st.none() | st.integers(0, 10**12))
-@settings(max_examples=60, deadline=None)
-def test_scanner_decodes_canonical_frames_identically(counters, k,
-                                                      stream_length):
-    payload = wire.encode_counters(counters, k=k, stream_length=stream_length)
-    body = framing._binary_frame_body(payload)
-    with_kernel, without_kernel = _decode_both_ways(body)
-    assert with_kernel[0] == "ok", with_kernel
-    _assert_same_outcome(with_kernel, without_kernel)
-
-
-# The bytes the scanner branches on (digits, number punctuation, string
-# quoting, structure, whitespace) are drawn as often as all the others.
-_REPLACEMENTS = st.integers(0, 255) | st.sampled_from(b'0.eE-"\\{},: ')
-
-
-def _corruptible_body(counters, kind="counters", dummies=None):
-    """A k=132 frame body of ``kind``; ``dummies`` is the raw JSON text of
-    a ``dummies`` header field, spliced in canonical order (after
-    ``count``), or ``None`` for no field."""
-    payload = dict(wire.encode_counters(counters, k=132), kind=kind)
-    body = framing._binary_frame_body(payload)
-    (length,) = struct.unpack_from(">I", body, 1)
-    header = body[5:5 + length]
-    if dummies is not None:
-        at = header.index(b', "format"')
-        header = header[:at] + b', "dummies": ' + dummies.encode() + header[at:]
-    return bytearray(body[:1] + struct.pack(">I", len(header)) + header
-                     + body[5 + length:])
-
-
-# ``(kind, dummies field)`` headers: none, valid (up to k), an explicit 0,
-# negative, larger than k, on a kind that carries no padding, with the
-# leading zero JSON forbids, and not an int.
-_DUMMIES_HEADERS = [
-    ("counters", None), ("misra_gries_paper", None),
-    ("misra_gries_paper", "3"), ("misra_gries_paper", "132"),
-    ("misra_gries_paper", "0"), ("misra_gries_paper", "-1"),
-    ("misra_gries_paper", "133"), ("counters", "3"), ("counters", "0"),
-    ("misra_gries_paper", "03"), ("misra_gries_paper", "3.0"),
-    ("misra_gries_paper", "null")]
-
-
-@needs_compiled
-@pytest.mark.parametrize("kind, dummies", _DUMMIES_HEADERS)
-def test_scanner_agrees_with_python_on_dummies_headers(kind, dummies):
-    body = _corruptible_body({5: 2.0, -7: 1.0}, kind, dummies)
-    with_kernel, without_kernel = _decode_both_ways(body)
-    _assert_same_outcome(with_kernel, without_kernel)
-    valid = dummies is None or (kind == "misra_gries_paper"
-                                and dummies in ("0", "3", "132"))
-    assert with_kernel[0] == ("ok" if valid else "error"), with_kernel
-    if valid:
-        assert with_kernel[1].dummies == int(dummies or 0)
-        assert with_kernel[1].key_array.tolist() == [5, -7]
-
-
-# Two corruptions of the empty frame's header that only the scanner's
-# fallback keeps identical: ``"k": 032`` has the leading zero JSON forbids
-# (read as decimal it would decode k=32), and ``"cou\ters"`` holds an
-# escape that json.loads decodes and a raw byte copy would not.
-_EMPTY_BODY = bytes(_corruptible_body({}))
-_K_HUNDREDS = _EMPTY_BODY.index(b'"k": 132') + len('"k": ')
-_KIND_LETTER = _EMPTY_BODY.index(b'"counters"') + len('"cou')
-# Two corruptions of a valid ``"dummies": 3`` header: a ``0`` digit leaves
-# an explicit 0, and ``"dummieS"`` is a field the scanner does not know
-# (json.loads ignores it, so the frame decodes with no padding).
-_PADDED_BODY = bytes(_corruptible_body({}, "misra_gries_paper", "3"))
-_DUMMIES_DIGIT = _PADDED_BODY.index(b'"dummies": 3') + len('"dummies": ')
-
-
-@needs_compiled
-@given(counters=_COUNTERS, header=st.sampled_from(_DUMMIES_HEADERS),
-       position=st.integers(0, 10**6), replacement=_REPLACEMENTS)
-@example(counters={}, header=("counters", None), position=_K_HUNDREDS,
-         replacement=ord("0"))
-@example(counters={}, header=("counters", None), position=_KIND_LETTER,
-         replacement=ord("\\"))
-@example(counters={}, header=("misra_gries_paper", "3"),
-         position=_DUMMIES_DIGIT, replacement=ord("0"))
-@example(counters={}, header=("misra_gries_paper", "3"),
-         position=_DUMMIES_DIGIT - 4, replacement=ord("S"))
-@settings(max_examples=120, deadline=None)
-def test_scanner_agrees_with_python_on_corrupted_frames(counters, header,
-                                                        position,
-                                                        replacement):
-    body = _corruptible_body(counters, *header)
-    body[position % len(body)] = replacement
-    _assert_same_outcome(*_decode_both_ways(body))
-
-
-@needs_compiled
-@given(counters=_COUNTERS, cut=st.integers(0, 10**6))
-@settings(max_examples=40, deadline=None)
-def test_scanner_agrees_with_python_on_truncated_frames(counters, cut):
-    body = framing._binary_frame_body(wire.encode_counters(counters))
-    truncated = body[:cut % (len(body) + 1)]
-    _assert_same_outcome(*_decode_both_ways(truncated))

@@ -8,16 +8,21 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api.framing import (
     FRAMING_VERSION,
     MAGIC,
     MAX_FRAME_BYTES,
+    FrameHeader,
     FrameReader,
     FrameWriter,
     StreamingMerger,
+    decode_payload_body,
     iter_frames,
     merge_frames,
+    parse_header_body,
+    payload_frame_body,
     write_frames,
 )
 from repro.api.wire import encode_counters, encode_sketch
@@ -183,6 +188,149 @@ class TestWriterReader:
         assert data.count(bytes([1])) >= 1  # binary frames in use
         with pytest.raises(FramingError):
             list(FrameReader(io.BytesIO(data[:-5])))
+
+
+def _binary_body(counters, kind="counters", **fields):
+    """A k=132 binary frame body of ``kind`` holding ``counters``, laid out
+    as the encoder writes it; each ``fields`` entry is the raw JSON text of
+    a header field, replacing the encoder's value or added to the header
+    (``None`` leaves the field out)."""
+    header = {"count": str(len(counters)), "format": "2", "k": "132",
+              "key_encoding": '"int"', "kind": json.dumps(kind),
+              "meta": '{"stream_length": 0}', **fields}
+    text = ("{" + ", ".join(f'"{name}": {value}'
+                            for name, value in sorted(header.items())
+                            if value is not None) + "}").encode("utf-8")
+    return bytearray(
+        b"\x01" + struct.pack(">I", len(text)) + text
+        + np.array(list(counters), dtype="<i8").tobytes()
+        + np.array(list(counters.values()), dtype="<f8").tobytes())
+
+
+def _decoded(body):
+    """``("ok", payload)`` or ``("error", message)`` for one frame body."""
+    try:
+        return "ok", decode_payload_body(bytes(body))
+    except FramingError as error:
+        return "error", str(error)
+
+
+# ``(kind, dummies field, outcome)``: the padding count, or the error.  No
+# field, valid counts up to k (an explicit 0 too), then negative, larger
+# than k, on a kind that carries no padding, with the leading zero JSON
+# forbids, and not an int.
+_DUMMIES_HEADERS = [
+    ("counters", None, 0), ("misra_gries_paper", None, 0),
+    ("misra_gries_paper", "3", 3), ("misra_gries_paper", "132", 132),
+    ("misra_gries_paper", "0", 0),
+    ("misra_gries_paper", "-1", "bad dummies count -1 for k=132"),
+    ("misra_gries_paper", "133", "bad dummies count 133 for k=132"),
+    ("counters", "3", "declares dummy padding"),
+    ("counters", "0", "declares dummy padding"),
+    ("misra_gries_paper", "03", "not valid JSON"),
+    ("misra_gries_paper", "3.0", "bad dummies count 3.0"),
+    ("misra_gries_paper", "null", "bad dummies count None")]
+
+
+class TestBinaryHeaders:
+    """Every binary frame header is outside input, parsed by ``json.loads``
+    and checked field by field; a bad one raises ``FramingError``."""
+
+    def test_helper_writes_what_the_encoder_writes(self):
+        counters = {5: 2.0, -7: 1.0}
+        assert bytes(_binary_body(counters)) == payload_frame_body(
+            encode_counters(counters, k=132))
+
+    @pytest.mark.parametrize("kind, dummies, outcome", _DUMMIES_HEADERS)
+    def test_dummies_header(self, kind, dummies, outcome):
+        fields = {} if dummies is None else {"dummies": dummies}
+        status, result = _decoded(_binary_body({5: 2.0, -7: 1.0}, kind,
+                                               **fields))
+        if isinstance(outcome, int):
+            assert status == "ok", result
+            assert result.dummies == outcome
+            assert result.key_array.tolist() == [5, -7]
+        else:
+            assert status == "error" and outcome in result
+
+    @pytest.mark.parametrize("text, corrupted, outcome", [
+        # A leading zero JSON forbids: read as decimal it would be k=32.
+        (b'"k": 132', b'"k": 032', "not valid JSON"),
+        # ``json.loads`` decodes the escape, a raw byte copy would not.
+        (b'"counters"', b'"cou\\ters"', "unrecognized wire v2 kind 'cou\\ters'"),
+    ])
+    def test_corrupted_canonical_header(self, text, corrupted, outcome):
+        body = bytes(_binary_body({}))
+        status, message = _decoded(body.replace(text, corrupted))
+        assert status == "error" and outcome in message
+
+    @pytest.mark.parametrize("corrupted, dummies", [
+        (b'"dummies": 0', 0),
+        # An unknown field is ignored: the frame carries no padding.
+        (b'"dummieS": 3', 0)])
+    def test_corrupted_dummies_field(self, corrupted, dummies):
+        body = bytes(_binary_body({}, "misra_gries_paper", dummies="3"))
+        status, payload = _decoded(body.replace(b'"dummies": 3', corrupted))
+        assert status == "ok" and payload.dummies == dummies
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"meta": "5"}, "bad meta 5"), ({"meta": '"x"'}, "bad meta 'x'"),
+        ({"meta": "null"}, "bad meta None"), ({"meta": "[]"}, "bad meta []"),
+        ({"meta": '{"stream_length": "9"}'}, "bad meta stream_length '9'"),
+        ({"k": "64.7"}, "bad k 64.7"), ({"k": '"64"'}, "bad k '64'"),
+        ({"k": "true"}, "bad k True"), ({"k": "0"}, "bad k 0"),
+        ({"k": "-3"}, "bad k -3"), ({"k": "1e3"}, "bad k 1000.0"),
+        ({"count": "true"}, "bad count True"),
+        ({"count": "1.0"}, "bad count 1.0"), ({"count": '"1"'}, "bad count '1'"),
+        ({"count": "-1"}, "bad count -1"), ({"count": "null"}, "bad count None"),
+        ({"format": "3"}, "declares format 3")])
+    def test_bad_field_refused_with_its_name(self, fields, named):
+        status, message = _decoded(_binary_body({5: 2.0}, **fields))
+        assert status == "error" and named in message
+
+    def test_null_k_and_absent_meta_decode(self):
+        status, payload = _decoded(_binary_body({5: 2.0}, k="null",
+                                                meta=None))
+        assert status == "ok" and payload.k is None and payload.meta == {}
+
+    @given(counters=st.dictionaries(
+               st.integers(-(2 ** 62), 2 ** 62),
+               st.integers(0, 10 ** 9).map(float), max_size=20),
+           fields=st.sampled_from(
+               [{}] + [{"dummies": dummies}
+                       for _, dummies, _ in _DUMMIES_HEADERS if dummies]),
+           position=st.integers(0, 10 ** 6),
+           replacement=(st.integers(0, 255)
+                        | st.sampled_from(b'0.eE-"\\{},: tfn[]')),
+           cut=st.none() | st.integers(0, 10 ** 6))
+    # Header fields of the wrong type, behind a no-op corruption (the tag).
+    @example(counters={5: 2.0}, fields={"meta": "5"}, position=0,
+             replacement=1, cut=None)
+    @example(counters={5: 2.0}, fields={"k": "64.5"}, position=0,
+             replacement=1, cut=None)
+    @example(counters={5: 2.0}, fields={"count": "true"}, position=0,
+             replacement=1, cut=None)
+    @settings(max_examples=200, deadline=None)
+    def test_any_corruption_decodes_or_raises_framing_error(
+            self, counters, fields, position, replacement, cut):
+        body = _binary_body(counters, "misra_gries_paper", **fields)
+        body[position % len(body)] = replacement
+        if cut is not None:
+            body = body[:cut % (len(body) + 1)]
+        status, result = _decoded(body)
+        if status == "ok":
+            assert len(result.key_array) == len(result.values)
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("meta", 5, "bad meta 5"), ("meta", None, "bad meta None"),
+        ("k", 64.7, "bad k 64.7"), ("k", True, "bad k True"),
+        ("k", 0, "bad k 0"), ("frames", True, "bad frame count True")])
+    def test_bad_stream_header_field_refused(self, field, value, named):
+        header = dict(FrameHeader(framing=FRAMING_VERSION, k=16).as_dict(),
+                      **{field: value})
+        with pytest.raises(FramingError, match="header declares") as excinfo:
+            parse_header_body(json.dumps(header).encode("utf-8"))
+        assert named in str(excinfo.value)
 
 
 class _OneFrameOnlyFile:

@@ -150,6 +150,42 @@ class TestIntKeysAreNotCoerced:
             decode_payload_body(body)
 
 
+class TestHeaderFieldsAreNotCoerced:
+    """``k`` must be a JSON integer >= 1 (0 on a histogram) or null,
+    ``meta`` a JSON object and its ``stream_length`` an integer >= 0;
+    anything else is refused with the field named, never coerced."""
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("k", 64.7, "bad k 64.7"), ("k", "64", "bad k '64'"),
+        ("k", True, "bad k True"), ("k", 0, "bad k 0"), ("k", -3, "bad k -3"),
+        ("meta", 5, "bad meta 5"), ("meta", "x", "bad meta 'x'"),
+        ("meta", None, "bad meta None"), ("meta", [], "bad meta []"),
+        ("meta", {"stream_length": "9"}, "bad meta stream_length '9'"),
+        ("meta", {"stream_length": 2.5}, "bad meta stream_length 2.5"),
+        ("meta", {"stream_length": -1}, "bad meta stream_length -1")])
+    def test_bad_field_refused(self, field, value, named):
+        envelope = dict(_int_envelope([1, 2]), **{field: value})
+        with pytest.raises(SketchStateError, match="wire v2 payload") as excinfo:
+            wire.decode(_json_roundtrip(envelope))
+        assert named in str(excinfo.value)
+
+    def test_good_fields_decode(self):
+        envelope = dict(_int_envelope([1, 2]), k=64,
+                        meta={"stream_length": 0})
+        decoded = wire.decode(_json_roundtrip(envelope))
+        assert decoded.k == 64 and decoded.meta == {"stream_length": 0}
+        assert wire.decode(dict(envelope, k=None)).k is None
+
+    def test_only_a_histogram_may_declare_k_zero(self):
+        """A release built without a sketch records ``sketch_size`` 0."""
+        histogram = dict(_int_envelope([1, 2]), kind="private_histogram", k=0)
+        assert wire.decode(histogram).k == 0
+        with pytest.raises(SketchStateError, match="bad k -1"):
+            wire.decode(dict(histogram, k=-1))
+        with pytest.raises(SketchStateError, match="bad k 0"):
+            wire.decode(dict(histogram, kind="counters"))
+
+
 class TestVersioning:
     def test_wire_version_detection(self):
         sketch = MisraGriesSketch.from_stream(4, [1, 2, 1])

@@ -190,11 +190,11 @@ def test_get_kernel_resolves_once_per_env_value(monkeypatch):
     monkeypatch.setattr(kernels, "resolve_backend", counting)
     monkeypatch.setenv(kernels.ENV_VAR, "python")
     for _ in range(3):
-        assert kernels.get_kernel("scan_binary_header") is None
+        assert kernels.get_kernel("fold_step") is None
     assert resolutions == ["python"]
     monkeypatch.setenv(kernels.ENV_VAR, "auto")
-    kernels.get_kernel("scan_binary_header")
     kernels.get_kernel("fold_step")
+    kernels.get_kernel("mg_update")
     assert resolutions == ["python", "auto"]
     kernels.reset_for_tests()
     kernels.get_kernel("fold_step")
@@ -208,26 +208,37 @@ def test_refused_env_values_raise_on_every_call(monkeypatch):
             kernels.get_kernel("fold_step")
 
 
-def test_flipping_the_env_between_decodes_switches_the_backend(monkeypatch):
+def test_flipping_the_env_between_mergers_switches_the_backend(monkeypatch):
     if not kernels.available():  # pragma: no cover - toolchain-free lane
         pytest.skip("no C toolchain in this environment")
     from repro.api import framing, wire
 
     table = kernels._c_provider.load()
-    scan = table["scan_binary_header"]
-    scans = []
+    binder = table["fold_step"]
+    steps = []
 
-    def counting_scan(*args):
-        scans.append(args[1:])
-        return scan(*args)
+    def counting_binder(*buffers):
+        bound = binder(*buffers)
 
-    monkeypatch.setitem(table, "scan_binary_header", counting_scan)
-    body = framing.payload_frame_body(
-        wire.encode_counters({3: 2.0, 9: 1.0}, k=4, stream_length=3))
-    decoded = []
-    for backend, expected_scans in (("cc", 1), ("python", 1), ("cc", 2),
-                                     ("python", 2)):
+        def counting_step(*args):
+            steps.append(args)
+            return bound(*args)
+        return counting_step
+
+    monkeypatch.setitem(table, "fold_step", counting_binder)
+    bodies = [framing.payload_frame_body(
+        wire.encode_counters(counters, k=4, stream_length=3))
+        for counters in ({3: 2.0, 9: 1.0}, {3: 1.0, 5: 2.0})]
+    merged = []
+    for backend, expected_steps in (("cc", 1), ("python", 1), ("cc", 2),
+                                    ("python", 2)):
         monkeypatch.setenv(kernels.ENV_VAR, backend)
-        decoded.append(framing.decode_payload_body(body))
-        assert len(scans) == expected_scans, backend
-    assert all(payload == decoded[0] for payload in decoded)
+        # The first step of a fold runs in numpy; the second is compiled
+        # only under cc.
+        merger = framing.StreamingMerger(4)
+        for body in bodies:
+            merger.add(framing.decode_payload_body(body))
+        merged.append(merger.merged())
+        assert len(steps) == expected_steps, backend
+    assert all(summary == merged[0] for summary in merged)
+    assert all(list(summary) == list(merged[0]) for summary in merged)

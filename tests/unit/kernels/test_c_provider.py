@@ -86,7 +86,7 @@ def test_recovers_after_compiler_env_is_fixed(tmp_path, monkeypatch):
 def test_served_frames_fold_without_address_lookups(monkeypatch):
     """Once a merger's fold step is bound, a binary frame is decoded and
     folded without an ``ndarray.ctypes`` lookup or a backend resolution:
-    the scan and the step read the frame body itself."""
+    the step reads the frame body itself."""
     from repro.api import framing, wire
 
     monkeypatch.setenv(kernels.ENV_VAR, "cc")
@@ -117,19 +117,19 @@ def test_ptr_is_the_data_address_of_any_accepted_array():
 
 
 def test_abi_defines_are_rendered_once_from_the_python_ints():
-    """Every status code and scan slot the C names is ``#define``d exactly
-    once, with the value of the python int of the same name, so the two
-    sides of the ABI cannot drift apart."""
-    prefixes = ("MG_", "FOLD_", "SCAN_")
+    """Every status code the C names is ``#define``d exactly once, with the
+    value of the python int of the same name, so the two sides of the ABI
+    cannot drift apart."""
+    prefixes = ("MG_", "FOLD_")
     python_ints = {name: value for name, value in vars(_c_src).items()
                    if name.startswith(prefixes)}
-    defines = re.findall(r"^#define ((?:MG|FOLD|SCAN)_\w+) (.*)$",
+    defines = re.findall(r"^#define ((?:MG|FOLD)_\w+) (.*)$",
                          _c_src.C_SOURCE, flags=re.MULTILINE)
     assert [name for name, _ in defines] == list(python_ints)
     assert {name: int(value) for name, value in defines} == python_ints
     body = _c_src.C_SOURCE.replace(_c_src._ABI_DEFINES, "")
     assert "#define" not in body
-    assert set(re.findall(r"\b(?:MG|FOLD|SCAN)_[A-Z_]+\b", body)) <= set(
+    assert set(re.findall(r"\b(?:MG|FOLD)_[A-Z_]+\b", body)) <= set(
         python_ints)
 
 
@@ -302,18 +302,3 @@ class TestBindingChecks:
         assert args[5].tolist() == [2, 0] and args[0].tolist()[:2] == [1.0, 2.0]
         assert step(keys, values, 0) == 0
         assert args[5].tolist() == [2, 0] and args[0].tolist()[:2] == [2.0, 4.0]
-
-    def test_scan_binary_header(self, tmp_path, monkeypatch):
-        scan = self._table(tmp_path, monkeypatch)["scan_binary_header"]
-        header = b'{"count": 1}'
-        body = b"\x01pad" + header + b"tail"
-        for bad in (bytearray(body), memoryview(body),
-                    np.frombuffer(body, dtype=np.uint8)):
-            self._refused(lambda: scan(bad, 4, len(header)))
-        for start, length in ((-1, 4), (4, -1), (4, len(body)),
-                              (len(body) + 1, 0)):
-            with pytest.raises(ValueError):
-                scan(body, start, length)
-        slots = scan(body, 4, len(header))
-        assert len(slots) == 16 and slots[7] == 1
-        assert scan(body, 4, len(header) + 1) is None  # "t" is not JSON

@@ -87,6 +87,29 @@ class TestSessionRejection:
         assert value["code"] == "k_mismatch"
         assert 5 not in histogram  # the mismatched export contributed nothing
 
+    def test_non_object_meta_inside_push_rejected(self):
+        """A frame header whose ``meta`` is not a JSON object is refused
+        with an ERROR frame, not a crashed session task."""
+        async def scenario():
+            async with await _started_server() as server:
+                channel = await _raw_channel(server)
+                await channel.send_control("hello", k=K, ordinal=0)
+                await channel.read_prefix()
+                await channel.next_event()  # ok re=hello
+                await channel.send_control("push", frames=1)
+                await channel.send_payload(dict(_export({5: 500.0}), meta=5))
+                kind, value = await channel.next_event()
+                await channel.close()
+                rejected = server.stats()["sessions_rejected"]
+                histogram = await _healthy_roundtrip(server)
+                return kind, value, rejected, server.stats(), histogram
+        kind, value, rejected, stats, histogram = _run(scenario())
+        assert kind == "control" and value["verb"] == "error"
+        assert value["code"] == "framing" and "bad meta 5" in value["message"]
+        assert rejected == 1
+        assert stats["sessions_committed"] == 1
+        assert 5 not in histogram and 1 in histogram
+
     def test_rejected_client_with_a_burst_in_flight_reads_the_error(self):
         """The server rejects frame 1 of a large burst while the rest is
         still arriving; it discards what it buffered and drains the socket
