@@ -31,7 +31,7 @@ dispatch without mechanism-specific glue.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,

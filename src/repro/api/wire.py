@@ -1,9 +1,7 @@
 """Versioned columnar wire protocol (v2) for sketches and histograms.
 
-The v1 format (:mod:`repro.sketches.serialization`) stores counters as a
-``{token: value}`` JSON object, which forces a per-key Python decode on the
-aggregator.  The v2 envelope defined here is *columnar*: keys and values
-travel as two parallel JSON arrays,
+Every sketch and histogram file, and every payload frame, is a v2
+envelope: keys and values travel as two parallel JSON arrays,
 
 .. code-block:: json
 
@@ -16,11 +14,18 @@ paper's workloads) decodes each sketch into one ``np.asarray`` call and feeds
 :func:`repro.sketches.merge.merge_many` its ``(keys, values)`` columns — no per-key Python
 at all between the wire and the vectorized merge fold.  Sketches with
 non-integer keys (strings, bytes, the paper variant's dummy padding keys)
-fall back to ``key_encoding == "token"`` using the same type-prefixed tokens
-as v1, so every serializable key round-trips bit-exactly through either
-encoding.  An ``"int"`` envelope whose keys are not all JSON integers
-within int64 is refused with :class:`~repro.exceptions.SketchStateError`
-naming the key, never coerced.
+fall back to ``key_encoding == "token"`` using type-prefixed tokens
+(``i:``, ``s:``, ``b:``, ``__dummy__:``), so every serializable key
+round-trips bit-exactly through either encoding.  An ``"int"`` envelope
+whose keys are not all JSON integers within int64, or any envelope whose
+values are not all JSON numbers, is refused with
+:class:`~repro.exceptions.SketchStateError` naming the offender, never
+coerced.
+
+:func:`load_payload` is the one file reader and :func:`save_payload` the
+one file writer.  Files in the older v1 layout (``format_version: 1``,
+counters as a ``{token: value}`` object) are rewritten as the equivalent
+token envelope on load and then decoded like any v2 file.
 
 In a framed stream (:mod:`repro.api.framing`) a paper-variant export whose
 only non-integer keys are its dummy padding still travels binary: the
@@ -35,7 +40,7 @@ Envelope kinds
 --------------
 ``misra_gries_paper`` / ``misra_gries_standard``
     Full sketch state; :func:`payload_to_sketch` reconstructs an updatable
-    sketch object, exactly as the v1 loader does.
+    sketch object.
 ``counters``
     A bare counter export (any :class:`~repro.sketches.base.FrequencySketch`
     or plain mapping).  ``meta.sketch`` records the producing sketch type.
@@ -46,6 +51,8 @@ Envelope kinds
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -55,7 +62,7 @@ from ..exceptions import ParameterError, SketchStateError
 from ..sketches.base import FrequencySketch
 from ..sketches.misra_gries import DummyKey, MisraGriesSketch
 from ..sketches.misra_gries_standard import StandardMisraGriesSketch
-from ..sketches.serialization import _decode_key, _encode_key
+from ..sketches.serialization import _decode_key, _encode_key, _v1_envelope
 
 #: Version tag of the columnar envelope ("format" field).
 WIRE_FORMAT_VERSION = 2
@@ -78,6 +85,9 @@ def _unsupported_version_message(payload: Mapping) -> str:
 
 def wire_version(payload: Mapping) -> int:
     """The wire version of a decoded JSON payload (1 or 2)."""
+    if not isinstance(payload, Mapping):
+        raise SketchStateError(
+            f"payload is a JSON {type(payload).__name__}, not an object")
     if payload.get("format") == WIRE_FORMAT_VERSION:
         return 2
     if payload.get("format_version") == 1:
@@ -146,6 +156,29 @@ def _int_key_array(raw_keys) -> np.ndarray:
             raise SketchStateError(
                 f"int-encoded key {key!r} is not an int64 integer")
     return np.asarray(raw_keys, dtype=np.int64)
+
+
+_NUMBER_TYPES = {int, float}
+
+
+def _value_array(raw_values) -> np.ndarray:
+    """The float64 column of an envelope's ``values``.
+
+    Each value must be a JSON number, an int or a float (NaN included: the
+    fold handles it).  ``null``, a string, a bool or an int past float64
+    raises :class:`SketchStateError` naming it, rather than being coerced
+    (``"1.5"`` would decode as 1.5 and ``null`` as NaN).
+    """
+    if not isinstance(raw_values, list):
+        raise SketchStateError(f"values {raw_values!r} is not a JSON array")
+    if set(map(type, raw_values)) <= _NUMBER_TYPES:
+        try:
+            return np.asarray(raw_values, dtype=np.float64)
+        except OverflowError:
+            raise SketchStateError(
+                "values hold an integer out of float64 range") from None
+    bad = next(value for value in raw_values if type(value) not in _NUMBER_TYPES)
+    raise SketchStateError(f"value {bad!r} is not a JSON number")
 
 
 def _encode_columns(counters: Mapping[Hashable, float]) -> Dict[str, object]:
@@ -345,8 +378,8 @@ def decode(payload: Mapping) -> WirePayload:
         raise SketchStateError(f"unrecognized wire v2 kind {kind!r}")
     encoding = payload.get("key_encoding")
     raw_keys = payload.get("keys", [])
-    values = np.asarray(payload.get("values", []), dtype=np.float64)
-    if values.ndim != 1 or len(raw_keys) != values.size:
+    values = _value_array(payload.get("values", []))
+    if len(raw_keys) != values.size:
         raise SketchStateError(
             f"malformed columnar payload: {len(raw_keys)} keys vs {values.size} values")
     key_array: Optional[np.ndarray] = None
@@ -367,7 +400,7 @@ def encode_payload(wire: WirePayload) -> Dict:
 
     The inverse of :func:`decode`: keys/values round-trip bit-exactly through
     the same columnar encoding the original envelope used, so a payload can
-    be loaded from any v1/v2 file and re-shipped (e.g. repacked into a framed
+    be loaded from any file and re-shipped (e.g. repacked into a framed
     stream) without touching the sketch state.
     """
     return {
@@ -388,7 +421,11 @@ def payload_to_sketch(payload: Union[Mapping, WirePayload]):
     if wire.k is None:
         raise SketchStateError("sketch envelope is missing its size k")
     counters = wire.counters()
-    rounds = int(wire.meta.get("decrement_rounds", 0))
+    rounds = wire.meta.get("decrement_rounds", 0)
+    if not _is_count(rounds, 0):
+        raise SketchStateError(
+            f"sketch envelope declares a bad meta decrement_rounds {rounds!r}; "
+            "it must be a non-negative integer")
     if wire.kind == "misra_gries_paper":
         sketch = MisraGriesSketch(wire.k)
         sketch._restore_state(counters, stream_length=wire.stream_length,
@@ -408,32 +445,35 @@ def payload_to_histogram(payload: Union[Mapping, WirePayload]) -> PrivateHistogr
     wire = payload if isinstance(payload, WirePayload) else decode(payload)
     if wire.kind != "private_histogram":
         raise SketchStateError("payload does not describe a private histogram")
-    metadata = ReleaseMetadata(**wire.meta)
+    try:
+        metadata = ReleaseMetadata(**wire.meta)
+    except TypeError as error:
+        raise SketchStateError(
+            f"histogram envelope declares bad metadata: {error}") from None
     return PrivateHistogram(counts=wire.counters(), metadata=metadata)
 
 
 def load_payload(path) -> WirePayload:
-    """Read any v1 or v2 JSON file into a :class:`WirePayload`.
+    """Read a sketch or histogram file into a :class:`WirePayload`.
 
-    v1 payloads are up-converted: sketches decode through the v1 loader and
-    re-export their counters, so callers can treat every file uniformly.
+    A v1 file is rewritten as the equivalent v2 envelope first, so every
+    file passes the same decoder and the same checks.
     """
-    import json
-    from pathlib import Path
-
-    from ..sketches.serialization import histogram_from_dict, sketch_from_dict
-
     with Path(path).open("r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    version = None
     try:
         version = wire_version(payload)
+        return decode(_v1_envelope(payload) if version == 1 else payload)
     except SketchStateError as error:
-        raise SketchStateError(f"{path}: {error}") from None
-    if version == 2:
-        return decode(payload)
-    kind = payload.get("kind")
-    if kind == "private_histogram":
-        histogram = histogram_from_dict(payload)
-        return decode(encode_histogram(histogram))
-    sketch = sketch_from_dict(payload)
-    return decode(encode_sketch(sketch))
+        where = f"{path} (a v1 file, read as v2)" if version == 1 else path
+        raise SketchStateError(f"{where}: {error}") from None
+
+
+def save_payload(payload: Mapping, path) -> None:
+    """Write an envelope dict to ``path`` as indented JSON with sorted keys,
+    creating missing parent directories."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with target.open("w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)

@@ -23,8 +23,8 @@ Pick any registered mechanism by name (``repro list`` shows them all)::
     repro release --mechanism pamg --stream users.txt --user-level -m 8 \
         --epsilon 1.0 --delta 1e-6 -k 256
 
-Merge sketches produced on several servers (v2 integer files join the fold
-as key and value columns; ``--format v1`` keeps the old row format)::
+Merge sketches produced on several servers (integer-keyed files join the
+fold as key and value columns; files in the older v1 layout still load)::
 
     repro merge --epsilon 1.0 --delta 1e-6 -k 256 \
         --out merged.hist.json server1.sketch.json server2.sketch.json
@@ -79,24 +79,14 @@ from .analysis.metrics import summarize_errors
 from .analysis.reporting import format_table
 from .api.pipeline import Pipeline
 from .api.registry import list_mechanisms, list_sketches, make_sketch, mechanism_entry
-from .api.wire import load_payload
+from .api.wire import encode_counters, encode_histogram, load_payload, save_payload
 from .core.merging import MergeStrategy
 from .exceptions import ReproError
 from .sketches.exact import ExactCounter
-from .sketches.serialization import (
-    histogram_to_dict,
-    load_histogram,
-    save_histogram,
-    save_sketch,
-)
+from .sketches.serialization import load_histogram, save_histogram, save_sketch
 from .streams.datasets import list_datasets, load_dataset
 from .streams.generators import uniform_stream, zipf_stream
 from .streams.io import read_stream, write_stream
-
-
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=["v1", "v2"], default="v2",
-                        help="wire format for output files (default v2, columnar)")
 
 
 def _add_hardening_flags(parser: argparse.ArgumentParser) -> None:
@@ -172,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     sketch.add_argument("--depth", type=int, default=3,
                         help="rows for the hash-table sketches (count_min/count_sketch)")
     sketch.add_argument("--out", required=True, help="output sketch JSON file")
-    _add_format(sketch)
 
     release = subparsers.add_parser(
         "release", help="release a sketch or stream under differential privacy")
@@ -204,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "when possible)")
     release.add_argument("--seed", type=int, default=None)
     release.add_argument("--out", default=None, help="output histogram JSON (stdout if omitted)")
-    _add_format(release)
 
     merge = subparsers.add_parser("merge", help="privately release merged sketches")
     merge.add_argument("sketches", nargs="+",
@@ -223,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=MergeStrategy.TRUSTED_MERGED.value)
     merge.add_argument("--seed", type=int, default=None)
     merge.add_argument("--out", default=None, help="output histogram JSON (stdout if omitted)")
-    _add_format(merge)
 
     pack = subparsers.add_parser(
         "pack", help="pack sketch JSON files into one framed stream")
@@ -452,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     wal_replay.add_argument("--seed", type=int, default=None)
     wal_replay.add_argument("--out", default=None,
                             help="output histogram JSON (stdout if omitted)")
-    _add_format(wal_replay)
 
     request = subparsers.add_parser(
         "request-release",
@@ -467,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "--auth-token)")
     request.add_argument("--out", default=None,
                          help="output histogram JSON (stdout if omitted)")
-    _add_format(request)
 
     heavy = subparsers.add_parser("heavy-hitters", help="query heavy hitters from a histogram")
     heavy.add_argument("--histogram", required=True, help="released histogram JSON file")
@@ -545,45 +530,26 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sketch(args: argparse.Namespace) -> int:
-    restorable = args.sketch_type in ("misra_gries", "misra_gries_standard")
-    if args.format == "v1" and not restorable:
-        print(f"error: the v1 format only stores Misra-Gries sketches; "
-              f"{args.sketch_type!r} needs --format v2", file=sys.stderr)
-        return 2
     stream = read_stream(args.stream)
     sketch = make_sketch(args.sketch_type, k=args.k, depth=args.depth)
     sketch.update_all(stream)
-    if restorable:
-        save_sketch(sketch, args.out, format=args.format)
+    if args.sketch_type in ("misra_gries", "misra_gries_standard"):
+        save_sketch(sketch, args.out)
     else:
         # Non-MG sketches have no restorable full state; ship their counters
         # as a v2 envelope (readable by `repro release/merge`).
-        from pathlib import Path
-
-        from .api.wire import encode_counters
-
-        target = Path(args.out)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(encode_counters(sketch, k=args.k),
-                                     indent=2, sort_keys=True),
-                          encoding="utf-8")
+        save_payload(encode_counters(sketch, k=args.k), args.out)
     print(f"sketched {sketch.stream_length} elements with {args.sketch_type} "
           f"(k={args.k}) -> {args.out}")
     return 0
 
 
-def _emit_histogram(histogram, out: Optional[str], format: str = "v2") -> None:
+def _emit_histogram(histogram, out: Optional[str]) -> None:
     if out:
-        save_histogram(histogram, out, format=format)
+        save_histogram(histogram, out)
         print(f"released {len(histogram)} elements -> {out}")
     else:
-        if format == "v1":
-            payload = histogram_to_dict(histogram)
-        else:
-            from .api.wire import encode_histogram
-
-            payload = encode_histogram(histogram)
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        json.dump(encode_histogram(histogram), sys.stdout, indent=2, sort_keys=True)
         print()
 
 
@@ -675,7 +641,7 @@ def _cmd_release(args: argparse.Namespace) -> int:
                 return 2
             pipeline = Pipeline.from_sketch(payloads[0], mechanism=mechanism, **params)
     histogram = pipeline.release(rng=args.seed)
-    _emit_histogram(histogram, args.out, args.format)
+    _emit_histogram(histogram, args.out)
     return 0
 
 
@@ -696,7 +662,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     for payload in payloads:
         pipeline.add_sketch(payload)
     histogram = pipeline.release(rng=args.seed)
-    _emit_histogram(histogram, args.out, args.format)
+    _emit_histogram(histogram, args.out)
     return 0
 
 
@@ -743,7 +709,7 @@ def _cmd_merge_framed(args: argparse.Namespace) -> int:
     mechanism = PrivateMergedRelease(epsilon=args.epsilon, delta=args.delta, k=k,
                                      strategy=MergeStrategy.TRUSTED_MERGED)
     histogram = merger.release(mechanism, rng=args.seed)
-    _emit_histogram(histogram, args.out, args.format)
+    _emit_histogram(histogram, args.out)
     return 0
 
 
@@ -1140,7 +1106,7 @@ def _cmd_wal(args: argparse.Namespace) -> int:
     finally:
         server.wal.close()
     histogram = payload_to_histogram(envelope)
-    _emit_histogram(histogram, args.out, args.format)
+    _emit_histogram(histogram, args.out)
     return 0
 
 
@@ -1150,7 +1116,7 @@ def _cmd_request_release(args: argparse.Namespace) -> int:
     histogram = request_release(args.to, seed=args.seed,
                                 auth_token=args.token, timeout=args.timeout,
                                 connect_retries=args.retries)
-    _emit_histogram(histogram, args.out, args.format)
+    _emit_histogram(histogram, args.out)
     return 0
 
 

@@ -46,7 +46,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..api.framing import FrameHeader, StreamingMerger, origin_frames
+from ..api.framing import FRAMING_VERSION, FrameHeader, StreamingMerger, origin_frames
 from ..api.wire import WirePayload
 from ..exceptions import FramingError, ProtocolError, ReproError
 from .protocol import BYE, ERROR, HELLO, OK, PUSH, RELEASE, STATS, FrameChannel
@@ -161,16 +161,16 @@ class Session:
         """Drive the connection to completion; never raises into the server."""
         timeout = self._server.read_timeout
         try:
+            # Greet before reading anything, so every rejection, a bad
+            # stream header included, reaches the client as a well-formed
+            # (prefix + error frame) stream it can parse.
+            await self._channel.send_prefix(FrameHeader(
+                framing=FRAMING_VERSION, frames=None, k=self._server.k,
+                meta={"service": "repro-aggregator"}))
             try:
                 header = await self._channel.read_prefix(timeout=timeout)
             except asyncio.TimeoutError:
                 raise self._stalled("stream header") from None
-            # Greet before validating, so any rejection reaches the client as
-            # a well-formed (prefix + error frame) stream it can parse.
-            greeting = FrameHeader(framing=header.framing, frames=None,
-                                   k=self._server.k,
-                                   meta={"service": "repro-aggregator"})
-            await self._channel.send_prefix(greeting)
             if self._server.requires_auth:
                 # k adoption mutates server state; an unauthenticated peer
                 # must not influence it, so the header's k is only validated

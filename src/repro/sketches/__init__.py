@@ -18,8 +18,6 @@ from .serialization import (
     load_sketch,
     save_histogram,
     save_sketch,
-    sketch_from_dict,
-    sketch_to_dict,
 )
 from .space_saving import SpaceSavingSketch
 
@@ -39,7 +37,5 @@ __all__ = [
     "merge_tree",
     "save_histogram",
     "save_sketch",
-    "sketch_from_dict",
-    "sketch_to_dict",
     "sum_counters",
 ]

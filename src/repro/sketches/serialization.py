@@ -1,21 +1,15 @@
-"""Serialization of sketches and private histograms.
+"""Sketch and histogram files.
 
 Distributed deployments (Section 7) ship sketches from edge servers to an
-aggregator; this module provides a stable JSON representation for the
-counter-based sketches and for released histograms so they can cross process
-or machine boundaries without pickling arbitrary objects.
+aggregator; this module writes the counter-based sketches and released
+histograms as JSON files so they can cross process or machine boundaries
+without pickling arbitrary objects.
 
-Two on-disk formats are understood:
-
-* **v1** (this module's original row format): counters as a
-  ``{token: value}`` object with per-key type-prefixed tokens.
-* **v2** (:mod:`repro.api.wire`): a columnar envelope with parallel ``keys``
-  and ``values`` arrays whose integer fast path feeds
-  :func:`repro.sketches.merge.merge_many` as a ``(keys, values)`` pair,
-  with no per-key Python.
-
-``save_sketch``/``save_histogram`` write v2 by default (``format="v1"`` keeps
-the old layout); the loaders accept either version transparently.
+Every file is written as a wire v2 envelope (:mod:`repro.api.wire`), and
+every file is read through :func:`repro.api.wire.load_payload`.  Files in
+the older v1 layout (``format_version: 1``, counters as a ``{token: value}``
+object) still load: :func:`_v1_envelope` rewrites such a dict as the
+equivalent v2 envelope, so it passes the same decoder and the same checks.
 
 Keys may be ints, strings or bytes; integer keys round-trip back to ``int``
 and bytes keys are carried as base64.
@@ -25,25 +19,14 @@ from __future__ import annotations
 
 import base64
 import binascii
-import json
 from pathlib import Path
-from typing import Dict, Hashable, Union
+from typing import Dict, Hashable, Mapping, Union
 
 from ..exceptions import ParameterError, SketchStateError
 from .misra_gries import DummyKey, MisraGriesSketch
 from .misra_gries_standard import StandardMisraGriesSketch
 
 PathLike = Union[str, Path]
-
-_FORMAT_VERSION = 1
-
-
-def _normalize_format(format: Union[str, int, None]) -> int:
-    if format in (None, 2, "2", "v2"):
-        return 2
-    if format in (1, "1", "v1"):
-        return 1
-    raise ParameterError(f"unknown wire format {format!r}; use 'v1' or 'v2'")
 
 
 def _encode_key(key: Hashable) -> str:
@@ -74,65 +57,45 @@ def _decode_key(token: str) -> Hashable:
     raise SketchStateError(f"unrecognized serialized key {token!r}")
 
 
-def sketch_to_dict(sketch: Union[MisraGriesSketch, StandardMisraGriesSketch]) -> Dict:
-    """A JSON-serializable dict representation of a Misra-Gries sketch."""
-    if isinstance(sketch, MisraGriesSketch):
-        kind = "misra_gries_paper"
-        counters = sketch.raw_counters()
-        extra = {"decrement_rounds": sketch.decrement_rounds}
-    elif isinstance(sketch, StandardMisraGriesSketch):
-        kind = "misra_gries_standard"
-        counters = sketch.counters()
-        extra = {"decrement_rounds": sketch.decrement_rounds}
-    else:
-        raise ParameterError(f"unsupported sketch type: {type(sketch)!r}")
-    return {
-        "format_version": _FORMAT_VERSION,
-        "kind": kind,
-        "k": sketch.size,
-        "stream_length": sketch.stream_length,
-        "counters": {_encode_key(key): value for key, value in counters.items()},
-        **extra,
-    }
+#: The v1 kinds and the field holding each one's ``{token: value}`` object.
+_V1_COLUMNS = {"misra_gries_paper": "counters", "misra_gries_standard": "counters",
+               "private_histogram": "counts"}
 
 
-def sketch_from_dict(payload: Dict) -> Union[MisraGriesSketch, StandardMisraGriesSketch]:
-    """Reconstruct a sketch from :func:`sketch_to_dict` output.
+def _v1_envelope(payload: Mapping) -> Dict:
+    """The wire v2 envelope a v1 file's dict stands for.
 
-    The reconstructed object reproduces the stored counters, stream length and
-    decrement count; it continues to accept updates.
+    Only the v1 layout is checked here; ``k``, ``meta``, the tokens and the
+    values are checked by :func:`repro.api.wire.decode` and the
+    ``payload_to_*`` restorers, as for any v2 file.
     """
-    version = payload.get("format_version")
-    if version != _FORMAT_VERSION:
-        raise SketchStateError(f"unsupported sketch format version {version!r}")
     kind = payload.get("kind")
-    k = int(payload["k"])
-    counters = {_decode_key(token): float(value)
-                for token, value in payload["counters"].items()}
-    if kind == "misra_gries_paper":
-        sketch = MisraGriesSketch(k)
-        sketch._restore_state(counters,
-                              stream_length=int(payload["stream_length"]),
-                              decrement_rounds=int(payload.get("decrement_rounds", 0)))
-        return sketch
-    if kind == "misra_gries_standard":
-        sketch = StandardMisraGriesSketch(k)
-        if len(counters) > k:
-            raise SketchStateError("standard sketch stores at most k counters")
-        sketch._counters = dict(counters)
-        sketch._stream_length = int(payload["stream_length"])
-        sketch._decrement_rounds = int(payload.get("decrement_rounds", 0))
-        return sketch
-    raise SketchStateError(f"unrecognized sketch kind {kind!r}")
+    column = _V1_COLUMNS.get(kind) if isinstance(kind, str) else None
+    if payload.get("format_version") != 1 or column is None:
+        raise SketchStateError(f"unrecognized v1 kind {kind!r}")
+    counters = payload.get(column)
+    meta = payload.get("metadata") if kind == "private_histogram" else {}
+    for field, value in ((column, counters), ("metadata", meta)):
+        if not isinstance(value, dict):
+            raise SketchStateError(
+                f"v1 {kind} file declares a bad {field} {value!r}; it must "
+                "be a JSON object")
+    if kind == "private_histogram":
+        k = meta.get("sketch_size")
+    else:
+        k = payload.get("k")
+        meta = {"stream_length": payload.get("stream_length"),
+                "decrement_rounds": payload.get("decrement_rounds", 0)}
+    return {"format": 2, "kind": kind, "k": k, "meta": meta,
+            "key_encoding": "token", "keys": list(counters),
+            "values": list(counters.values())}
 
 
-def save_sketch(sketch, path: PathLike, format: Union[str, int, None] = None) -> None:
-    """Write a sketch to ``path`` as JSON.
+def save_sketch(sketch, path: PathLike) -> None:
+    """Write a Misra-Gries sketch to ``path`` as a wire v2 envelope.
 
-    ``format`` selects the wire version: ``"v2"`` (the default, columnar
-    envelope from :mod:`repro.api.wire`) or ``"v1"`` (the original row
-    format).  Only the Misra-Gries variants have restorable full state; for
-    other sketches ship their counters with
+    Only the Misra-Gries variants have restorable full state; for other
+    sketches ship their counters with
     :func:`repro.api.wire.encode_counters` (readable via ``load_payload``,
     not ``load_sketch``).
     """
@@ -141,70 +104,27 @@ def save_sketch(sketch, path: PathLike, format: Union[str, int, None] = None) ->
             f"only Misra-Gries sketches round-trip through save_sketch/load_sketch, "
             f"got {type(sketch)!r}; use repro.api.wire.encode_counters for a "
             f"counters-only export")
-    if _normalize_format(format) == 2:
-        from ..api.wire import encode_sketch
+    from ..api.wire import encode_sketch, save_payload
 
-        payload = encode_sketch(sketch)
-    else:
-        payload = sketch_to_dict(sketch)
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    save_payload(encode_sketch(sketch), path)
 
 
 def load_sketch(path: PathLike):
-    """Read a sketch previously written by :func:`save_sketch` (v1 or v2)."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") == 2:
-        from ..api.wire import payload_to_sketch
+    """Read a sketch file (v2, or v1 written by an older release)."""
+    from ..api.wire import load_payload, payload_to_sketch
 
-        return payload_to_sketch(payload)
-    return sketch_from_dict(payload)
+    return payload_to_sketch(load_payload(path))
 
 
-def histogram_to_dict(histogram) -> Dict:
-    """A JSON-serializable representation of a released PrivateHistogram."""
-    return {
-        "format_version": _FORMAT_VERSION,
-        "kind": "private_histogram",
-        "counts": {_encode_key(key): value for key, value in histogram.items()},
-        "metadata": histogram.metadata.as_dict(),
-    }
+def save_histogram(histogram, path: PathLike) -> None:
+    """Write a released histogram to ``path`` as a wire v2 envelope."""
+    from ..api.wire import encode_histogram, save_payload
 
-
-def histogram_from_dict(payload: Dict):
-    """Reconstruct a :class:`~repro.core.results.PrivateHistogram`."""
-    from ..core.results import PrivateHistogram, ReleaseMetadata
-
-    if payload.get("kind") != "private_histogram":
-        raise SketchStateError("payload does not describe a private histogram")
-    metadata = ReleaseMetadata(**payload["metadata"])
-    counts = {_decode_key(token): float(value) for token, value in payload["counts"].items()}
-    return PrivateHistogram(counts=counts, metadata=metadata)
-
-
-def save_histogram(histogram, path: PathLike, format: Union[str, int, None] = None) -> None:
-    """Write a released histogram to ``path`` as JSON (``format``: v1 or v2)."""
-    if _normalize_format(format) == 2:
-        from ..api.wire import encode_histogram
-
-        payload = encode_histogram(histogram)
-    else:
-        payload = histogram_to_dict(histogram)
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    save_payload(encode_histogram(histogram), path)
 
 
 def load_histogram(path: PathLike):
-    """Read a histogram previously written by :func:`save_histogram` (v1 or v2)."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") == 2:
-        from ..api.wire import payload_to_histogram
+    """Read a histogram file (v2, or v1 written by an older release)."""
+    from ..api.wire import load_payload, payload_to_histogram
 
-        return payload_to_histogram(payload)
-    return histogram_from_dict(payload)
+    return payload_to_histogram(load_payload(path))

@@ -2,18 +2,25 @@
 
 Parameterized over every registered mechanism name, so the full operational
 loop is exercised for the paper's releases and every baseline, plus
-v1 <-> v2 wire-format cross-reads.
+cross-reads of v1 files (written by the frozen v1 writer) with v2 files.
 """
 
 import json
 
 import numpy as np
 import pytest
+from _frozen_v1 import save_v1
 
 from repro.api import list_mechanisms, mechanism_entry
 from repro.cli import main
-from repro.sketches import load_histogram, load_sketch
+from repro.sketches import MisraGriesSketch, load_histogram, load_sketch
 from repro.sketches.merge import merge_many
+from repro.streams.io import read_stream
+
+
+def _sketch_of(stream_file, k):
+    """The sketch `repro sketch -k k` builds from ``stream_file``."""
+    return MisraGriesSketch.from_stream(k, read_stream(stream_file))
 
 
 @pytest.fixture(scope="module")
@@ -147,18 +154,18 @@ def test_non_mg_sketch_type_roundtrips_through_release(flat_workspace, tmp_path,
                  "--epsilon", "1.0", "--delta", "1e-6", "-k", "64",
                  "--seed", "8", "--out", str(out)]) == 0
     assert load_histogram(out).metadata.mechanism == "GSHM"
-    # v1 cannot store non-MG sketches and must say so up front.
-    assert main(["sketch", "--stream", str(stream), "--type", "count_min", "-k", "64",
-                 "--format", "v1", "--out", str(tmp_path / "cm.v1.json")]) == 2
-    assert "v1" in capsys.readouterr().err
+    # Files are written in one format only: there is no --format option.
+    with pytest.raises(SystemExit) as exited:
+        main(["sketch", "--stream", str(stream), "--type", "count_min", "-k", "64",
+              "--format", "v1", "--out", str(tmp_path / "cm.v1.json")])
+    assert exited.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_merge_accepts_mixed_v1_v2_files(flat_workspace, tmp_path):
     """A v1 sketch file merges with a v2 sketch file (cross-read)."""
     _, stream, first, _ = flat_workspace
-    old = tmp_path / "old.sketch.json"
-    assert main(["sketch", "--stream", str(stream), "-k", "16",
-                 "--format", "v1", "--out", str(old)]) == 0
+    old = save_v1(_sketch_of(stream, 16), tmp_path / "old.sketch.json")
     assert json.loads(old.read_text())["format_version"] == 1
     out = tmp_path / "mixed.hist.json"
     assert main(["merge", "--epsilon", "1.0", "--delta", "1e-6", "-k", "16",
@@ -169,24 +176,13 @@ def test_merge_accepts_mixed_v1_v2_files(flat_workspace, tmp_path):
 def test_v1_and_v2_sketch_files_decode_identically(flat_workspace, tmp_path):
     """Cross-read: the same sketch saved as v1 and v2 restores identical state."""
     _, stream, _, _ = flat_workspace
-    v1, v2 = tmp_path / "a.v1.json", tmp_path / "a.v2.json"
-    for path, fmt in ((v1, "v1"), (v2, "v2")):
-        assert main(["sketch", "--stream", str(stream), "-k", "16",
-                     "--format", fmt, "--out", str(path)]) == 0
+    v1 = save_v1(_sketch_of(stream, 16), tmp_path / "a.v1.json")
+    v2 = tmp_path / "a.v2.json"
+    assert main(["sketch", "--stream", str(stream), "-k", "16",
+                 "--out", str(v2)]) == 0
     one, two = load_sketch(v1), load_sketch(v2)
     assert one.raw_counters() == two.raw_counters()
     assert one.stream_length == two.stream_length
-
-
-def test_release_output_format_escape_hatch(flat_workspace, tmp_path):
-    _, _, sketch, _ = flat_workspace
-    v1_out = tmp_path / "hist.v1.json"
-    assert main(["release", "--sketch", str(sketch), "--epsilon", "1.0",
-                 "--delta", "1e-6", "--seed", "6", "--format", "v1",
-                 "--out", str(v1_out)]) == 0
-    payload = json.loads(v1_out.read_text())
-    assert payload["format_version"] == 1
-    assert load_histogram(v1_out).metadata.mechanism == "PMG"
 
 
 def test_list_command_enumerates_registry(capsys):
@@ -242,9 +238,7 @@ class TestFramedPipeline:
 
     def test_pack_accepts_v1_inputs(self, flat_workspace, tmp_path):
         _, stream, _, _ = flat_workspace
-        old = tmp_path / "old.sketch.json"
-        assert main(["sketch", "--stream", str(stream), "-k", "16",
-                     "--format", "v1", "--out", str(old)]) == 0
+        old = save_v1(_sketch_of(stream, 16), tmp_path / "old.sketch.json")
         frames = tmp_path / "exports.frames"
         assert main(["pack", "--out", str(frames), str(old)]) == 0
         assert main(["merge", "--framed", "--epsilon", "1.0", "--delta", "1e-6",

@@ -1,9 +1,11 @@
 """Unit tests for the v2 columnar wire protocol."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from _frozen_v1 import save_v1, sketch_to_dict
 
 from repro.api import wire
 from repro.core import PrivateMisraGries
@@ -186,19 +188,72 @@ class TestHeaderFieldsAreNotCoerced:
             wire.decode(dict(histogram, kind="counters"))
 
 
+class TestValuesAreNotCoerced:
+    """``values`` must be JSON numbers (ints or floats, NaN included); a
+    ``null``, a string or a bool is refused with the value named."""
+
+    @pytest.mark.parametrize("value, named", [
+        (None, "value None"), ("x", "value 'x'"), ("1.5", "value '1.5'"),
+        (True, "value True"), (10 ** 400, "out of float64 range")])
+    def test_bad_value_refused(self, value, named):
+        envelope = dict(_int_envelope([1, 2]), values=[1.0, value])
+        with pytest.raises(SketchStateError, match=named):
+            wire.decode(envelope)
+
+    def test_values_must_be_an_array(self):
+        with pytest.raises(SketchStateError, match="not a JSON array"):
+            wire.decode(dict(_int_envelope([1]), values={"a": 1.0}))
+
+    def test_numbers_decode_bit_exactly(self):
+        values = [3, 2.5, float("nan"), -0.0, float("inf")]
+        decoded = wire.decode(_json_roundtrip(
+            dict(_int_envelope([1, 2, 3, 4, 5]), values=values)))
+        assert decoded.values.dtype == np.float64
+        np.testing.assert_array_equal(decoded.values, np.asarray(values, dtype=np.float64))
+
+    def test_json_frame_wraps_the_refusal_as_framing_error(self):
+        from repro.api.framing import decode_payload_body
+        from repro.exceptions import FramingError
+
+        envelope = dict(_int_envelope([1]), key_encoding="token", keys=["s:a"],
+                        values=[None])
+        body = json.dumps(envelope).encode("utf-8")
+        with pytest.raises(FramingError, match="value None"):
+            decode_payload_body(body)
+
+
+class TestRestoredFieldsAreNotCoerced:
+    @pytest.mark.parametrize("rounds", ["x", 2.5, -1, True, None])
+    def test_bad_decrement_rounds_refused(self, rounds):
+        envelope = wire.encode_sketch(MisraGriesSketch.from_stream(4, [1, 2, 1]))
+        envelope["meta"]["decrement_rounds"] = rounds
+        with pytest.raises(SketchStateError,
+                           match=f"bad meta decrement_rounds {re.escape(repr(rounds))}"):
+            wire.payload_to_sketch(envelope)
+
+    def test_unknown_metadata_field_refused(self):
+        sketch = MisraGriesSketch.from_stream(4, [1] * 1000 + [2])
+        envelope = wire.encode_histogram(
+            PrivateMisraGries(epsilon=1.0, delta=1e-6).release(sketch, rng=0))
+        envelope["meta"]["bogus"] = 1
+        with pytest.raises(SketchStateError, match="'bogus'"):
+            wire.payload_to_histogram(envelope)
+        del envelope["meta"]["bogus"], envelope["meta"]["notes"]
+        assert wire.payload_to_histogram(envelope).metadata.notes == ""
+        del envelope["meta"]["epsilon"]
+        with pytest.raises(SketchStateError, match="'epsilon'"):
+            wire.payload_to_histogram(envelope)
+
+
 class TestVersioning:
     def test_wire_version_detection(self):
         sketch = MisraGriesSketch.from_stream(4, [1, 2, 1])
-        from repro.sketches.serialization import sketch_to_dict
-
         assert wire.wire_version(sketch_to_dict(sketch)) == 1
         assert wire.wire_version(wire.encode_sketch(sketch)) == 2
         with pytest.raises(SketchStateError):
             wire.wire_version({"format": 3})
 
     def test_decode_rejects_v1(self):
-        from repro.sketches.serialization import sketch_to_dict
-
         with pytest.raises(SketchStateError):
             wire.decode(sketch_to_dict(MisraGriesSketch(2)))
 
@@ -236,6 +291,13 @@ class TestVersioning:
         assert "format: 7" in message
         assert "supported versions" in message
 
+    def test_load_payload_non_object_file_names_path(self, tmp_path):
+        target = tmp_path / "list.json"
+        target.write_text(json.dumps([1, 2]))
+        with pytest.raises(SketchStateError, match="JSON list, not an object") as excinfo:
+            wire.load_payload(target)
+        assert str(target) in str(excinfo.value)
+
     def test_load_payload_versionless_file_names_path(self, tmp_path):
         target = tmp_path / "not-a-sketch.json"
         target.write_text(json.dumps({"counters": {"i:1": 2.0}}))
@@ -260,9 +322,9 @@ class TestFileInterop:
     def test_save_v1_load_v2_default(self, tmp_path):
         """v1 files written by the old layout still load (cross-read)."""
         sketch = MisraGriesSketch.from_stream(16, zipf_stream(2_000, 100, rng=8))
-        v1, v2 = tmp_path / "sketch.v1.json", tmp_path / "sketch.v2.json"
-        save_sketch(sketch, v1, format="v1")
-        save_sketch(sketch, v2, format="v2")
+        v1 = save_v1(sketch, tmp_path / "sketch.v1.json")
+        v2 = tmp_path / "sketch.v2.json"
+        save_sketch(sketch, v2)
         assert json.loads(v1.read_text())["format_version"] == 1
         assert json.loads(v2.read_text())["format"] == 2
         restored_v1, restored_v2 = load_sketch(v1), load_sketch(v2)
@@ -271,8 +333,6 @@ class TestFileInterop:
 
     def test_load_payload_upconverts_v1(self, tmp_path):
         sketch = MisraGriesSketch.from_stream(16, zipf_stream(2_000, 100, rng=9))
-        v1 = tmp_path / "sketch.v1.json"
-        save_sketch(sketch, v1, format="v1")
-        payload = wire.load_payload(v1)
+        payload = wire.load_payload(save_v1(sketch, tmp_path / "sketch.v1.json"))
         assert payload.kind == "misra_gries_paper"
         assert payload.stream_length == sketch.stream_length

@@ -15,6 +15,7 @@ from repro.api.framing import FrameHeader
 from repro.api.wire import encode_counters
 from repro.exceptions import NetworkError, RemoteError
 from repro.net import AggregatorClient, AggregatorServer
+from repro.net import client as client_module
 from repro.net.protocol import FrameChannel
 
 pytestmark = pytest.mark.net
@@ -109,6 +110,36 @@ class TestSessionRejection:
         assert rejected == 1
         assert stats["sessions_committed"] == 1
         assert 5 not in histogram and 1 in histogram
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("meta", 5, "bad meta 5"), ("k", 16.5, "bad k 16.5"),
+        ("frames", -1, "bad frame count -1")])
+    def test_bad_stream_header_reaches_the_client_as_its_error_code(
+            self, monkeypatch, field, value, named):
+        """The server greets before it reads the client's stream header, so
+        a header refusal reaches the client as an ERROR frame with the
+        server's code, not as an unparsable reply."""
+        class BadHeader(FrameHeader):
+            def as_dict(self):
+                return dict(super().as_dict(), **{field: value})
+
+        async def scenario():
+            async with await _started_server() as server:
+                with monkeypatch.context() as patch:
+                    patch.setattr(client_module, "FrameHeader", BadHeader)
+                    with pytest.raises(RemoteError) as caught:
+                        async with AggregatorClient(server.address, k=K,
+                                                    ordinal=0):
+                            pass
+                rejected = server.stats()["sessions_rejected"]
+                histogram = await _healthy_roundtrip(server)
+                return caught.value, rejected, server.stats(), histogram
+        error, rejected, stats, histogram = _run(scenario())
+        assert error.code == "framing"
+        assert named in str(error)
+        assert rejected == 1
+        assert stats["sessions_committed"] == 1
+        assert 1 in histogram
 
     def test_rejected_client_with_a_burst_in_flight_reads_the_error(self):
         """The server rejects frame 1 of a large burst while the rest is

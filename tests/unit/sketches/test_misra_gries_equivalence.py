@@ -19,7 +19,7 @@ from repro.core import ContinualHeavyHitters
 from repro.sketches import MisraGriesSketch, SpaceSavingSketch
 from repro.sketches._ordering import DummyKey, eviction_order
 from repro.sketches._reference import ReferenceMisraGries
-from repro.sketches.serialization import sketch_from_dict, sketch_to_dict
+from repro.api.wire import encode_sketch, payload_to_sketch
 
 KS = st.integers(min_value=1, max_value=8)
 INTS = st.integers(min_value=-25, max_value=25)
@@ -181,7 +181,7 @@ class TestSerializationContinuesUpdating:
     def test_roundtrip_then_update_matches_straight_through(self):
         prefix = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]
         suffix = [8, 9, 7, 9, 3, 2, 3, 8, 4, 6, 2, 6]
-        restored = sketch_from_dict(sketch_to_dict(
+        restored = payload_to_sketch(encode_sketch(
             MisraGriesSketch.from_stream(3, prefix)))
         restored.update_all(suffix)
         straight = MisraGriesSketch.from_stream(3, prefix + suffix)
