@@ -51,6 +51,7 @@ Envelope kinds
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
@@ -461,19 +462,33 @@ def load_payload(path) -> WirePayload:
     """
     with Path(path).open("r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    version = None
-    try:
+    with refusals_naming(path):
         version = wire_version(payload)
-        return decode(_v1_envelope(payload) if version == 1 else payload)
+    v1 = version == 1
+    with refusals_naming(f"{path} (a v1 file, read as v2)" if v1 else path):
+        return decode(_v1_envelope(payload) if v1 else payload)
+
+
+@contextlib.contextmanager
+def refusals_naming(where):
+    """Prefix ``where`` (a file) to any :class:`SketchStateError` raised
+    inside, so a refused file names itself."""
+    try:
+        yield
     except SketchStateError as error:
-        where = f"{path} (a v1 file, read as v2)" if version == 1 else path
         raise SketchStateError(f"{where}: {error}") from None
 
 
+def dump_payload(payload: Mapping, handle) -> None:
+    """Write an envelope dict to a text stream as indented JSON with sorted
+    keys: the layout of every saved file and of the CLI's stdout."""
+    json.dump(payload, handle, indent=2, sort_keys=True)
+
+
 def save_payload(payload: Mapping, path) -> None:
-    """Write an envelope dict to ``path`` as indented JSON with sorted keys,
-    creating missing parent directories."""
+    """Write an envelope dict to ``path`` (:func:`dump_payload`), creating
+    missing parent directories."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        dump_payload(payload, handle)

@@ -73,13 +73,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from .analysis.metrics import summarize_errors
 from .analysis.reporting import format_table
 from .api.pipeline import Pipeline
 from .api.registry import list_mechanisms, list_sketches, make_sketch, mechanism_entry
-from .api.wire import encode_counters, encode_histogram, load_payload, save_payload
+from .api.wire import (dump_payload, encode_counters, encode_histogram,
+                       load_payload, refusals_naming, save_payload)
 from .core.merging import MergeStrategy
 from .exceptions import ReproError
 from .sketches.exact import ExactCounter
@@ -412,10 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
     push.add_argument("--retries", type=int, default=5,
                       help="connection attempts before giving up")
     push.add_argument("--resume", action="store_true",
-                      help="survive crashes: retry the whole push with "
-                           "jittered backoff, resuming from the committed "
-                           "frame count a --wal-dir server reports (needs "
-                           "--ordinal and a single framed input)")
+                      help="survive crashes and lost acks: retry the whole "
+                           "push with jittered backoff, skipping the frames "
+                           "the server reports it holds for --ordinal (the "
+                           "durable prefix on a --wal-dir server; all of "
+                           "them once the ordinal has committed, on any "
+                           "server); needs --ordinal and a single framed "
+                           "input")
     push.add_argument("--max-elapsed", type=float, default=60.0,
                       help="total retry budget in seconds for --resume "
                            "(default 60)")
@@ -549,7 +553,7 @@ def _emit_histogram(histogram, out: Optional[str]) -> None:
         save_histogram(histogram, out)
         print(f"released {len(histogram)} elements -> {out}")
     else:
-        json.dump(encode_histogram(histogram), sys.stdout, indent=2, sort_keys=True)
+        dump_payload(encode_histogram(histogram), sys.stdout)
         print()
 
 
@@ -639,7 +643,9 @@ def _cmd_release(args: argparse.Namespace) -> int:
                 print(f"error: mechanism {mechanism!r} releases a single sketch, "
                       f"got {len(payloads)}", file=sys.stderr)
                 return 2
-            pipeline = Pipeline.from_sketch(payloads[0], mechanism=mechanism, **params)
+            with refusals_naming(args.sketch[0]):
+                pipeline = Pipeline.from_sketch(payloads[0], mechanism=mechanism,
+                                                **params)
     histogram = pipeline.release(rng=args.seed)
     _emit_histogram(histogram, args.out)
     return 0

@@ -8,16 +8,19 @@ as they arrive and publishes a differentially private histogram on request:
   verbs as tag-``0x02`` control frames layered on the PR-4 framed container)
   and :class:`FrameChannel`, the bounded-read asyncio frame pump.
 * :mod:`repro.net.session` — the server-side session state machine
-  (AWAIT_HELLO → READY ⇄ PUSHING → COMMITTED | REJECTED).
+  (AWAIT_HELLO → READY ⇄ PUSHING → COMMITTED | REJECTED).  On every
+  server an ordinal has one live session and is never folded twice.
 * :mod:`repro.net.server` — :class:`AggregatorServer`: concurrent sessions,
   per-session :class:`~repro.api.framing.StreamingMerger` folds, k agreement,
   fault containment, graceful drain.
 * :mod:`repro.net.client` — :class:`AggregatorClient` (async) plus the
   synchronous one-shot helpers the ``repro push`` / ``repro request-release``
-  CLI subcommands use, including the crash-surviving
-  :func:`push_file_resilient`.
+  CLI subcommands use, and :func:`push_resumable`, the one retrying
+  connect/resume/push/bye cycle behind both ``repro push --resume``
+  (:func:`push_file_resilient`) and the relay's upstream forwards.
 * :mod:`repro.net.wal` — the durability layer: per-session write-ahead
-  spools of verbatim PUSH frames, burst-fsync commits, replay-on-restart.
+  spools of verbatim PUSH frames, burst-fsync commits, replay-on-restart
+  and resume of open sessions.
 * :mod:`repro.net.store` — the pluggable checkpoint ledger behind the WAL
   (sqlite first; the interface is redis-shaped so another backend is one
   module).
@@ -56,8 +59,8 @@ recorded commit order.
 
 from .backoff import Backoff, retry_async
 from .budget import BudgetAccountant, BudgetSpend
-from .client import (AggregatorClient, fetch_stats, push_file,
-                     push_file_resilient, request_release,
+from .client import (AggregatorClient, fetch_stats, push_file_resilient,
+                     push_resumable, request_release,
                      transient_push_error)
 from .protocol import Address, FrameChannel, parse_address
 from .relay import RelayAggregatorServer, serve_relay
@@ -92,8 +95,8 @@ __all__ = [
     "is_reserved_record",
     "open_store",
     "parse_address",
-    "push_file",
     "push_file_resilient",
+    "push_resumable",
     "request_release",
     "retry_async",
     "serve",

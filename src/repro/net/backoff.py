@@ -1,7 +1,7 @@
 """Jittered exponential backoff with a max-elapsed retry budget.
 
 Used by :class:`~repro.net.client.AggregatorClient` for connect retries and
-by :func:`~repro.net.client.push_file_resilient` for whole-push retries.
+by :func:`~repro.net.client.push_resumable` for whole-push retries.
 Jitter decorrelates a fleet of clients hammering a restarting aggregator;
 the max-elapsed cap turns "retry forever" into a bounded budget so a dead
 server fails the push instead of wedging it.
@@ -107,9 +107,10 @@ async def retry_async(attempt: Callable[[], Awaitable],
                       sleep: Callable[[float], Awaitable] = asyncio.sleep) -> object:
     """Run ``attempt`` until it succeeds, retrying transient failures.
 
-    This is the one retry loop of the net tier: ``AggregatorClient.connect``,
-    :func:`~repro.net.client.push_file_resilient` and the relay's upstream
-    forwarder all drive it with their own ``backoff`` policy.  ``retryable``
+    This is the one retry loop of the net tier: ``AggregatorClient.connect``
+    and :func:`~repro.net.client.push_resumable` (``repro push --resume``
+    and the relay's upstream forwards) drive it with their own ``backoff``
+    policy.  ``retryable``
     classifies an exception as transient — either a tuple of exception types
     or a predicate; anything else propagates immediately.  The loop gives up
     when ``max_attempts`` attempts have failed or when the backoff's

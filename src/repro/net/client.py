@@ -8,26 +8,28 @@ The client side of the framed control protocol.  Async first —
         await client.push(payloads)            # wire-v2 envelopes
         histogram = await client.request_release(seed=0)
 
-— with synchronous one-shot helpers (:func:`push_file`,
-:func:`request_release`, :func:`fetch_stats`, :func:`push_file_resilient`)
+— with synchronous one-shot helpers (:func:`push_file_resilient`,
+:func:`request_release`, :func:`fetch_stats`)
 for the CLI and scripts.  ``connect`` retries with jittered exponential
-backoff under an optional max-elapsed budget (:mod:`repro.net.backoff`);
+backoff (:mod:`repro.net.backoff`);
 every operation runs under a hard timeout and raises
 :class:`~repro.exceptions.NetworkError` instead of hanging.  ERROR frames
 from the server raise :class:`~repro.exceptions.RemoteError` with the
 server's machine-readable ``code``.
 
-Idempotent resume: against a server running a write-ahead log, the HELLO
-ack reports how many of this ordinal's frames are already fsync-durable
-(``self.committed``); :meth:`AggregatorClient.push_file` skips that many
-frames, so a client that reconnects after a crash — its own or the
-server's — pushes each frame exactly once.  :func:`push_file_resilient`
-wraps the whole connect/resume/push/bye cycle in a backoff retry loop.
+Idempotent resume: the HELLO ack reports how many of this ordinal's frames
+the server already holds (``self.committed``: a WAL server's durable
+prefix, or a committed session's every frame on any server) and
+:meth:`AggregatorClient.push_file` skips them.  :func:`push_resumable`, the
+one retrying connect/resume/push/bye cycle behind ``repro push --resume``
+and the relay's forwards, thus pushes each frame once across crashes and
+lost acks.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Union
 
@@ -80,10 +82,10 @@ class AggregatorClient:
         missing or wrong token is rejected with an ``auth_failed`` ERROR.
     timeout:
         Hard per-operation timeout in seconds.
-    connect_retries / retry_delay / retry_jitter / retry_max_elapsed:
-        Connection attempts, the backoff base between them (delays grow
+    connect_retries / retry_delay / retry_jitter:
+        Connection attempts and the backoff base between them (delays grow
         exponentially from it, stretched by up to ``retry_jitter`` relative
-        jitter), and an optional wall-clock budget across all attempts.
+        jitter).
     metrics:
         An optional :class:`~repro.obs.metrics.MetricsRegistry` (shared:
         ``repro loadgen`` hands every simulated client one registry) that
@@ -97,7 +99,6 @@ class AggregatorClient:
                  role: Optional[str] = None, auth_token: Optional[str] = None,
                  timeout: float = 30.0, connect_retries: int = 5,
                  retry_delay: float = 0.2, retry_jitter: float = 0.1,
-                 retry_max_elapsed: Optional[float] = None,
                  metrics=None) -> None:
         self._address = parse_address(address)
         self._k = k
@@ -109,13 +110,12 @@ class AggregatorClient:
         self._connect_retries = max(1, int(connect_retries))
         self._retry_delay = retry_delay
         self._retry_jitter = retry_jitter
-        self._retry_max_elapsed = retry_max_elapsed
         self.metrics = as_registry(metrics)
         self._channel: Optional[FrameChannel] = None
         self.server_k: Optional[int] = None
         self.frames_pushed = 0
-        #: Frames the server already holds durably for this ordinal (WAL
-        #: resume; reported by the HELLO ack, 0 otherwise).
+        #: Frames the server already holds for this ordinal (the HELLO
+        #: ack's ``committed``: a WAL resume or a complete session; else 0).
         self.committed = 0
         #: True when the server says this ordinal's session already ended
         #: cleanly — there is nothing left to push.
@@ -150,8 +150,7 @@ class AggregatorClient:
 
     async def connect(self) -> "AggregatorClient":
         """Connect (with retries), open the framed stream, shake hands."""
-        backoff = Backoff(base=self._retry_delay, jitter=self._retry_jitter,
-                          max_elapsed=self._retry_max_elapsed)
+        backoff = Backoff(base=self._retry_delay, jitter=self._retry_jitter)
 
         async def _open() -> FrameChannel:
             return await asyncio.wait_for(
@@ -311,47 +310,37 @@ class AggregatorClient:
                          sum(len(frame) for frame in encoded))
         return int(ack.get("folded", len(encoded)))
 
-    async def push_file(self, source: Union[str, Path], burst: int = 64,
-                        skip: Optional[int] = None,
-                        throttle: float = 0.0) -> int:
-        """Push every frame of a packed (``repro pack``) framed stream file.
+    async def push_file(self, source: Union[str, Path, Iterable[bytes]],
+                        burst: int = 64, throttle: float = 0.0) -> int:
+        """Push a packed (``repro pack``) file's frames, or payload frame
+        bodies, past the ``self.committed`` the server already holds.
 
-        Frames are forwarded verbatim (no decode/re-encode on the client) in
-        PUSH bursts of at most ``burst`` frames, so client memory stays at
-        ``burst`` frames regardless of the file size.
-
-        ``skip`` leading frames are read but not pushed; it defaults to
-        ``self.committed`` — the durable frame count a WAL-backed server
-        reported in the HELLO ack — which is exactly the idempotent-resume
-        rule: frames the server already holds are never pushed twice.
-        ``throttle`` sleeps that many seconds between bursts (rate limiting;
-        the chaos harness uses it to widen crash windows).  Returns the
-        number of frames actually pushed (skipped frames excluded).
+        That skip is the idempotent-resume rule.  Frames go out verbatim (no
+        decode/re-encode) in PUSH bursts of at most ``burst``, so client
+        memory stays at ``burst`` frames whatever the file size; ``throttle``
+        sleeps that many seconds between bursts (the chaos harness uses it
+        to widen crash windows).  Returns the number of frames pushed.
         """
-        if skip is None:
-            skip = self.committed
+        if isinstance(source, (str, Path)):
+            with Path(source).open("rb") as fileobj:
+                reader = FrameReader(fileobj, raw=True)
+                declared = reader.header.k
+                if self._k is not None and declared not in (None, self._k):
+                    raise ProtocolError(
+                        f"{source} declares k={declared} but this session "
+                        f"runs at k={self._k}")
+                return await self.push_file(reader, burst, throttle)
         total = 0
-        with Path(source).open("rb") as fileobj:
-            reader = FrameReader(fileobj, raw=True)
-            if (self._k is not None and reader.header.k is not None
-                    and reader.header.k != self._k):
-                raise ProtocolError(
-                    f"{source} declares k={reader.header.k} but this session "
-                    f"runs at k={self._k}")
-            remaining_skip = max(0, int(skip))
-            batch: List[bytes] = []
-            for body in reader:
-                if remaining_skip:
-                    remaining_skip -= 1
-                    continue
-                batch.append(body)
-                if len(batch) >= burst:
-                    total += await self.push_raw(batch)
-                    batch = []
-                    if throttle:
-                        await asyncio.sleep(throttle)
-            if batch:
+        batch: List[bytes] = []
+        for body in itertools.islice(source, self.committed, None):
+            batch.append(body)
+            if len(batch) >= burst:
                 total += await self.push_raw(batch)
+                batch = []
+                if throttle:
+                    await asyncio.sleep(throttle)
+        if batch:
+            total += await self.push_raw(batch)
         return total
 
     async def request_release(self, seed: Optional[int] = None) -> PrivateHistogram:
@@ -405,19 +394,6 @@ def _run(coroutine):
     return asyncio.run(coroutine)
 
 
-def push_file(address: Union[str, Address], source: Union[str, Path], *,
-              k: Optional[int] = None, ordinal: Optional[int] = None,
-              auth_token: Optional[str] = None,
-              timeout: float = 30.0, connect_retries: int = 5) -> int:
-    """Connect, push one packed framed file, commit (bye), disconnect."""
-    async def _push() -> int:
-        async with AggregatorClient(address, k=k, ordinal=ordinal,
-                                    auth_token=auth_token, timeout=timeout,
-                                    connect_retries=connect_retries) as client:
-            return await client.push_file(source)
-    return _run(_push())
-
-
 def transient_push_error(error: BaseException) -> bool:
     """Whether a resilient push cycle should retry after this failure.
 
@@ -431,6 +407,47 @@ def transient_push_error(error: BaseException) -> bool:
     return isinstance(error, NetworkError)
 
 
+async def push_resumable(address: Union[str, Address],
+                         frames: Union[str, Path, List[bytes]], *,
+                         ordinal: int, backoff: Backoff, what: str,
+                         burst: int = 64, throttle: float = 0.0,
+                         **client_options) -> int:
+    """Push ``frames`` under ``ordinal`` until the session is committed.
+
+    The one resumable push.  Each attempt connects with ``ordinal``, pushes
+    the frames the HELLO ack does not report as committed (none when it
+    says ``complete``) through :meth:`AggregatorClient.push_file` and
+    requires the BYE ack; a :func:`transient_push_error` retries under
+    ``backoff`` until its ``max_elapsed`` budget is spent.  So each frame
+    folds once across crashes of either side and lost acks.
+    ``client_options`` go to each attempt's :class:`AggregatorClient`;
+    ``what`` names the push in the give-up error.  Returns the frames
+    pushed by this call (0 when the session had already completed).
+    """
+    total = 0
+
+    async def _attempt() -> int:
+        nonlocal total
+        client = AggregatorClient(address, ordinal=ordinal, **client_options)
+        try:
+            await client.connect()
+            if not client.session_complete:
+                total += await client.push_file(frames, burst=burst,
+                                                throttle=throttle)
+                await client.bye()
+            return total
+        finally:
+            await client.close(bye=False)
+
+    def _give_up(last, attempts, policy) -> NetworkError:
+        return NetworkError(
+            f"{what} not committed within its retry budget "
+            f"({attempts} attempt(s), {policy.elapsed:.1f}s): {last}")
+
+    return await retry_async(_attempt, backoff=backoff,
+                             retryable=transient_push_error, give_up=_give_up)
+
+
 def push_file_resilient(address: Union[str, Address],
                         source: Union[str, Path], *,
                         ordinal: int, k: Optional[int] = None,
@@ -440,50 +457,21 @@ def push_file_resilient(address: Union[str, Address],
                         retry_delay: float = 0.2, retry_jitter: float = 0.5,
                         max_elapsed: float = 60.0, burst: int = 64,
                         throttle: float = 0.0) -> int:
-    """Push one packed file until it is durably committed, surviving crashes.
+    """Push one packed file until it is committed, surviving crashes.
 
-    The whole connect / resume / push / bye cycle runs in a jittered-backoff
-    retry loop with a ``max_elapsed`` budget.  Each reconnect re-HELLOs with
-    ``ordinal`` (hence the mandatory ordinal: it is the durable session
-    identity a WAL-backed server resumes by); the server's committed count
-    makes every retry skip exactly the frames that are already durable, so
-    across any number of crashes each frame is pushed once.  Returns the
-    total number of frames pushed by this call (0 when the session had
-    already completed).  Transport failures and ``ordinal_active`` races
-    retry; any other server rejection (k mismatch, protocol error) raises
-    immediately.
+    The synchronous form of :func:`push_resumable` (``repro push
+    --resume``): jittered backoff from ``retry_delay`` under a
+    ``max_elapsed`` budget.  The ordinal is mandatory: it is the identity
+    the server answers a reconnect by.
     """
-    async def _push() -> int:
-        backoff = Backoff(base=retry_delay, jitter=retry_jitter,
-                          max_elapsed=max_elapsed)
-        total = 0
-
-        async def _cycle() -> int:
-            nonlocal total
-            client = AggregatorClient(
-                address, k=k, ordinal=ordinal, client_name=client_name,
-                auth_token=auth_token,
-                timeout=timeout, connect_retries=connect_retries,
-                retry_delay=retry_delay, retry_jitter=retry_jitter)
-            try:
-                await client.connect()
-                if not client.session_complete:
-                    total += await client.push_file(source, burst=burst,
-                                                    throttle=throttle)
-                    await client.bye()
-                return total
-            finally:
-                await client.close(bye=False)
-
-        def _give_up(last, attempts, policy) -> NetworkError:
-            return NetworkError(
-                f"push of {source} not durably committed within the "
-                f"{max_elapsed:.1f}s retry budget: {last}")
-
-        return await retry_async(_cycle, backoff=backoff,
-                                 retryable=transient_push_error,
-                                 give_up=_give_up)
-    return _run(_push())
+    backoff = Backoff(base=retry_delay, jitter=retry_jitter,
+                      max_elapsed=max_elapsed)
+    return _run(push_resumable(
+        address, source, ordinal=ordinal, backoff=backoff,
+        what=f"push of {source}", burst=burst, throttle=throttle, k=k,
+        client_name=client_name, auth_token=auth_token, timeout=timeout,
+        connect_retries=connect_retries, retry_delay=retry_delay,
+        retry_jitter=retry_jitter))
 
 
 def request_release(address: Union[str, Address], *, seed: Optional[int] = None,

@@ -42,13 +42,14 @@ bye       c -> s     commit the session and close (a clean EOF after HELLO
                      commits too; ``bye`` additionally gets an ``ok`` ack
                      so the client *knows* its frames were committed)
 ok        s -> c     positive acknowledgement; ``re`` names the acked verb.
-                     With a write-ahead log the ``re: hello`` ack also
-                     carries ``committed`` (frames already durable for this
-                     ordinal — the client skips that many on resume instead
-                     of double-pushing) and ``complete`` (true when the
-                     session already ended cleanly; further pushes are
-                     rejected), and a ``re: push`` ack is sent only after
-                     the burst is fsync-durable
+                     A ``re: hello`` ack naming a committed ordinal carries
+                     ``complete: true`` (further pushes are rejected) and
+                     that session's pushed frame count as ``committed``, on
+                     any server; with a write-ahead log an open ordinal's
+                     ack carries its durable frame count as ``committed``
+                     (the client skips that many on resume instead of
+                     double-pushing), and a ``re: push`` ack is sent only
+                     after the burst is fsync-durable
 error     s -> c     the session is rejected; ``code`` is machine-readable
                      (``k_mismatch``, ``bad_verb``, ``nothing_to_release``,
                      ``timeout``, ``ordinal_active``, ``session_complete``,

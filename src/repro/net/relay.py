@@ -37,7 +37,10 @@ the upstream push, and renamed ``.acked`` only after the upstream BYE ack
 — so a leaf crash mid-forward re-pushes the batch on restart, and the
 root's own WAL resume (committed-frame skip by root ordinal) makes the
 re-push idempotent.  Crash safety of the whole tree requires a WAL on
-**both** tiers.
+**both** tiers.  A retry after a lost BYE ack is idempotent on any root:
+the root acks a committed root ordinal ``complete``, WAL or not, and the
+forward runs the same resumable push cycle as ``repro push --resume``
+(:func:`~repro.net.client.push_resumable`).
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ from ..api.framing import (
     write_stream_header,
 )
 from ..exceptions import FramingError, NetworkError, ParameterError, ProtocolError
-from .backoff import Backoff, retry_async
-from .client import AggregatorClient, transient_push_error
+from .backoff import Backoff
+from .client import AggregatorClient, push_resumable
 from .server import AggregatorServer
 from .session import CommittedSession
 
@@ -123,10 +126,10 @@ class RelayAggregatorServer(AggregatorServer):
         ``"release"`` (default) flushes the forward queue lazily, when a
         RELEASE arrives; ``"commit"`` forwards each session eagerly as it
         commits (lower release latency, same bits).
-    forward_timeout / forward_retry_delay / forward_retry_jitter /
     forward_max_elapsed:
-        Per-operation timeout and backoff policy of the upstream pushes
-        (same semantics as :func:`~repro.net.client.push_file_resilient`).
+        Retry budget in seconds of each upstream push (the ``max_elapsed``
+        of :func:`~repro.net.client.push_resumable`, under the default
+        :class:`~repro.net.backoff.Backoff` policy).
     upstream_token:
         Session token this leaf presents to the upstream in every HELLO
         (forward pushes *and* proxied releases).  The leaf-to-root hop is a
@@ -145,9 +148,6 @@ class RelayAggregatorServer(AggregatorServer):
     def __init__(self, epsilon: float, delta: float, k: Optional[int] = None,
                  *, upstream: str, relay_ordinal: int = 0,
                  forward_on: str = "release",
-                 forward_timeout: float = 30.0,
-                 forward_retry_delay: float = 0.2,
-                 forward_retry_jitter: float = 0.5,
                  forward_max_elapsed: float = 60.0,
                  upstream_token: Optional[str] = None,
                  **kwargs) -> None:
@@ -162,9 +162,6 @@ class RelayAggregatorServer(AggregatorServer):
         self._upstream = upstream
         self._relay_ordinal = relay_ordinal
         self._forward_on = forward_on
-        self._forward_timeout = forward_timeout
-        self._forward_retry_delay = forward_retry_delay
-        self._forward_retry_jitter = forward_retry_jitter
         self._forward_max_elapsed = forward_max_elapsed
         self._upstream_token = upstream_token
         self._forward_dir: Optional[Path] = (
@@ -354,45 +351,25 @@ class RelayAggregatorServer(AggregatorServer):
     async def _push_batch(self, batch: ForwardBatch) -> None:
         """Push one staged batch upstream until its BYE ack is durable.
 
-        Resumes idempotently: each reconnect re-HELLOs with the batch's
-        root ordinal and skips the frames the upstream WAL already holds,
-        so across any number of crashes (ours or the root's) each summary
-        frame folds upstream exactly once.
+        Runs the shared resumable push cycle under the batch's root ordinal,
+        so across any number of crashes (ours or the root's) and lost acks
+        each summary frame folds upstream exactly once.
         """
-        backoff = Backoff(base=self._forward_retry_delay,
-                          jitter=self._forward_retry_jitter,
-                          max_elapsed=self._forward_max_elapsed)
-
-        async def _cycle() -> None:
-            # connect_retries=1: the enclosing retry_async loop owns the
-            # backoff policy, so the client must not stack its own.
-            client = AggregatorClient(
-                self._upstream, k=self._k, ordinal=batch.root_ordinal,
-                client_name=f"relay-{self._relay_ordinal}", role="relay",
-                auth_token=self._upstream_token,
-                timeout=self._forward_timeout, connect_retries=1)
-            try:
-                await client.connect()
-                if not client.session_complete:
-                    remaining = batch.bodies[min(client.committed,
-                                                 len(batch.bodies)):]
-                    if remaining:
-                        await client.push_raw(remaining)
-                    await client.bye()
-            finally:
-                self._last_backoff = backoff.last_delay
-                await client.close(bye=False)
-
-        def _give_up(last, attempts, policy) -> NetworkError:
-            return NetworkError(
-                f"forward of batch {batch.index} (root ordinal "
-                f"{batch.root_ordinal}) to {self._upstream} not durably "
-                f"committed within the {self._forward_max_elapsed:.1f}s "
-                f"retry budget: {last}")
-
+        backoff = Backoff(max_elapsed=self._forward_max_elapsed)
         push_start = self.metrics.clock()
-        await retry_async(_cycle, backoff=backoff,
-                          retryable=transient_push_error, give_up=_give_up)
+        try:
+            # connect_retries=1: the cycle's retry loop owns the backoff
+            # policy, so the client must not stack its own.
+            await push_resumable(
+                self._upstream, batch.bodies, ordinal=batch.root_ordinal,
+                backoff=backoff,
+                what=f"forward of batch {batch.index} (root ordinal "
+                     f"{batch.root_ordinal}) to {self._upstream}",
+                k=self._k, client_name=f"relay-{self._relay_ordinal}",
+                role="relay", auth_token=self._upstream_token,
+                connect_retries=1)
+        finally:
+            self._last_backoff = backoff.last_delay
         self.metrics.observe("forward.push_seconds",
                              self.metrics.clock() - push_start)
         self.metrics.inc("forward.batches_total")
@@ -430,9 +407,7 @@ class RelayAggregatorServer(AggregatorServer):
         await self.forward_flush()
         client = AggregatorClient(self._upstream,
                                   auth_token=self._upstream_token,
-                                  timeout=self._forward_timeout,
-                                  retry_delay=self._forward_retry_delay,
-                                  retry_jitter=self._forward_retry_jitter)
+                                  retry_jitter=0.5)  # the forwards' jitter
         try:
             await client.connect()
             payload = await client.request_release_payload(seed)

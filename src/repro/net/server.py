@@ -77,7 +77,9 @@ class AggregatorServer:
         Directory for the write-ahead log (:mod:`repro.net.wal`).  When set,
         every accepted PUSH frame is spooled verbatim before it is folded,
         PUSH acks imply fsync-durability, committed sessions are replayed
-        bit-identically on restart, and clients resume by ordinal.
+        bit-identically on restart, and clients resume open sessions by
+        ordinal.  The ordinal rules themselves (one live session per
+        ordinal, a committed ordinal acked ``complete``) hold either way.
     store:
         Checkpoint-store override for the WAL (defaults to sqlite inside
         ``wal_dir``); ignored without ``wal_dir``.
@@ -190,6 +192,7 @@ class AggregatorServer:
         self._live_sessions: set = set()
         self._recovered = False
         self._active_ordinals: set = set()
+        self._committed_ordinals: Dict[int, CommittedSession] = {}
         self._resumed_noted: set = set()
         self._release_limit = asyncio.Event()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -274,6 +277,8 @@ class AggregatorServer:
                     f"server was started with -k {self._k}")
         for entry in recovery.committed:
             self._committed.append(entry)
+            if entry.ordinal is not None:
+                self._committed_ordinals[entry.ordinal] = entry
             self._frames_seen += entry.frames
             self._length_seen += entry.stream_length
         self._commit_seq = max(self._commit_seq, recovery.max_seq)
@@ -373,15 +378,13 @@ class AggregatorServer:
         self._rejected += 1
         self.metrics.inc("server.rejects_total")
 
-    def claim_ordinal(self, ordinal: Optional[int]) -> bool:
-        """Reserve an ordinal for one live session (WAL sessions only).
+    def claim_ordinal(self, ordinal: int) -> Optional[CommittedSession]:
+        """Reserve an ordinal for one live session; return its committed
+        session, whose HELLO is then acked ``complete``, if it has one.
 
-        The ordinal is the durable session identity, so two live sessions
-        sharing one would interleave appends into one spool; the second
-        HELLO is rejected with ``ordinal_active``.
+        The ordinal names one client stream, WAL or not, so a second live
+        session under it is rejected with ``ordinal_active``.
         """
-        if ordinal is None:
-            return False
         if ordinal in self._active_ordinals:
             error = ProtocolError(
                 f"ordinal {ordinal} already has a live session; resume is "
@@ -389,7 +392,7 @@ class AggregatorServer:
             error.code = "ordinal_active"
             raise error
         self._active_ordinals.add(ordinal)
-        return True
+        return self._committed_ordinals.get(ordinal)
 
     def release_ordinal(self, ordinal: Optional[int]) -> None:
         self._active_ordinals.discard(ordinal)
@@ -418,8 +421,11 @@ class AggregatorServer:
         self._commit_seq = seq
         entry = CommittedSession(seq=seq, ordinal=session.ordinal,
                                  client=session.client,
-                                 parts=session.take_parts())
+                                 parts=session.take_parts(),
+                                 pushed=session.frames)
         self._committed.append(entry)
+        if entry.ordinal is not None:
+            self._committed_ordinals[entry.ordinal] = entry
         self.metrics.inc("server.commits_total")
         self.note_committed(entry)
 
@@ -518,7 +524,7 @@ class AggregatorServer:
         server still answers STATS with a small frame (``sessions_listed``
         says how many rows made the cut; ``sessions_committed`` is always
         the full count) — and ``uptime_s`` is the seconds since the socket
-        bound (``uptime`` is the same value, kept for pre-obs consumers).
+        bound.
         ``active`` lists live connections with wall-clock ``connected_at``
         / ``last_frame_at`` timestamps, ``wal`` reports the spool
         directory's on-disk footprint (``None`` without a WAL; it stats the
@@ -574,7 +580,6 @@ class AggregatorServer:
             "stream_length": self._length_seen,
             "releases": self._releases,
             "privacy": self.accountant.as_stats(),
-            "uptime": uptime,
             "uptime_s": uptime,
             "started_at": self._started_wall,
             "wal": wal_stanza,

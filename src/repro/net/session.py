@@ -18,12 +18,15 @@ frame and each part's ``<= k``-counter accumulator is buffered.  The parts
 join the server's committed set only on a clean end (``bye`` verb or EOF
 from ``READY``), so a client that dies mid-push contributes nothing.
 
-With a write-ahead log (``repro serve --wal-dir``) each accepted frame's
-verbatim bytes are spooled *before* the fold, the whole burst is made
-durable (spool fsync + checkpoint record, in a group commit off the event
-loop) *before* the PUSH ack, and a re-HELLO with the same ordinal resumes
-the spooled session: the ack reports the committed frame count so the
-client skips already-durable frames.  Every
+The HELLO ordinal names one client stream, WAL or not: one live session
+may hold it (``ordinal_active``), and a committed ordinal's HELLO is acked
+``complete`` and its PUSH refused (``session_complete``), so a retry after
+a lost BYE ack folds nothing twice.  With a write-ahead log (``repro serve
+--wal-dir``) each accepted frame's verbatim bytes are spooled *before* the
+fold, the whole burst is made durable (spool fsync + checkpoint record, in
+a group commit off the event loop) *before* the PUSH ack, and a re-HELLO
+with the same ordinal resumes an open spooled session: the ack reports the
+committed frame count so the client skips already-durable frames.  Every
 frame must additionally arrive whole within the server's read timeout, so a
 peer dribbling bytes (slow-loris) is rejected instead of pinning a session
 open; the deadline only bounds waits, so frames already buffered cost none.
@@ -105,6 +108,7 @@ class CommittedSession:
     ordinal: Optional[int]        # client-declared canonical position
     client: Optional[str]
     parts: Tuple[StreamingMerger, ...]
+    pushed: int                   # frames pushed (a re-HELLO's ``committed``)
 
     @property
     def sort_key(self):
@@ -140,7 +144,7 @@ class Session:
         self.frames: int = 0              # pushed in total (resume included)
         self._parts: List[StreamingMerger] = []
         self._journal = None          # SessionJournal when the server has a WAL
-        self._claimed_ordinal = False
+        self._done: Optional[CommittedSession] = None  # ordinal committed
         self._pending_header_k: Optional[int] = None
         self._quota_bytes = 0
         self._quota_sketches = 0
@@ -198,9 +202,8 @@ class Session:
             self.state = SessionState.REJECTED
             self._server.note_rejected(self, f"connection lost: {error}")
         finally:
-            if self._claimed_ordinal:
+            if self.ordinal is not None:  # set once the ordinal is claimed
                 self._server.release_ordinal(self.ordinal)
-                self._claimed_ordinal = False
             if self._journal is not None:
                 self._journal.close()
             await self._channel.close()
@@ -244,9 +247,8 @@ class Session:
             self._pending_header_k = None
         self._check_k(message.get("k"), source="hello")
         ordinal = message.get("ordinal")
-        if ordinal is not None and not isinstance(ordinal, int):
+        if ordinal is not None and type(ordinal) is not int:  # bool too
             raise ProtocolError(f"hello ordinal must be an integer, got {ordinal!r}")
-        self.ordinal = ordinal
         client = message.get("client")
         self.client = str(client) if client is not None else None
         role = message.get("role")
@@ -263,15 +265,17 @@ class Session:
                 raise error
             self.role = role
         ack = {"k": self._server.k}
-        if self._server.wal is not None:
-            self._claimed_ordinal = self._server.claim_ordinal(self.ordinal)
+        if ordinal is not None:
+            self._done = self._server.claim_ordinal(ordinal)
+            self.ordinal = ordinal
+        if self._done is not None:
+            ack.update(committed=self._done.pushed, complete=True)
+        elif self._server.wal is not None:
             self._journal = self._server.wal.attach(self.ordinal, self.client,
                                                     self._server.k,
                                                     role=self.role)
             ack["committed"] = self._journal.committed_frames
-            if self._journal.complete:
-                ack["complete"] = True
-            elif self._journal.parts:
+            if self._journal.parts:
                 self._resume()
         self.state = SessionState.READY
         await self._channel.send_control(OK, re=HELLO, **ack)
@@ -284,13 +288,14 @@ class Session:
             raise ProtocolError(
                 "no sketch size agreed yet: start the server with -k or "
                 "declare k in this session's hello")
+        if self._done is not None:
+            error = ProtocolError(
+                "session already committed cleanly; pushing more frames "
+                "would fold them twice — start a new session under a fresh "
+                "ordinal")
+            error.code = "session_complete"
+            raise error
         if self._journal is not None:
-            if self._journal.complete:
-                error = ProtocolError(
-                    "session already committed cleanly; pushing more frames "
-                    "would fold them twice — use a fresh ordinal")
-                error.code = "session_complete"
-                raise error
             self._journal.ensure_k(self._server.k)
         limit = self._server.max_session_frames
         if limit is not None and self.frames + declared > limit:

@@ -53,7 +53,9 @@ parts because the same code ran.
 Resume: the ordinal a client declares in HELLO is its durable session
 identity.  Re-attaching to an open record replays the committed prefix of
 the spool and reports ``committed_frames`` back through the HELLO ACK, so
-the client skips already-durable frames instead of double-pushing.
+the client skips already-durable frames instead of double-pushing.  The
+server answers a committed ordinal itself, WAL or not, so the WAL only
+attaches new and open records.
 """
 
 from __future__ import annotations
@@ -82,14 +84,6 @@ __all__ = ["SessionWal", "SessionJournal", "WalRecovery"]
 #: File name of the default sqlite checkpoint ledger inside ``wal_dir``.
 STORE_FILENAME = "sessions.db"
 _SPOOL_SUFFIX = ".spool"
-
-
-def _session_complete_error() -> ProtocolError:
-    error = ProtocolError(
-        "session already committed cleanly; pushing more frames would fold "
-        "them twice — start a new session under a fresh ordinal")
-    error.code = "session_complete"
-    return error
 
 
 def _commit_failed_error(cause: BaseException) -> ReproError:
@@ -135,11 +129,10 @@ class SessionJournal:
     def __init__(self, wal: "SessionWal", record: SessionRecord, *,
                  fileobj=None, offset: int = 0, frames: int = 0,
                  parts: Tuple[StreamingMerger, ...] = (),
-                 complete: bool = False, durable: bool = False) -> None:
+                 durable: bool = False) -> None:
         self._wal = wal
         self.record = record
         self.parts = parts
-        self.complete = complete
         self._file = fileobj
         self._offset = offset
         self._frames = frames
@@ -163,8 +156,6 @@ class SessionJournal:
 
     def append(self, body: bytes) -> None:
         """Spool one accepted frame body verbatim (before it is folded)."""
-        if self.complete:
-            raise _session_complete_error()
         self._offset += append_frame(self._file, body)
         self._frames += 1
 
@@ -176,8 +167,6 @@ class SessionJournal:
         :meth:`SessionWal.commit` instead, which runs the barrier off the
         event loop.
         """
-        if self.complete:
-            raise _session_complete_error()
         self._wal._observe(self._wal.commit_group([self]))
         return self.record.committed_frames
 
@@ -187,8 +176,6 @@ class SessionJournal:
         A failed put raises a coded ``wal_commit_failed`` error and leaves
         the record open, so the session stays resumable.
         """
-        if self.complete:
-            return
         self.commit()
         record = self.record.completed(commit_seq)
         try:
@@ -197,7 +184,6 @@ class SessionJournal:
             raise _commit_failed_error(error) from error
         self.record = record
         self._durable = True
-        self.complete = True
         self._close_file()
 
     def close(self) -> None:
@@ -409,7 +395,8 @@ class SessionWal:
             recovery.committed.append(CommittedSession(
                 seq=record.commit_seq, ordinal=record.ordinal,
                 client=record.client or None,
-                parts=tuple(self.replay(record))))
+                parts=tuple(self.replay(record)),
+                pushed=record.committed_frames))
             recovery.max_seq = max(recovery.max_seq, record.commit_seq)
         return recovery
 
@@ -471,16 +458,15 @@ class SessionWal:
 
     def attach(self, ordinal: Optional[int], client: Optional[str],
                k: Optional[int], role: str = "client") -> SessionJournal:
-        """Open (or resume) the journal for one session.
+        """Open a new journal for one session, or resume its open record.
 
         Ordinal sessions are durable identities: an existing open record is
-        resumed (tail truncated, committed prefix replayed); a completed
-        record yields a ``complete=True`` journal whose committed count the
-        HELLO ACK reports, and any further push is rejected.  Sessions with
-        no ordinal get a throwaway identity — durable once committed, but
-        not resumable.  ``role="relay"`` is stamped into the spool header so
-        replay folds the spooled frames under the role the live session
-        used.
+        resumed (tail truncated, committed prefix replayed); a committed
+        one is refused, since the server answers its HELLO itself.
+        Sessions with no ordinal get a throwaway identity — durable once
+        committed, but not resumable.  ``role="relay"`` is stamped into the
+        spool header so replay folds the spooled frames under the role the
+        live session used.
         """
         if ordinal is not None:
             session_id = f"ord:{ordinal}"
@@ -492,7 +478,9 @@ class SessionWal:
             spool = f"anon-{token}{_SPOOL_SUFFIX}"
             record = None
         if record is not None and record.commit_seq is not None:
-            return SessionJournal(self, record, complete=True, durable=True)
+            raise ParameterError(
+                f"session {session_id} already committed; only new and open "
+                "sessions attach a journal")
         if record is not None:
             return self._resume(record, k, role)
         record = SessionRecord(session_id=session_id, ordinal=ordinal,

@@ -71,7 +71,7 @@ def _age(now: float, stamp) -> str:
 def render_stats(stats: Dict[str, object], address: str) -> str:
     """The canonical text rendering of one STATS reply."""
     blocks = []
-    uptime = stats.get("uptime_s", stats.get("uptime"))
+    uptime = stats.get("uptime_s")
     frames = stats.get("frames", 0)
     throughput = (f"{frames / uptime:.1f}/s"
                   if isinstance(uptime, (int, float)) and uptime > 0 else "-")

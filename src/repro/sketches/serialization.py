@@ -111,9 +111,11 @@ def save_sketch(sketch, path: PathLike) -> None:
 
 def load_sketch(path: PathLike):
     """Read a sketch file (v2, or v1 written by an older release)."""
-    from ..api.wire import load_payload, payload_to_sketch
+    from ..api.wire import load_payload, payload_to_sketch, refusals_naming
 
-    return payload_to_sketch(load_payload(path))
+    payload = load_payload(path)
+    with refusals_naming(path):
+        return payload_to_sketch(payload)
 
 
 def save_histogram(histogram, path: PathLike) -> None:
@@ -125,6 +127,8 @@ def save_histogram(histogram, path: PathLike) -> None:
 
 def load_histogram(path: PathLike):
     """Read a histogram file (v2, or v1 written by an older release)."""
-    from ..api.wire import load_payload, payload_to_histogram
+    from ..api.wire import load_payload, payload_to_histogram, refusals_naming
 
-    return payload_to_histogram(load_payload(path))
+    payload = load_payload(path)
+    with refusals_naming(path):
+        return payload_to_histogram(payload)

@@ -69,6 +69,7 @@ class _FinishedSession:
     """The part of a finished session that ``AggregatorServer.commit`` reads."""
 
     client = None
+    frames = 0
 
     def __init__(self, ordinal, parts):
         self.ordinal = ordinal

@@ -12,6 +12,7 @@ import asyncio
 import io
 
 import pytest
+from _lost_ack import LosesFirstByeAck
 
 from repro.api import framing
 from repro.api.framing import FrameHeader, FrameWriter
@@ -69,6 +70,13 @@ def _identical(left, right):
 
 def _run(coroutine):
     return asyncio.run(coroutine)
+
+
+async def _until(predicate, timeout=5.0):
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline
+        await asyncio.sleep(0.01)
 
 
 class TestRestartIdentity:
@@ -231,21 +239,6 @@ class TestIdempotentResume:
                 return caught.value.code
         assert _run(scenario()) == "ordinal_active"
 
-    def test_without_wal_duplicate_ordinals_stay_permitted(self):
-        """Pre-WAL semantics unchanged: ordinals are only a sort key when
-        nothing durable hangs off them."""
-        async def scenario():
-            server = await _started()
-            async with server:
-                first = AggregatorClient(server.address, k=K, ordinal=5)
-                second = AggregatorClient(server.address, k=K, ordinal=5)
-                await first.connect()
-                await second.connect()
-                await first.close()
-                await second.close()
-                return True
-        assert _run(scenario())
-
     def test_push_file_resilient_sync_helper_commits_durably(self, tmp_path):
         from repro.net import push_file_resilient
 
@@ -274,3 +267,106 @@ class TestIdempotentResume:
         assert pushed == len(FRAMES)
         assert again == 0
         assert stats["sessions_committed"] == 1
+
+
+class TestOrdinalIdentityWithoutWal:
+    """The ordinal names one client stream on a plain server too: a stream
+    that committed is never folded twice, whatever the retry."""
+
+    def test_committed_ordinal_is_complete_and_refuses_pushes(self):
+        async def scenario():
+            server = await _started()
+            async with server:
+                async with AggregatorClient(server.address, k=K,
+                                            ordinal=7) as client:
+                    await client.push([_export({1: 5.0})])
+                async with AggregatorClient(server.address) as querier:
+                    before = await querier.request_release(seed=3)
+                async with AggregatorClient(server.address, k=K,
+                                            ordinal=7) as client:
+                    seen = (client.session_complete, client.committed)
+                    with pytest.raises(RemoteError) as caught:
+                        await client.push([_export({1: 5.0})])
+                async with AggregatorClient(server.address) as querier:
+                    after = await querier.request_release(seed=3)
+                merged = [part.merged() for part in server.committed_mergers()]
+            return seen, caught.value.code, before, after, merged
+        seen, code, before, after, merged = _run(scenario())
+        assert seen == (True, 1)
+        assert code == "session_complete"
+        assert merged == [{1: 5.0}]
+        _identical(before, after)
+
+    def test_live_duplicate_ordinal_refused_until_the_first_is_rejected(self):
+        async def scenario():
+            server = await _started()
+            async with server:
+                channel, _ = await _raw_channel(server, ordinal=5)
+                with pytest.raises(RemoteError) as caught:
+                    async with AggregatorClient(server.address, k=K,
+                                                ordinal=5):
+                        pass
+                # A protocol violation rejects the first session and frees
+                # its ordinal: nothing of it was committed.
+                await channel.send_control("frobnicate")
+                kind, reply = await channel.next_event()
+                await channel.close()
+                await _until(lambda: server.stats()["sessions_active"] == 0)
+                async with AggregatorClient(server.address, k=K,
+                                            ordinal=5) as client:
+                    fresh = (client.session_complete, client.committed)
+                    await client.push([_export(FRAMES[0])])
+                return caught.value.code, reply["verb"], fresh, server.stats()
+        code, verb, fresh, stats = _run(scenario())
+        assert code == "ordinal_active"
+        assert verb == "error"
+        assert fresh == (False, 0)
+        assert stats["sessions_committed"] == 1
+
+    @pytest.mark.parametrize("wal", [False, True])
+    def test_boolean_ordinal_refused(self, wal, tmp_path):
+        async def scenario():
+            server = await _started(wal_dir=tmp_path / "wal" if wal else None)
+            async with server:
+                reader, writer = await asyncio.open_connection(
+                    *server.address.split(":"))
+                channel = FrameChannel(reader, writer)
+                await channel.send_prefix(FrameHeader(
+                    framing=framing.FRAMING_VERSION, frames=None, k=K))
+                await channel.send_control("hello", k=K, ordinal=True)
+                await channel.read_prefix()
+                kind, reply = await channel.next_event()
+                await channel.close()
+                return reply
+        reply = _run(scenario())
+        assert reply["verb"] == "error" and reply["code"] == "protocol"
+
+    def test_push_file_resilient_retry_after_a_lost_bye_ack_folds_once(
+            self, tmp_path):
+        from repro.net import push_file_resilient
+
+        packed = _packed(tmp_path / "exports.frames")
+
+        async def scenario():
+            server = LosesFirstByeAck(epsilon=EPSILON, delta=DELTA, k=K)
+            await server.start("127.0.0.1:0")
+            async with server:
+                loop = asyncio.get_running_loop()
+                pushed = await loop.run_in_executor(
+                    None, lambda: push_file_resilient(
+                        server.address, packed, ordinal=0, k=K,
+                        retry_delay=0.05, max_elapsed=20.0))
+                async with AggregatorClient(server.address) as querier:
+                    retried = await querier.request_release(seed=7)
+            reference = await _started()
+            async with reference:
+                async with AggregatorClient(reference.address, k=K,
+                                            ordinal=0) as client:
+                    await client.push_file(packed)
+                async with AggregatorClient(reference.address) as querier:
+                    once = await querier.request_release(seed=7)
+            return server.lost, pushed, retried, once
+        lost, pushed, retried, once = _run(scenario())
+        assert lost
+        assert pushed == len(FRAMES)
+        _identical(retried, once)

@@ -12,6 +12,7 @@ without re-forwarding, and STATS exposes the forward state.
 import asyncio
 
 import pytest
+from _lost_ack import LosesFirstByeAck
 
 from repro.api.framing import StreamingMerger, summary_payload
 from repro.api.wire import decode, encode_counters
@@ -164,6 +165,43 @@ class TestRoleGating:
 
 
 class TestRelayForwarding:
+    def test_forward_retry_after_a_lost_bye_ack_folds_once(self):
+        """A plain root (no WAL) commits the first forwarded batch but its
+        BYE ack never arrives; the relay's retry sees the root ordinal
+        complete, and the root releases exactly what a flat server does."""
+        sessions = [(0, {1: 500.0, 2: 300.0}), (1, {2: 400.0, 3: 100.0})]
+
+        async def scenario():
+            root = LosesFirstByeAck(epsilon=EPSILON, delta=DELTA, k=K,
+                                     accept_relays=True)
+            await root.start("127.0.0.1:0")
+            async with root:
+                relay = await _started_relay(root.address)
+                try:
+                    for ordinal, counters in sessions:
+                        async with AggregatorClient(relay.address, k=K,
+                                                    ordinal=ordinal) as client:
+                            await client.push([_export(counters)])
+                    async with AggregatorClient(relay.address) as client:
+                        tree = await client.request_release(seed=5)
+                finally:
+                    await relay.aclose()
+                committed = root.stats()["sessions_committed"]
+            async with await _started_root(accept_relays=False) as flat:
+                for ordinal, counters in sessions:
+                    async with AggregatorClient(flat.address, k=K,
+                                                ordinal=ordinal) as client:
+                        await client.push([_export(counters)])
+                async with AggregatorClient(flat.address) as client:
+                    reference = await client.request_release(seed=5)
+            return root.lost, committed, tree, reference
+        lost, committed, tree, reference = _run(scenario())
+        assert lost
+        assert committed == len(sessions)
+        assert tree.counts == reference.counts
+        assert list(tree.counts) == list(reference.counts)
+        assert tree.metadata.as_dict() == reference.metadata.as_dict()
+
     def test_release_through_leaf_forwards_and_proxies(self):
         async def scenario():
             async with await _started_root() as root:
@@ -365,8 +403,9 @@ class TestStats:
                     stats = await client.stats()
                 assert stats["role"] == "aggregator"
                 assert stats["accept_relays"] is False
-                assert isinstance(stats["uptime"], float)
-                assert stats["uptime"] >= 0.0
+                assert isinstance(stats["uptime_s"], float)
+                assert stats["uptime_s"] >= 0.0
+                assert "uptime" not in stats
                 # Committed sessions in canonical (ordinal, commit) order,
                 # each with its committed frame count.
                 assert stats["sessions"] == [

@@ -482,10 +482,12 @@ class TestSlowLoris:
 
                 async def healthy():
                     # A well-behaved concurrent session, slower than the
-                    # dribbler's timeout window, must commit unaffected.
+                    # dribbler's timeout window, must commit unaffected.  Its
+                    # ordinal is its own: the liveness probe below pushes a
+                    # second stream under ordinal 0.
                     await asyncio.sleep(0.1)
                     async with AggregatorClient(server.address, k=K,
-                                                ordinal=0) as client:
+                                                ordinal=1) as client:
                         await client.push([_export({1: 4000.0})])
 
                 dribbler = asyncio.ensure_future(dribble())

@@ -22,6 +22,7 @@ from repro.api.framing import (FramingError, StreamingMerger,
                                summary_payload)
 from repro.api.wire import encode_counters
 from repro.exceptions import ParameterError, ProtocolError
+from repro.net.server import AggregatorServer
 from repro.net.store import (MemoryCheckpointStore, SessionRecord,
                              SqliteCheckpointStore, open_store)
 from repro.net.wal import SessionWal
@@ -208,7 +209,6 @@ class TestJournalCommitProtocol:
 
         resumed = wal.attach(0, "worker", K, role=role)
         assert resumed.committed_frames == len(bodies)
-        assert not resumed.complete
         assert len(resumed.parts) == len(live)
         for part, expected in zip(resumed.parts, live):
             assert part.merged() == expected.merged()
@@ -243,12 +243,17 @@ class TestJournalCommitProtocol:
         journal.mark_committed(7)
         assert wal.store.get("ord:0").commit_seq == 7
 
-        again = wal.attach(0, "worker", K)
-        assert again.complete
-        assert again.committed_frames == 1
-        with pytest.raises(ProtocolError) as caught:
-            again.append(_body(FRAME_B))
-        assert caught.value.code == "session_complete"
+        # The committed ordinal is frozen by the server, which indexes it on
+        # recovery and answers its HELLO complete; the WAL never reopens it.
+        with pytest.raises(ParameterError):
+            wal.attach(0, "worker", K)
+        server = AggregatorServer(epsilon=1.0, delta=1e-6, wal_dir=wal.wal_dir)
+        try:
+            server._recover_from_wal()
+            done = server.claim_ordinal(0)
+        finally:
+            server.wal.close()
+        assert done is not None and done.seq == 7 and done.pushed == 1
 
     def test_resume_with_mismatched_k_rejected(self, wal):
         journal = wal.attach(0, "worker", K)

@@ -25,7 +25,6 @@ def make_stats(**overrides):
         "sessions_committed": 3,
         "sessions_rejected": 1,
         "sessions_listed": 3,
-        "uptime": 10.0,
         "uptime_s": 10.0,
         "started_at": 1_000.0,
         "auth_required": False,
@@ -98,7 +97,7 @@ class TestRenderStats:
         # A bare pre-obs server reply (no wal/active/metrics stanzas)
         # must still render — backward compatibility with old servers.
         stats = {"role": "aggregator", "k": 8, "frames": 0,
-                 "sessions_committed": 0, "releases": 0, "uptime": 1.0}
+                 "sessions_committed": 0, "releases": 0, "uptime_s": 1.0}
         text = render_stats(stats, "unix:/tmp/s.sock")
         assert "aggregator at unix:/tmp/s.sock" in text
         assert "wal" not in text

@@ -9,8 +9,6 @@ randomized streams (negative ints, strings, mixed universes) and adversarial
 all-distinct streams, plus the batch path against the sequential path.
 """
 
-import heapq
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st

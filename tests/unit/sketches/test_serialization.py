@@ -329,6 +329,27 @@ class TestMalformedFilesRefused:
         assert err.startswith("error: ") and names in err
         assert "Traceback" not in err
 
+    @_cases(_MALFORMED_SKETCHES)
+    def test_sketch_file_refusal_names_the_file(self, tmp_path, make, names):
+        path = _write(tmp_path, make())
+        with pytest.raises(SketchStateError, match=re.escape(str(path))):
+            load_sketch(path)
+
+    @_cases(_MALFORMED_HISTOGRAMS)
+    def test_histogram_file_refusal_names_the_file(self, tmp_path, make, names):
+        path = _write(tmp_path, make())
+        with pytest.raises(SketchStateError, match=re.escape(str(path))):
+            load_histogram(path)
+
+    def test_cli_release_refusal_names_the_file(self, tmp_path, capsys):
+        path = _write(tmp_path, _with(_v2_sketch(), "decrement_rounds", 2.5,
+                                      "meta"), name="f.json")
+        assert main(["release", "--sketch", str(path), "--epsilon", "1.0",
+                     "--delta", "1e-6", "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "decrement_rounds 2.5" in err and err.count("\n") == 1
+
     @_cases(_MALFORMED_HISTOGRAMS)
     def test_cli_histogram_reader_refuses_with_one_error_line(self, tmp_path, capsys,
                                                               make, names):

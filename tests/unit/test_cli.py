@@ -63,6 +63,17 @@ class TestPipeline:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "private_histogram"
 
+    def test_release_stdout_and_out_file_hold_the_same_json(self, workspace,
+                                                             capsys):
+        tmp_path, _, sketch_path, _ = workspace
+        release = ["release", "--sketch", str(sketch_path), "--epsilon", "1.0",
+                   "--delta", "1e-6", "--seed", "3"]
+        out = tmp_path / "again.json"
+        assert main(release + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(release) == 0
+        assert capsys.readouterr().out == out.read_text() + "\n"
+
     def test_pure_dp_release_requires_universe(self, workspace, capsys):
         _, _, sketch_path, _ = workspace
         assert main(["release", "--sketch", str(sketch_path), "--epsilon", "1.0"]) == 2
