@@ -10,11 +10,9 @@ the paper's "maximum error among all elements of the universe" convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Set, Union
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Set, Union
 
 import numpy as np
-
-from ..exceptions import ParameterError
 
 EstimateSource = Union[Mapping[Hashable, float], object]
 

@@ -7,7 +7,7 @@ rows recorded in EXPERIMENTS.md can be regenerated verbatim with
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 
 def _format_value(value: Any, precision: int) -> str:

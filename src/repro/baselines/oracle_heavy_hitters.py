@@ -12,7 +12,7 @@ disadvantages the paper points out when arguing for the Misra-Gries route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Sequence
 
 import numpy as np
 

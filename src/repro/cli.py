@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the bound address to this file once listening")
     relay.add_argument("--wal-dir", default=None,
                        help="write-ahead log directory; also holds the "
-                            "durable forward queue (wal-dir/forward), so a "
+                            "durable forward queue (rows in its ledger), so a "
                             "leaf crash mid-forward re-pushes on restart — "
                             "crash safety needs a --wal-dir on both tiers")
     relay.add_argument("--read-timeout", type=float, default=30.0,
@@ -1034,8 +1034,10 @@ def _cmd_push(args: argparse.Namespace) -> int:
                                     timeout=args.timeout,
                                     connect_retries=args.retries,
                                     max_elapsed=args.max_elapsed)
+        # The BYE ack proves the commit, not its durability: a server
+        # without --wal-dir holds the session in memory only.
         print(f"pushed {total} sketch export(s) (k={k}) -> {args.to} "
-              "(durably committed)")
+              "(committed)")
         return 0
 
     async def _push():
@@ -1064,6 +1066,7 @@ def _cmd_wal(args: argparse.Namespace) -> int:
 
     if args.wal_command == "inspect":
         from .net import is_reserved_record
+        from .net.relay import FORWARD_ROW_PREFIX, ForwardBatch
 
         wal = SessionWal(args.wal_dir)
         try:
@@ -1078,6 +1081,14 @@ def _cmd_wal(args: argparse.Namespace) -> int:
                   f"{usage['spools']} spool file(s), "
                   f"{usage['bytes']} byte(s) on disk")
             for record in reserved:
+                if record.session_id.startswith(FORWARD_ROW_PREFIX):
+                    # A relay leaf's forward-queue row.
+                    batch = ForwardBatch.from_record(record)
+                    print(f"  {record.session_id}: forward batch "
+                          f"{batch.index} root_ordinal={batch.root_ordinal} "
+                          f"covered_seq={batch.covered_seq} "
+                          + ("acked" if batch.acked else "queued"))
+                    continue
                 # The privacy accountant's spend row: releases charged under
                 # the recorded composition mode, no spool.
                 print(f"  {record.session_id}: "

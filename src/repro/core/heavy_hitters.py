@@ -9,7 +9,7 @@ so these queries are free post-processing.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .._validation import check_positive_int, check_probability
 from ..dp.rng import RandomState

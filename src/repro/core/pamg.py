@@ -18,7 +18,7 @@ the total number of elements.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Set
+from typing import Dict, Hashable, Iterable, List, Set
 
 from .._validation import check_positive_int
 from ..exceptions import StreamFormatError

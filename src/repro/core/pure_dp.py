@@ -17,7 +17,7 @@ release touch only the stored keys at the cost of a delta and a threshold of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Union
 
 import numpy as np
 

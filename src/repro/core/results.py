@@ -10,7 +10,7 @@ heavy-hitter queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
 
 

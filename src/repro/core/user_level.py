@@ -21,7 +21,7 @@ distinct elements contributed by one user.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence
+from typing import Dict, Hashable, Iterable, Sequence
 
 from .._validation import check_delta, check_epsilon, check_positive_int
 from ..dp.accounting import PrivacyParams, user_level_parameters

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .._validation import check_delta, check_epsilon, check_positive_int
 from ..exceptions import PrivacyParameterError, VacuousGuaranteeError

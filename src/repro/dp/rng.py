@@ -8,7 +8,7 @@ experiments are reproducible end to end by passing a single seed at the top.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

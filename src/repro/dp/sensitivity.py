@@ -16,9 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Dict, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..exceptions import ParameterError
 from .rng import RandomState, ensure_rng

@@ -36,8 +36,8 @@ as they arrive and publishes a differentially private histogram on request:
 * :mod:`repro.net.relay` — :class:`RelayAggregatorServer`: the
   aggregator-of-aggregators tier.  A leaf accepts normal client sessions
   and forwards each committed session's summary upstream (one fixed-point
-  summary frame per origin session, durable forward queue, idempotent
-  resume), so an ``N leaves x M clients`` tree releases bit-identically to
+  summary frame per origin session, forward queue kept as WAL ledger
+  rows, idempotent resume), so an ``N leaves x M clients`` tree releases bit-identically to
   one flat server over the same ``N*M`` sessions.
 
 Observability: every layer above records into the server's
@@ -67,8 +67,7 @@ from .relay import RelayAggregatorServer, serve_relay
 from .server import AggregatorServer, serve
 from .session import CommittedSession, Session, SessionState
 from .store import (BUDGET_SESSION_ID, CheckpointStore, MemoryCheckpointStore,
-                    SessionRecord, SqliteCheckpointStore, is_reserved_record,
-                    open_store)
+                    SessionRecord, SqliteCheckpointStore, is_reserved_record)
 from .wal import SessionJournal, SessionWal, WalRecovery
 
 __all__ = [
@@ -93,7 +92,6 @@ __all__ = [
     "WalRecovery",
     "fetch_stats",
     "is_reserved_record",
-    "open_store",
     "parse_address",
     "push_file_resilient",
     "push_resumable",

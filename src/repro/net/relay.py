@@ -31,15 +31,19 @@ the leaf's band would silently reorder the root's release.  With
 leaf-major ordinal assignment (leaf 0 owns clients 0..M-1, leaf 1 owns
 M..2M-1, ...) the root's canonical order is exactly the flat server's.
 
-Durability: with a WAL (``--wal-dir``), every forward batch is spooled to
-``wal_dir/forward/fwd-<index>.frames`` (atomic tmp+fsync+rename) *before*
-the upstream push, and renamed ``.acked`` only after the upstream BYE ack
-— so a leaf crash mid-forward re-pushes the batch on restart, and the
-root's own WAL resume (committed-frame skip by root ordinal) makes the
-re-push idempotent.  Crash safety of the whole tree requires a WAL on
-**both** tiers.  A retry after a lost BYE ack is idempotent on any root:
-the root acks a committed root ordinal ``complete``, WAL or not, and the
-forward runs the same resumable push cycle as ``repro push --resume``
+Durability: with a WAL (``--wal-dir``), the forward queue lives in the
+leaf's checkpoint ledger next to its session records.  Staging a batch
+writes one reserved row ``::forward:<index>`` holding the batch's root
+ordinal and covered commit seq *before* the upstream push; the upstream BYE
+ack sets the row's ``committed_frames`` to 1.  The frame bodies are not
+stored: they are the summary frames of the covered session's parts, which
+WAL replay restores bit-identically, so a leaf crash mid-forward re-pushes
+the same bytes under the same root ordinal on restart, and the root's own
+WAL resume (committed-frame skip by root ordinal) makes the re-push
+idempotent.  Crash safety of the whole tree requires a WAL on **both**
+tiers.  A retry after a lost BYE ack is idempotent on any root: the root
+acks a committed root ordinal ``complete``, WAL or not, and the forward
+runs the same resumable push cycle as ``repro push --resume``
 (:func:`~repro.net.client.push_resumable`).
 """
 
@@ -47,24 +51,20 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import os
-from dataclasses import dataclass, field
-from pathlib import Path
+import shutil
+import sqlite3
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set
 
 from ..api import wire as wire_module
-from ..api.framing import (
-    FrameReader,
-    append_frame,
-    payload_frame_body,
-    summary_payload,
-    write_stream_header,
-)
-from ..exceptions import FramingError, NetworkError, ParameterError, ProtocolError
+from ..api.framing import FrameReader, payload_frame_body, summary_payload
+from ..exceptions import (FramingError, NetworkError, ParameterError,
+                          ProtocolError, RemoteError)
 from .backoff import Backoff
 from .client import AggregatorClient, push_resumable
 from .server import AggregatorServer
 from .session import CommittedSession
+from .store import RESERVED_SESSION_PREFIX, SessionRecord
 
 #: Root-ordinal stride per leaf: leaf ``L`` owns ``[L*STRIDE, (L+1)*STRIDE)``.
 STRIDE = 1 << 20
@@ -73,6 +73,9 @@ STRIDE = 1 << 20
 ANON_OFFSET = STRIDE // 2
 
 FORWARD_POLICIES = ("commit", "release")
+
+#: Ledger id prefix of the forward-queue rows, ``::forward:<index:08d>``.
+FORWARD_ROW_PREFIX = RESERVED_SESSION_PREFIX + "forward:"
 
 
 def _anonymous(ordinal: Optional[int]) -> bool:
@@ -93,19 +96,28 @@ def _ordinal_space_exhausted(relay_ordinal: int) -> ProtocolError:
 class ForwardBatch:
     """One committed origin session, staged for the upstream push.
 
-    ``bodies`` are the raw (unprefixed) summary-frame bodies — one per
-    release part the origin session contributed (plain sessions: one; a
-    mid-tier relay session: one per *its* origin sessions).  ``path`` is
-    the durable spool file when the leaf runs a WAL, else ``None``
-    (memory-only staging, no crash safety).
+    With a WAL the batch is one reserved ledger row (:meth:`record`);
+    without one it lives in memory only.  Its frame bodies are rebuilt from
+    the covered session's parts at push time, never stored.
     """
 
-    index: int                 # monotonic batch number (spool file name)
+    index: int                 # monotonic batch number (ledger row id)
     root_ordinal: int          # ordinal this batch HELLOs upstream with
     covered_seq: int           # local commit seq this batch covers
-    bodies: List[bytes] = field(repr=False, default_factory=list)
-    path: Optional[Path] = None
     acked: bool = False
+
+    @classmethod
+    def from_record(cls, record: SessionRecord) -> "ForwardBatch":
+        return cls(index=int(record.session_id[len(FORWARD_ROW_PREFIX):]),
+                   root_ordinal=record.ordinal, covered_seq=record.commit_seq,
+                   acked=bool(record.committed_frames))
+
+    def record(self) -> SessionRecord:
+        """The ledger row: ``committed_frames`` is 1 once the root acked."""
+        return SessionRecord(
+            session_id=f"{FORWARD_ROW_PREFIX}{self.index:08d}",
+            ordinal=self.root_ordinal, client="", k=None, spool="",
+            committed_frames=int(self.acked), commit_seq=self.covered_seq)
 
 
 class RelayAggregatorServer(AggregatorServer):
@@ -157,15 +169,12 @@ class RelayAggregatorServer(AggregatorServer):
         if not isinstance(relay_ordinal, int) or relay_ordinal < 0:
             raise ParameterError(
                 f"relay_ordinal must be a non-negative integer, got {relay_ordinal!r}")
-        wal_dir = kwargs.get("wal_dir")
         super().__init__(epsilon, delta, k, **kwargs)
         self._upstream = upstream
         self._relay_ordinal = relay_ordinal
         self._forward_on = forward_on
         self._forward_max_elapsed = forward_max_elapsed
         self._upstream_token = upstream_token
-        self._forward_dir: Optional[Path] = (
-            Path(wal_dir) / "forward" if wal_dir is not None else None)
         self._forward_lock = asyncio.Lock()
         self._forward_tasks: Set[asyncio.Task] = set()
         self._batches: List[ForwardBatch] = []
@@ -182,11 +191,6 @@ class RelayAggregatorServer(AggregatorServer):
     # Lifecycle
     # ------------------------------------------------------------------
 
-    async def start(self, address) -> "RelayAggregatorServer":
-        self._recover_forward_queue()
-        await super().start(address)
-        return self
-
     async def aclose(self, drain: bool = True) -> None:
         for task in set(self._forward_tasks):
             if drain:
@@ -198,60 +202,62 @@ class RelayAggregatorServer(AggregatorServer):
             await asyncio.gather(*self._forward_tasks, return_exceptions=True)
         await super().aclose(drain=drain)
 
-    def _recover_forward_queue(self) -> None:
-        """Rebuild the staged-batch state from ``wal_dir/forward``.
-
-        Unacked batches reload their bodies for re-push; acked batches are
-        kept as tombstones so their covered commit seqs are never re-batched
-        and their anonymous-band root ordinals are never reissued.
-        """
-        if self._forward_dir is None:
-            return
-        self._forward_dir.mkdir(parents=True, exist_ok=True)
-        for stray in self._forward_dir.glob("*.tmp"):
-            with contextlib.suppress(OSError):
-                stray.unlink()
-        batches: List[ForwardBatch] = []
-        paths = sorted(self._forward_dir.glob("fwd-*.frames")) + \
-            sorted(self._forward_dir.glob("fwd-*.frames.acked"))
-        for path in paths:
-            acked = path.name.endswith(".acked")
-            with path.open("rb") as fileobj:
-                reader = FrameReader(fileobj, raw=True)
-                meta = reader.header.meta or {}
-                index = meta.get("relay_batch")
-                root_ordinal = meta.get("root_ordinal")
-                covered_seq = meta.get("covered_seq")
-                if not all(isinstance(value, int)
-                           for value in (index, root_ordinal, covered_seq)):
-                    raise FramingError(
-                        f"forward spool {path} is missing its relay batch "
-                        "metadata; the forward directory is corrupt")
-                bodies = [] if acked else list(reader)
-            batches.append(ForwardBatch(index=index, root_ordinal=root_ordinal,
-                                        covered_seq=covered_seq, bodies=bodies,
-                                        path=path, acked=acked))
-        batches.sort(key=lambda batch: batch.index)
-        self._batches = batches
-        self._batched_seqs = {batch.covered_seq for batch in batches}
-        if batches:
-            self._next_batch = max(batch.index for batch in batches) + 1
-        anon_base = self._relay_ordinal * STRIDE + ANON_OFFSET
-        anon_end = (self._relay_ordinal + 1) * STRIDE
-        counters = [batch.root_ordinal - anon_base for batch in batches
-                    if anon_base <= batch.root_ordinal < anon_end]
-        if counters:
-            self._next_anon = max(counters) + 1
-
     # ------------------------------------------------------------------
     # Forwarding
     # ------------------------------------------------------------------
 
     def _recover_from_wal(self) -> None:
+        """Replay the WAL, then rebuild the forward queue from its rows.
+
+        Acked batches stay as tombstones, so their covered commit seqs are
+        never re-batched and their anonymous-band root ordinals are never
+        handed out again; unacked ones re-push on the next flush.
+        """
         super()._recover_from_wal()
+        self._upconvert_forward_spool()
+        self._batches = sorted(
+            (ForwardBatch.from_record(record) for record in self.wal.store.scan()
+             if record.session_id.startswith(FORWARD_ROW_PREFIX)),
+            key=lambda batch: batch.index)
+        self._batched_seqs = {batch.covered_seq for batch in self._batches}
+        if self._batches:
+            self._next_batch = self._batches[-1].index + 1
+        anon_base = self._relay_ordinal * STRIDE + ANON_OFFSET
+        anon_end = (self._relay_ordinal + 1) * STRIDE
+        counters = [batch.root_ordinal - anon_base for batch in self._batches
+                    if anon_base <= batch.root_ordinal < anon_end]
+        if counters:
+            self._next_anon = max(counters) + 1
         self._anon_reserved = sum(
             1 for entry in self._committed
             if entry.seq not in self._batched_seqs and _anonymous(entry.ordinal))
+
+    def _upconvert_forward_spool(self) -> None:
+        """Rewrite an earlier release's ``wal_dir/forward`` spool as rows.
+
+        That layout kept one ``fwd-<n>.frames`` file per batch, renamed
+        ``.acked`` once the root acked it, with the batch's ledger facts in
+        its header meta.  The rows are durable before the directory goes,
+        so a crash in between converts the same files again.
+        """
+        spool_dir = self.wal.wal_dir / "forward"
+        if not spool_dir.is_dir():
+            return
+        batches = []
+        for path in sorted(spool_dir.glob("fwd-*.frames*")):
+            with path.open("rb") as fileobj:
+                meta = FrameReader(fileobj, raw=True).header.meta
+            facts = [meta.get(key)
+                     for key in ("relay_batch", "root_ordinal", "covered_seq")]
+            if not all(isinstance(value, int) for value in facts):
+                raise FramingError(
+                    f"forward spool {path} is missing its relay batch "
+                    "metadata; the forward directory is corrupt")
+            batches.append(ForwardBatch(*facts,
+                                        acked=path.name.endswith(".acked")))
+        if batches:
+            self.wal.store.put(*(batch.record() for batch in batches))
+        shutil.rmtree(spool_dir)
 
     def admit_commit(self, session) -> None:
         if (_anonymous(session.ordinal)
@@ -270,9 +276,12 @@ class RelayAggregatorServer(AggregatorServer):
     async def _forward_flush_quietly(self) -> None:
         """Eager (commit-policy) flush: failures wait for the next flush.
 
-        The batch stays staged (and, with a WAL, durable on disk), so a
-        dead upstream only delays the forward; the error is surfaced in
-        ``stats()["forward"]["error"]`` and the release-time flush retries.
+        The session stays queued (a staged batch durable in the ledger, with
+        a WAL), so a dead upstream or a failed ledger put (a
+        ``wal_commit_failed`` :class:`RemoteError`, itself a
+        :class:`NetworkError`) only delays the forward; the error is
+        surfaced in ``stats()["forward"]["error"]`` and the release-time
+        flush retries.
         """
         try:
             await self.forward_flush()
@@ -287,20 +296,22 @@ class RelayAggregatorServer(AggregatorServer):
         batched committed session is staged and pushed in canonical
         ``(ordinal, commit order)`` order.  Returns the number of batches
         acked by this call.  Raises :class:`NetworkError` when the retry
-        budget is spent; everything already acked stays acked.
+        budget is spent, and a :class:`RemoteError` coded
+        ``wal_commit_failed`` when a ledger put fails; everything already
+        acked stays acked.
         """
         async with self._forward_lock:
+            by_seq = {entry.seq: entry for entry in self._committed}
             acked = 0
             for batch in self._batches:
                 if not batch.acked:
-                    await self._push_batch(batch)
+                    await self._push_batch(batch, by_seq[batch.covered_seq])
                     acked += 1
             pending = [entry for entry
                        in sorted(self._committed, key=lambda e: e.sort_key)
                        if entry.seq not in self._batched_seqs]
             for entry in pending:
-                batch = self._stage_batch(entry)
-                await self._push_batch(batch)
+                await self._push_batch(self._stage_batch(entry), entry)
                 acked += 1
             self._forward_error = None
             return acked
@@ -313,55 +324,58 @@ class RelayAggregatorServer(AggregatorServer):
             # admit_commit reserves a slot per committed session, so only a
             # WAL written without that check can get here.
             raise _ordinal_space_exhausted(self._relay_ordinal)
-        ordinal = base + ANON_OFFSET + self._next_anon
-        self._next_anon += 1
-        self._anon_reserved -= 1
-        return ordinal
+        return base + ANON_OFFSET + self._next_anon
 
     def _stage_batch(self, entry: CommittedSession) -> ForwardBatch:
-        """Stage one committed session as a forward batch (durable if WAL)."""
-        bodies = [payload_frame_body(summary_payload(part))
-                  for part in entry.parts]
-        index = self._next_batch
+        """Stage one committed session as a forward batch.
+
+        With a WAL its ledger row is durable before this returns; a failed
+        put stages nothing, so the next flush assigns the same index and
+        root ordinal again.
+        """
+        batch = ForwardBatch(index=self._next_batch,
+                             root_ordinal=self._root_ordinal(entry),
+                             covered_seq=entry.seq)
+        self._persist(batch)
+        if _anonymous(entry.ordinal):
+            self._next_anon += 1
+            self._anon_reserved -= 1
         self._next_batch += 1
-        batch = ForwardBatch(index=index, root_ordinal=self._root_ordinal(entry),
-                             covered_seq=entry.seq, bodies=bodies)
-        if self._forward_dir is not None:
-            path = self._forward_dir / f"fwd-{index:08d}.frames"
-            tmp = self._forward_dir / f"fwd-{index:08d}.tmp"
-            with tmp.open("wb") as fileobj:
-                write_stream_header(fileobj, k=self._k, meta={
-                    "relay_batch": index,
-                    "root_ordinal": batch.root_ordinal,
-                    "covered_seq": batch.covered_seq,
-                    "leaf": self._relay_ordinal,
-                    "frames": len(bodies),
-                })
-                for body in bodies:
-                    append_frame(fileobj, body)
-                fileobj.flush()
-                os.fsync(fileobj.fileno())
-            os.replace(tmp, path)
-            self._fsync_forward_dir()
-            batch.path = path
         self._batches.append(batch)
         self._batched_seqs.add(entry.seq)
         return batch
 
-    async def _push_batch(self, batch: ForwardBatch) -> None:
+    def _persist(self, batch: ForwardBatch) -> None:
+        """Write ``batch``'s ledger row durably (nothing without a WAL)."""
+        if self.wal is None:
+            return
+        try:
+            self.wal.store.put(batch.record())
+        except (OSError, sqlite3.Error) as error:
+            raise RemoteError(
+                f"could not persist forward batch {batch.index} ({error}); "
+                "it stays queued for the next flush",
+                code="wal_commit_failed") from error
+
+    async def _push_batch(self, batch: ForwardBatch,
+                          entry: CommittedSession) -> None:
         """Push one staged batch upstream until its BYE ack is durable.
 
-        Runs the shared resumable push cycle under the batch's root ordinal,
-        so across any number of crashes (ours or the root's) and lost acks
-        each summary frame folds upstream exactly once.
+        The bodies are the summary frames of ``entry``'s parts, one per
+        release part (a mid-tier relay session has one per *its* origin
+        sessions).  Runs the shared resumable push cycle under the batch's
+        root ordinal, so across any number of crashes (ours or the root's)
+        and lost acks each summary frame folds upstream exactly once.
         """
+        bodies = [payload_frame_body(summary_payload(part))
+                  for part in entry.parts]
         backoff = Backoff(max_elapsed=self._forward_max_elapsed)
         push_start = self.metrics.clock()
         try:
             # connect_retries=1: the cycle's retry loop owns the backoff
             # policy, so the client must not stack its own.
             await push_resumable(
-                self._upstream, batch.bodies, ordinal=batch.root_ordinal,
+                self._upstream, bodies, ordinal=batch.root_ordinal,
                 backoff=backoff,
                 what=f"forward of batch {batch.index} (root ordinal "
                      f"{batch.root_ordinal}) to {self._upstream}",
@@ -376,20 +390,8 @@ class RelayAggregatorServer(AggregatorServer):
         self._mark_acked(batch)
 
     def _mark_acked(self, batch: ForwardBatch) -> None:
+        self._persist(replace(batch, acked=True))
         batch.acked = True
-        batch.bodies = []
-        if batch.path is not None and not batch.path.name.endswith(".acked"):
-            acked_path = batch.path.with_name(batch.path.name + ".acked")
-            os.replace(batch.path, acked_path)
-            batch.path = acked_path
-            self._fsync_forward_dir()
-
-    def _fsync_forward_dir(self) -> None:
-        fd = os.open(self._forward_dir, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
     # ------------------------------------------------------------------
     # Release and stats
@@ -420,12 +422,6 @@ class RelayAggregatorServer(AggregatorServer):
         staged_unacked = sum(1 for batch in self._batches if not batch.acked)
         unbatched = sum(1 for entry in self._committed
                         if entry.seq not in self._batched_seqs)
-        spool_bytes = 0
-        for batch in self._batches:
-            if batch.acked or batch.path is None:
-                continue
-            with contextlib.suppress(OSError):
-                spool_bytes += batch.path.stat().st_size
         # Refresh the gauge before the base snapshot so the embedded
         # ``metrics`` stanza carries the depth this very reply reports.
         self.metrics.set_gauge("forward.queue_depth",
@@ -438,7 +434,6 @@ class RelayAggregatorServer(AggregatorServer):
             "relay_ordinal": self._relay_ordinal,
             "queued": staged_unacked + unbatched,
             "acked": sum(1 for batch in self._batches if batch.acked),
-            "spool_bytes": spool_bytes,
             "last_backoff": self._last_backoff,
             "error": self._forward_error,
         }

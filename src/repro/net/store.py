@@ -34,14 +34,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
-from ..exceptions import ParameterError
-
 __all__ = [
     "SessionRecord",
     "CheckpointStore",
     "SqliteCheckpointStore",
     "MemoryCheckpointStore",
-    "open_store",
     "RESERVED_SESSION_PREFIX",
     "BUDGET_SESSION_ID",
     "is_reserved_record",
@@ -243,20 +240,3 @@ class MemoryCheckpointStore(CheckpointStore):
     def close(self) -> None:
         with self._lock:
             self._records.clear()
-
-
-def open_store(spec: Union[str, Path]) -> CheckpointStore:
-    """Open a checkpoint store from a spec string.
-
-    ``memory://`` opens an in-process store; ``sqlite:///path/to.db`` or a
-    bare filesystem path opens (creating if needed) a sqlite store.
-    """
-    text = str(spec)
-    if text == "memory://":
-        return MemoryCheckpointStore()
-    if text.startswith("sqlite:///"):
-        return SqliteCheckpointStore(text[len("sqlite:///"):])
-    if "://" in text:
-        raise ParameterError(f"unsupported checkpoint store spec {text!r}; "
-                             "expected 'memory://', 'sqlite:///<path>' or a file path")
-    return SqliteCheckpointStore(text)

@@ -153,7 +153,6 @@ def render_stats(stats: Dict[str, object], address: str) -> str:
             "leaf ordinal": forward.get("relay_ordinal", "-"),
             "queued": forward.get("queued", 0),
             "acked": forward.get("acked", 0),
-            "spool": _human_bytes(forward.get("spool_bytes", 0)),
             "last backoff": (f"{backoff:.2f}s"
                              if isinstance(backoff, (int, float)) else "-"),
             "error": forward.get("error") or "-",

@@ -11,7 +11,7 @@ implementation.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, Iterator, List, Tuple
 
 

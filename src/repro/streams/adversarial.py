@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .._validation import check_non_negative_int, check_positive_int
 from ..exceptions import ParameterError

@@ -9,8 +9,8 @@ popularity and, for the user-level dataset, bounded per-user contributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Union
 
 from ..exceptions import ParameterError
 from ..dp.rng import RandomState

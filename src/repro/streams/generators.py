@@ -11,7 +11,7 @@ copies.  Every generator takes an ``rng`` seed/generator for reproducibility.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

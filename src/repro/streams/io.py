@@ -9,7 +9,7 @@ be produced or inspected with standard command-line tools.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, List, Sequence, Union
+from typing import Iterable, Iterator, List, Union
 
 from ..exceptions import StreamFormatError
 

@@ -177,6 +177,25 @@ def test_cli_push_accepts_sketch_json_and_unix_socket(tmp_path):
             process.kill()
 
 
+@pytest.mark.slow
+def test_cli_push_resume_claims_no_durability_from_a_plain_server(
+        packed_files, tmp_path, capsys):
+    """The BYE ack proves a commit, not durability: against a server
+    without ``--wal-dir`` the message must not say "durably"."""
+    process, address = _serve_subprocess(tmp_path)
+    try:
+        capsys.readouterr()
+        assert main(["push", "--to", address, "--resume", "--ordinal", "3",
+                     str(packed_files[0])]) == 0
+        out = capsys.readouterr().out
+        assert "(committed)" in out
+        assert "durabl" not in out
+        assert fetch_stats(address)["sessions_committed"] == 1
+    finally:
+        process.terminate()
+        process.wait(timeout=30)
+
+
 def test_pipeline_serve_and_connect_conveniences():
     """Pipeline.serve()/.connect() wire the facade into repro.net."""
     import asyncio

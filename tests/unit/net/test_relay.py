@@ -10,19 +10,26 @@ without re-forwarding, and STATS exposes the forward state.
 """
 
 import asyncio
+import contextlib
+import sqlite3
 
 import pytest
+from _frozen_forward_spool import write_batch
 from _lost_ack import LosesFirstByeAck
 
-from repro.api.framing import StreamingMerger, summary_payload
+from repro.api.framing import (StreamingMerger, payload_frame_body,
+                               summary_payload)
 from repro.api.wire import decode, encode_counters
-from repro.exceptions import FramingError, ParameterError, RemoteError
+from repro.exceptions import (FramingError, NetworkError, ParameterError,
+                              RemoteError)
 from repro.net import (
     AggregatorClient,
     AggregatorServer,
+    MemoryCheckpointStore,
     RelayAggregatorServer,
+    SqliteCheckpointStore,
 )
-from repro.net.relay import ANON_OFFSET, STRIDE
+from repro.net.relay import ANON_OFFSET, FORWARD_ROW_PREFIX, STRIDE
 
 pytestmark = pytest.mark.net
 
@@ -51,6 +58,33 @@ async def _started_relay(upstream, **kwargs):
                                   upstream=upstream, **kwargs)
     await relay.start("127.0.0.1:0")
     return relay
+
+
+def _forward_rows(wal_dir):
+    """The leaf ledger's forward-queue rows, ``id -> (root ordinal,
+    covered seq, acked)``."""
+    with SqliteCheckpointStore(wal_dir / "sessions.db") as store:
+        return {record.session_id: (record.ordinal, record.commit_seq,
+                                    record.committed_frames)
+                for record in store.scan()
+                if record.session_id.startswith(FORWARD_ROW_PREFIX)}
+
+
+def _queue(relay):
+    return [(batch.index, batch.root_ordinal, batch.covered_seq, batch.acked)
+            for batch in relay._batches]
+
+
+class FailingForwardStore(MemoryCheckpointStore):
+    """A ledger whose forward-row puts fail while ``armed``."""
+
+    armed = False
+
+    def put(self, *records):
+        if self.armed and any(record.session_id.startswith(FORWARD_ROW_PREFIX)
+                              for record in records):
+            raise sqlite3.OperationalError("disk I/O error")
+        super().put(*records)
 
 
 class TestSummaryFrames:
@@ -322,8 +356,8 @@ class TestForwardQueueDurability:
                 await relay.aclose()
 
         _run(stage_with_upstream_down())
-        staged = sorted(p.name for p in (wal_dir / "forward").iterdir())
-        assert staged == ["fwd-00000000.frames"]
+        assert not (wal_dir / "forward").exists()
+        assert _forward_rows(wal_dir) == {"::forward:00000000": (0, 1, 0)}
 
         async def restart_and_release():
             async with await _started_root() as root:
@@ -348,8 +382,7 @@ class TestForwardQueueDurability:
 
         histogram = _run(restart_and_release())
         assert histogram.metadata.stream_length == 800
-        acked = sorted(p.name for p in (wal_dir / "forward").iterdir())
-        assert acked == ["fwd-00000000.frames.acked"]
+        assert _forward_rows(wal_dir) == {"::forward:00000000": (0, 1, 1)}
 
     def test_acked_batches_never_repush(self, tmp_path):
         wal_dir = tmp_path / "leafwal"
@@ -388,6 +421,233 @@ class TestForwardQueueDurability:
                     await relay.aclose()
 
         _run(second_run())
+
+
+    def test_anonymous_batches_repush_under_their_root_ordinals(self, tmp_path):
+        """Anonymous sessions staged while the upstream is down re-push after
+        a restart under the root ordinals their rows recorded, and the root
+        commits each origin session exactly once."""
+        wal_dir = tmp_path / "leafwal"
+        base = 2 * STRIDE + ANON_OFFSET
+
+        async def leaf_run(upstream, keys=()):
+            relay = RelayAggregatorServer(
+                epsilon=EPSILON, delta=DELTA, k=K, upstream=upstream,
+                relay_ordinal=2, wal_dir=wal_dir, forward_max_elapsed=0.2)
+            await relay.start("127.0.0.1:0")
+            try:
+                for key in keys:
+                    async with AggregatorClient(relay.address, k=K) as client:
+                        await client.push([_export({key: 10.0 + key})])
+                try:
+                    return await relay.forward_flush()
+                except NetworkError:
+                    return None
+            finally:
+                await relay.aclose()
+
+        async def scenario():
+            async with await _started_root() as root:
+                assert await leaf_run(root.address, keys=[1]) == 1
+                # Upstream down: the first pending session is staged (its
+                # row durable) before its push fails; the second waits.
+                assert await leaf_run("127.0.0.1:1", keys=[2, 3]) is None
+                assert _forward_rows(wal_dir) == {
+                    "::forward:00000000": (base + 0, 1, 1),
+                    "::forward:00000001": (base + 1, 2, 0)}
+                assert await leaf_run(root.address) == 2
+                assert await leaf_run(root.address) == 0
+                stats = root.stats()
+                committed = {entry.ordinal: entry.parts[0].merged()
+                             for entry in root._committed}
+            return stats, committed
+
+        stats, committed = _run(scenario())
+        assert stats["sessions_committed"] == 3
+        assert stats["frames"] == 3
+        assert committed == {base + 0: {1: 11.0}, base + 1: {2: 12.0},
+                             base + 2: {3: 13.0}}
+        assert _forward_rows(wal_dir) == {
+            f"::forward:{index:08d}": (base + index, index + 1, 1)
+            for index in range(3)}
+
+    def test_failed_staging_put_refuses_release_and_pushes_nothing(self,
+                                                                   tmp_path):
+        store = FailingForwardStore()
+
+        async def scenario():
+            async with await _started_root() as root:
+                relay = await _started_relay(
+                    root.address, wal_dir=tmp_path / "leafwal", store=store)
+                try:
+                    async with AggregatorClient(relay.address, k=K,
+                                                ordinal=0) as client:
+                        await client.push([_export({1: 9.0})])
+                    store.armed = True
+                    async with AggregatorClient(relay.address) as client:
+                        with pytest.raises(RemoteError) as caught:
+                            await client.request_release(seed=3)
+                        assert caught.value.code == "wal_commit_failed"
+                        assert root.stats()["sessions_committed"] == 0
+                        assert relay._batches == []
+                        assert relay.stats()["forward"]["queued"] == 1
+                    store.armed = False
+                    async with AggregatorClient(relay.address) as client:
+                        histogram = await client.request_release(seed=3)
+                    assert histogram.metadata.stream_length == 9
+                    assert root.stats()["sessions_committed"] == 1
+                    assert _queue(relay) == [(0, 0, 1, True)]
+                finally:
+                    await relay.aclose()
+        _run(scenario())
+
+    def test_failed_eager_put_is_reported_and_retried(self, tmp_path):
+        store = FailingForwardStore()
+        store.armed = True
+
+        async def scenario():
+            async with await _started_root() as root:
+                relay = await _started_relay(
+                    root.address, wal_dir=tmp_path / "leafwal", store=store,
+                    forward_on="commit")
+                try:
+                    async with AggregatorClient(relay.address, k=K,
+                                                ordinal=0) as client:
+                        await client.push([_export({1: 9.0})])
+                    for _ in range(300):
+                        if relay.stats()["forward"]["error"]:
+                            break
+                        await asyncio.sleep(0.01)
+                    error = relay.stats()["forward"]["error"]
+                    assert "could not persist forward batch 0" in error
+                    assert root.stats()["sessions_committed"] == 0
+                    store.armed = False
+                    assert await relay.forward_flush() == 1
+                    assert relay.stats()["forward"]["error"] is None
+                    assert root.stats()["sessions_committed"] == 1
+                finally:
+                    await relay.aclose()
+        _run(scenario())
+
+    def test_earlier_forward_spool_dir_upconverts_to_rows(self, tmp_path):
+        """A leaf dir whose queue is an earlier release's ``forward/`` files
+        starts with the same queue, and drops the directory."""
+        wal_dir = tmp_path / "leafwal"
+
+        async def leaf(upstream):
+            relay = RelayAggregatorServer(
+                epsilon=EPSILON, delta=DELTA, k=K, upstream=upstream,
+                relay_ordinal=1, wal_dir=wal_dir, forward_max_elapsed=0.2)
+            await relay.start("127.0.0.1:0")
+            return relay
+
+        async def scenario():
+            async with await _started_root() as root:
+                relay = await leaf(root.address)
+                try:
+                    async with AggregatorClient(relay.address, k=K,
+                                                ordinal=4) as client:
+                        await client.push([_export({1: 5.0})])
+                    await relay.forward_flush()
+                finally:
+                    await relay.aclose()
+                relay = await leaf("127.0.0.1:1")
+                try:
+                    async with AggregatorClient(relay.address, k=K) as client:
+                        await client.push([_export({2: 6.0})])
+                    with pytest.raises(NetworkError):
+                        await relay.forward_flush()
+                    queue = _queue(relay)
+                    bodies = {entry.seq: [payload_frame_body(
+                        summary_payload(part)) for part in entry.parts]
+                        for entry in relay._committed}
+                finally:
+                    await relay.aclose()
+                # Rewrite the queue in the earlier layout.
+                with SqliteCheckpointStore(wal_dir / "sessions.db") as store:
+                    for session_id in _forward_rows(wal_dir):
+                        store.delete(session_id)
+                for index, root_ordinal, seq, acked in queue:
+                    write_batch(wal_dir / "forward", index=index,
+                                root_ordinal=root_ordinal, covered_seq=seq,
+                                leaf=1, k=K, bodies=bodies[seq], acked=acked)
+                (wal_dir / "forward" / "fwd-00000002.tmp").write_bytes(b"x")
+                relay = await leaf(root.address)
+                try:
+                    assert not (wal_dir / "forward").exists()
+                    assert _queue(relay) == queue
+                    assert await relay.forward_flush() == 1
+                finally:
+                    await relay.aclose()
+                ordinals = [entry["ordinal"]
+                            for entry in root.stats()["sessions"]]
+            return queue, ordinals
+
+        queue, ordinals = _run(scenario())
+        assert queue == [(0, STRIDE + 4, 1, True),
+                         (1, STRIDE + ANON_OFFSET, 2, False)]
+        assert ordinals == [STRIDE + 4, STRIDE + ANON_OFFSET]
+        assert _forward_rows(wal_dir) == {
+            "::forward:00000000": (STRIDE + 4, 1, 1),
+            "::forward:00000001": (STRIDE + ANON_OFFSET, 2, 1)}
+
+    def test_forward_spool_file_without_batch_meta_is_refused(self, tmp_path):
+        wal_dir = tmp_path / "leafwal"
+        path = write_batch(wal_dir / "forward", index=0, root_ordinal=0,
+                           covered_seq=1, leaf=0, k=K, bodies=[])
+        path.write_bytes(path.read_bytes().replace(b"covered_seq",
+                                                   b"covered_xyz"))
+        relay = RelayAggregatorServer(EPSILON, DELTA, K,
+                                      upstream="127.0.0.1:1", wal_dir=wal_dir)
+        with pytest.raises(FramingError, match="relay batch metadata"):
+            _run(relay.start("127.0.0.1:0"))
+        relay.wal.close()
+        assert (wal_dir / "forward").is_dir()
+
+
+    def test_wal_inspect_renders_forward_rows(self, tmp_path, capsys):
+        """``repro wal inspect`` on a leaf dir shows forward-queue rows as
+        such, next to the privacy-budget row."""
+        from repro.cli import main
+        from repro.dp.accounting import PrivacyParams
+        from repro.net import BudgetAccountant
+
+        wal_dir = tmp_path / "leafwal"
+
+        async def leaf_run(upstream, ordinal):
+            relay = RelayAggregatorServer(
+                epsilon=EPSILON, delta=DELTA, k=K, upstream=upstream,
+                wal_dir=wal_dir, forward_max_elapsed=0.2)
+            await relay.start("127.0.0.1:0")
+            try:
+                async with AggregatorClient(relay.address, k=K,
+                                            ordinal=ordinal) as client:
+                    await client.push([_export({1: 5.0})])
+                with contextlib.suppress(NetworkError):
+                    await relay.forward_flush()
+            finally:
+                await relay.aclose()
+
+        async def scenario():
+            async with await _started_root() as root:
+                await leaf_run(root.address, 3)
+            await leaf_run("127.0.0.1:1", None)
+
+        _run(scenario())
+        with SqliteCheckpointStore(wal_dir / "sessions.db") as store:
+            BudgetAccountant(PrivacyParams(epsilon=EPSILON, delta=DELTA),
+                             store=store).charge()
+        capsys.readouterr()
+        assert main(["wal", "inspect", str(wal_dir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"{wal_dir}: 2 session(s), 2 spool file(s)" in lines[0]
+        assert "  ::forward:00000000: forward batch 0 root_ordinal=3 " \
+            "covered_seq=1 acked" in lines
+        assert f"  ::forward:00000001: forward batch 1 root_ordinal=" \
+            f"{ANON_OFFSET} covered_seq=2 queued" in lines
+        assert "  ::privacy-budget: 1 release(s) charged " \
+            "(composition=basic)" in lines
+        assert sum("release(s) charged" in line for line in lines) == 1
 
 
 class TestStats:

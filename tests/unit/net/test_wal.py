@@ -24,7 +24,7 @@ from repro.api.wire import encode_counters
 from repro.exceptions import ParameterError, ProtocolError
 from repro.net.server import AggregatorServer
 from repro.net.store import (MemoryCheckpointStore, SessionRecord,
-                             SqliteCheckpointStore, open_store)
+                             SqliteCheckpointStore)
 from repro.net.wal import SessionWal
 
 K = 16
@@ -105,23 +105,6 @@ class TestCheckpointStores:
             store.put(_record(committed_frames=2, commit_seq=1))
         with SqliteCheckpointStore(path) as store:
             assert store.get("ord:0").commit_seq == 1
-
-
-class TestOpenStore:
-    def test_memory_scheme(self):
-        with open_store("memory://") as store:
-            assert isinstance(store, MemoryCheckpointStore)
-
-    def test_sqlite_scheme_and_bare_path(self, tmp_path):
-        with open_store(f"sqlite:///{tmp_path}/a.db") as store:
-            assert isinstance(store, SqliteCheckpointStore)
-            assert store.path == tmp_path / "a.db"
-        with open_store(tmp_path / "b.db") as store:
-            assert isinstance(store, SqliteCheckpointStore)
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ParameterError, match="redis"):
-            open_store("redis://localhost:6379/0")
 
 
 # ---------------------------------------------------------------------------

@@ -112,12 +112,11 @@ class TestRenderStats:
         stats = make_stats(forward={
             "upstream": "127.0.0.1:9000", "policy": "commit",
             "relay_ordinal": 2, "queued": 5, "acked": 10,
-            "spool_bytes": 1024, "last_backoff": 0.5, "error": None,
+            "last_backoff": 0.5, "error": None,
         })
         text = render_stats(stats, "leaf")
         assert "upstream forward state" in text
         assert "127.0.0.1:9000" in text
-        assert "1.0 KiB" in text
         assert "0.50s" in text
 
 
