@@ -613,11 +613,10 @@ class StreamingMerger:
     :class:`~repro.sketches.merge.FoldState`; each :meth:`add` folds one
     frame as one step and discards it, so the aggregator's live memory is
     one frame plus ``O(k)`` — never the whole stream.  The fold maps keys
-    to ids itself (offsets for bounded int keys, read in place from a
-    binary frame by the compiled step; a compacted key table for wide or
-    token keys).  The final summary is **bit-identical** to the buffered
-    ``merge_many([all frames])`` fold because both equal the seed pairwise
-    left fold.
+    to ids through its own compacted key table, which the compiled step
+    probes for int64 keys read in place from a binary frame.  The final
+    summary is **bit-identical** to the buffered ``merge_many`` of every
+    frame because both equal the seed pairwise left fold.
     """
 
     def __init__(self, k: int) -> None:
@@ -801,7 +800,7 @@ def origin_frames(payload: WirePayload) -> int:
     if not isinstance(relay, Mapping):
         return 1
     declared = relay.get("frames")
-    if not isinstance(declared, int) or declared < 1:
+    if type(declared) is not int or declared < 1:  # bool too
         raise FramingError(
             f"relay summary frame declares a bad origin frame count "
             f"{declared!r}")

@@ -3,12 +3,11 @@
 The hot loops that stay python-bound after vectorization — the
 Misra-Gries per-element eviction loop behind ``update_batch`` and the Agarwal
 merge fold (``fold_step``: a binder that takes one
-:class:`~repro.sketches.merge.FoldState`'s buffers once and returns a
-per-frame ``step(keys, values, low[, frame]) -> status`` for the served
-``StreamingMerger``; ``step.run(keys, values, low, lengths)`` folds the
-run of sketches behind ``merge_many``; either way
-over the state's key ids — offsets from ``low``, or key-table ids at
-``low = 0``) — have compiled implementations in one provider:
+:class:`~repro.sketches.merge.FoldState`'s buffers, its int64 key table
+included, once and returns a per-frame ``step(keys, values[, frame]) ->
+status`` for the served ``StreamingMerger``; ``step.run(keys, values,
+lengths)`` folds the run of sketches behind ``merge_many``) — have
+compiled implementations in one provider:
 
 ``cc``
     The C source in :mod:`repro.kernels._c_src`, compiled on demand with

@@ -24,7 +24,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ._c_src import C_SOURCE, MG_NOMEM, SOURCE_VERSION
+from ._c_src import C_SOURCE, FOLD_TABLE_FACTOR, MG_NOMEM, SOURCE_VERSION
 
 PROVIDER_NAME = "cc"
 
@@ -35,6 +35,7 @@ _loaded = False
 
 _I64 = np.dtype(np.int64)
 _F64 = np.dtype(np.float64)
+_I32 = np.dtype(np.int32)
 _P = ctypes.c_void_p
 _N = ctypes.c_int64
 _NoBytes = ctypes.c_char * 0
@@ -60,6 +61,16 @@ def _ptr(array, dtype) -> int:
     if array.flags.writeable:
         return ctypes.addressof(_NoBytes.from_buffer(array))
     return array.ctypes.data
+
+
+class _Fold(ctypes.Structure):
+    """One ``FoldState``'s buffers, bound once: the C ``Fold``."""
+
+    _fields_ = ([(name, _P) for name in (
+        "acc", "active", "scratch_ids", "scratch_vals", "zero_live", "state",
+        "table_keys", "ids", "slots")]
+        + [(name, _N) for name in ("mask", "size", "shift")]
+        + [("multiplier", ctypes.c_uint64)])
 
 
 def _check(condition: bool, message: str) -> None:
@@ -134,9 +145,11 @@ def _bind(lib) -> Dict:
     # A c_void_p argument takes an address or a bytes object, whose buffer
     # ctypes passes without a copy.
     lib.repro_fold_step.restype = _N
-    lib.repro_fold_step.argtypes = [_P, _N, _P, _N, _N, _P, _N, _N, _N, _N,
-                                    _P, _P, _P, _P, _P, _P, _P]
-    fold_step_c = lib.repro_fold_step
+    fold_p = ctypes.POINTER(_Fold)
+    lib.repro_fold_step.argtypes = [_P, _N, _P, _N, _N, _P, _N, fold_p]
+    lib.repro_fold_intern.restype = None
+    lib.repro_fold_intern.argtypes = [_P, _N, fold_p]
+    fold_step_c, fold_intern_c = lib.repro_fold_step, lib.repro_fold_intern
 
     def mg_update(keys, dummy, stored, ins_seq, io, chunk):
         state = [_ptr(array, _I64)
@@ -152,19 +165,32 @@ def _bind(lib) -> Dict:
         return int(status)
 
     def fold_step(size, acc, active, scratch_ids, scratch_vals, zero_live,
-                  state):
+                  state, table_keys, slots, ids, multiplier):
         # Resolved once per binding: per call only the sketches are checked.
         domain = acc.shape[0]
+        mask = slots.shape[0] - 1
         capacity = min(active.shape[0], scratch_ids.shape[0],
                        scratch_vals.shape[0])
-        _check(state.shape[0] >= 2, "fold_step state needs 2 slots")
-        applied = ctypes.c_int64()
-        buffers = (_ptr(acc, _F64), _ptr(active, _I64),
-                   _ptr(scratch_ids, _I64), _ptr(scratch_vals, _F64),
-                   _ptr(zero_live, _I64), _ptr(state, _I64),
-                   ctypes.addressof(applied))
+        _check(state.shape[0] >= 4, "fold_step state needs 4 slots")
+        _check(table_keys.shape[0] == ids.shape[0] == domain < 1 << 31
+               and 0 < domain < mask + 1 and not (mask + 1) & mask,
+               "fold_step key table and ids must be as long as acc (below "
+               "2**31), the slots a power of two past it")
+        _check(0 < multiplier < 1 << 64 and multiplier & 1,
+               "fold_step hash multiplier must be an odd 64-bit integer")
+        fold = _Fold(
+            _ptr(acc, _F64), _ptr(active, _I64), _ptr(scratch_ids, _I64),
+            _ptr(scratch_vals, _F64), _ptr(zero_live, _I64),
+            _ptr(state, _I64), _ptr(table_keys, _I64), _ptr(ids, _I64),
+            _ptr(slots, _I32), mask, size, 64 - mask.bit_length(),
+            multiplier)
+        # One argument for them all (each costs about 0.1 us a call), which
+        # keeps every bound buffer alive as long as C may write to it.
+        fold.buffers = (acc, active, scratch_ids, scratch_vals, zero_live,
+                        state, table_keys, slots, ids)
+        full = FOLD_TABLE_FACTOR * size  # a step compacts a table past it
 
-        def bound(keys, values, low, frame=None):
+        def bound(keys, values, frame=None):
             # ``frame``: ``(body, at)`` when keys and values are the int64
             # and float64 columns of the bytes ``body`` from byte ``at`` on
             # — C then reads the body itself, with no address lookup.
@@ -183,12 +209,13 @@ def _bind(lib) -> Dict:
                        "fold_step frame columns overrun the frame body")
             _check(len(values) == n,
                    "fold_step keys and values differ in length")
-            _check(int(state[0]) + n <= capacity,
+            _check(int(state[0]) + n <= capacity
+                   and min(int(state[2]), full) + n <= domain,
                    "fold_step buffers too small for this frame")
             return fold_step_c(keys_buf, keys_at, values_buf, values_at, n,
-                               None, 1, low, domain, size, *buffers)
+                               None, 1, fold)
 
-        def run(keys, values, low, lengths):
+        def run(keys, values, lengths):
             """Fold the sketches laid end to end in ``keys``/``values``,
             ``lengths[i]`` entries each: ``(status, steps applied)``."""
             keys_at, values_at = _ptr(keys, _I64), _ptr(values, _F64)
@@ -199,16 +226,24 @@ def _bind(lib) -> Dict:
                    and total <= values.shape[0],
                    "fold_step run lengths are negative or overrun the arrays")
             # No step leaves more than ``size`` ids live.
-            _check(max(int(state[0]), size) + max(spans, default=0)
-                   <= capacity, "fold_step buffers too small for this run")
+            longest = max(spans, default=0)
+            _check(max(int(state[0]), size) + longest <= capacity
+                   and (min(int(state[2]), full) + total <= domain
+                        or full + longest <= domain),
+                   "fold_step buffers too small for this run")
             status = fold_step_c(keys_at, 0, values_at, 0, total, lengths_at,
-                                 len(spans), low, domain, size, *buffers)
-            return status, applied.value
+                                 len(spans), fold)
+            return status, int(state[3])
 
-        # Keeps every bound buffer alive as long as C may write to it.
-        bound.buffers = (acc, active, scratch_ids, scratch_vals, zero_live,
-                         state, applied)
-        bound.run = run
+        def intern(keys):
+            """The table ids of ``keys`` (a view of ``ids``); folds none."""
+            keys_at, n = _ptr(keys, _I64), keys.shape[0]
+            _check(int(state[2]) + n <= domain,
+                   "fold_step key table too small for these keys")
+            fold_intern_c(keys_at, n, fold)
+            return ids[:n]
+
+        bound.run, bound.intern = run, intern
         return bound
 
     return {"mg_update": mg_update, "fold_step": fold_step}

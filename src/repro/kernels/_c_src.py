@@ -24,7 +24,8 @@ data itself, never on hash-iteration order:
   so matching one matches both.
 * ``repro_fold_step`` folds a run of sketches, each one step of
   :class:`repro.sketches.merge.FoldState` per id (the served per-frame step
-  is a run of one).  Ids are unique within one sketch, so numpy's
+  is a run of one), over the ids of the state's int64 key table, which it
+  owns and probes.  Ids are unique within one sketch, so numpy's
   fancy-indexed adds decompose into the independent scalar adds done here.
   The (k+1)-th-largest threshold is an order statistic: any correct
   selection returns the value ``np.partition`` returns on the same
@@ -41,7 +42,7 @@ its build cache on a hash of the source text, so editing the C automatically
 invalidates stale binaries.
 """
 
-SOURCE_VERSION = 7
+SOURCE_VERSION = 8
 
 # ``repro_mg_update`` statuses.
 MG_OK = 0
@@ -49,16 +50,18 @@ MG_CORRUPT = 1
 MG_NOMEM = 2
 
 # ``repro_fold_step`` statuses per step of a run, in precedence order.
-# Every status but FOLD_OK stops the run and leaves that step's state
-# untouched: FOLD_RANGE means a key lies outside ``[low, low + domain)``,
-# FOLD_NEGATIVE a negative counter in the sketch, FOLD_REPEAT a key the
-# sketch lists twice, FOLD_NAN a NaN in the sketch or the live counters
-# (the quickselect assumes a total order).
+# Every status but FOLD_OK stops the run and leaves that step's fold
+# untouched: FOLD_NEGATIVE means a negative counter in the sketch,
+# FOLD_REPEAT a key the sketch lists twice, FOLD_NAN a NaN in the sketch
+# or the live counters (the quickselect assumes a total order).
 FOLD_OK = 0
-FOLD_RANGE = 1
-FOLD_NEGATIVE = 2
-FOLD_NAN = 3
-FOLD_REPEAT = 4
+FOLD_NEGATIVE = 1
+FOLD_NAN = 2
+FOLD_REPEAT = 3
+
+# Before every fold step, a key table that holds more than
+# FOLD_TABLE_FACTOR * size keys is compacted to the live keys.
+FOLD_TABLE_FACTOR = 4
 
 # The C side of the ABI: one ``#define`` per int above, in that order.
 _ABI_DEFINES = "".join(
@@ -401,18 +404,73 @@ static double select_kth(double *buf, int64_t n, int64_t pos) {
     return buf[lo];
 }
 
-/* One fold step after the first; returns the new live count, or -1 when
-   a key lies outside [low, last] or a value is negative or NaN, and -2
-   when an id repeats.  A refused step changes nothing but the first
-   sketch's zero counters, reset to +0.0 (which folds to the same bits).
-   Callers guarantee NaN-free live counters and room for n_active + length
+/* One FoldState's buffers (_c_provider._Fold): state = {n_active, n_zero,
+   table ids, steps applied}; table_keys[id] is the key of id, first seen
+   first; mask + 1 int32 slots hold id + 1 where the key's linear probe,
+   from the fold's own random odd multiplier, ends (0: empty). */
+typedef struct {
+    double *acc;
+    int64_t *active, *scratch_ids;
+    double *scratch_vals;
+    const int64_t *zero_live;
+    int64_t *state, *table_keys, *ids;
+    int32_t *slots;
+    int64_t mask, size, shift;  /* shift: 64 - log2(mask + 1) */
+    uint64_t multiplier;
+} Fold;
+
+/* Each of keys[:n] gets its id in f->ids, new keys the next ids in
+   order.  Callers guarantee room for state[2] + n ids. */
+void repro_fold_intern(const int64_t *keys, int64_t n, const Fold *f) {
+    int32_t *slots = f->slots;
+    int64_t mask = f->mask, count = f->state[2], *ids = f->ids, *table_keys = f->table_keys;
+    /* Hash every key first (multiply-shift): the probes below branch on
+       the data, and a mispredict then no longer waits on a multiply. */
+    for (int64_t j = 0; j < n; j++)
+        ids[j] = (int64_t) (((uint64_t) keys[j] * f->multiplier) >> f->shift);
+    for (int64_t j = 0; j < n; j++) {
+        int64_t i = ids[j], slot;
+        while ((slot = slots[i]) && table_keys[slot - 1] != keys[j])
+            i = (i + 1) & mask;
+        if (!slot) {
+            slot = slots[i] = (int32_t) ++count;
+            table_keys[count - 1] = keys[j];
+        }
+        ids[j] = slot - 1;
+    }
+    f->state[2] = count;
+}
+
+/* Live ids take ids 0..n-1 in active order, keeping keys and counters;
+   dead keys leave the table.  No first-sketch zero counter is live. */
+static void fold_compact(const Fold *f) {
+    int64_t n = f->state[0], *active = f->active, *keys = f->scratch_ids;
+    for (int64_t j = 0; j < n; j++) {
+        keys[j] = f->table_keys[active[j]];
+        f->scratch_vals[j] = f->acc[active[j]];
+        f->acc[active[j]] = 0.0;
+    }
+    for (int64_t i = 0; i <= f->mask; i++) f->slots[i] = 0;
+    f->state[2] = 0;
+    repro_fold_intern(keys, n, f);
+    for (int64_t j = 0; j < n; j++) {
+        f->acc[j] = f->scratch_vals[j];
+        active[j] = j;
+    }
+}
+
+/* One fold step after the first, over the sketch's ids; returns the new
+   live count, or -1 when a value is negative or NaN, and -2 when an id
+   repeats.  A refused step changes nothing but the first sketch's zero
+   counters, reset to +0.0 (which folds to the same bits).  Callers
+   guarantee NaN-free live counters and room for n_active + length
    entries in active and both scratch arrays. */
-static int64_t fold_step_body(const int64_t *keys, const double *values,
-                              int64_t length, int64_t low, int64_t last,
-                              int64_t size, double *acc, int64_t *active,
-                              int64_t n_active, int64_t *scratch_ids,
-                              double *scratch_vals, const int64_t *zero_live,
-                              int64_t n_zero) {
+static int64_t fold_step_body(const double *values, int64_t length,
+                              const Fold *f) {
+    const int64_t *ids = f->ids, *zero_live = f->zero_live;
+    int64_t size = f->size, n_active = f->state[0], n_zero = f->state[1];
+    int64_t *active = f->active, *scratch_ids = f->scratch_ids;
+    double *acc = f->acc, *scratch_vals = f->scratch_vals;
     if (length == 0) {
         if (n_zero > 0) {
             int64_t w = 0;
@@ -429,17 +487,16 @@ static int64_t fold_step_body(const int64_t *keys, const double *values,
     for (int64_t t = 0; t < n_zero; t++) acc[zero_live[t]] = 0.0;
     int all_positive = 1;
     for (int64_t j = 0; j < length; j++) {
-        int64_t key = keys[j];
+        int64_t idv = ids[j];
         double value = values[j];
-        int bad = key < low || key > last || !(value >= 0.0);
-        if (bad || signbit(acc[key - low])) {
+        int bad = !(value >= 0.0);
+        if (bad || signbit(acc[idv])) {
             /* Put back the counters this step changed, bit for bit. */
             for (int64_t t = 0; t < j; t++)
-                acc[keys[t] - low] = scratch_vals[t];
+                acc[ids[t]] = scratch_vals[t];
             return bad ? -1 : -2;
         }
         if (!(value > 0.0)) all_positive = 0;
-        int64_t idv = key - low;
         double before = acc[idv];
         scratch_vals[j] = before;
         int fresh = before == 0.0;
@@ -453,7 +510,9 @@ static int64_t fold_step_body(const int64_t *keys, const double *values,
            reads a marked sum back exactly; each path below clears the
            marks. */
         acc[idv] = -(before + value);
-        if (fresh) scratch_ids[n_comb++] = idv;
+        /* Branch-free: which ids are fresh follows no pattern. */
+        scratch_ids[n_comb] = idv;
+        n_comb += fresh;
     }
     if (n_comb > size) {
         int64_t pos = n_comb - 1 - size;
@@ -464,17 +523,15 @@ static int64_t fold_step_body(const int64_t *keys, const double *values,
         for (int64_t j = 0; j < n_comb; j++) {
             int64_t idv = scratch_ids[j];
             double shifted = fabs(acc[idv]) - offset;
-            if (shifted > 0.0) {
-                acc[idv] = shifted;
-                active[w++] = idv;
-            } else {
-                acc[idv] = 0.0;
-            }
+            int keep = shifted > 0.0;
+            acc[idv] = keep ? shifted : 0.0;
+            active[w] = idv;
+            w += keep;
         }
         return w;
     }
     if (n_zero == 0 && all_positive) {
-        for (int64_t j = 0; j < length; j++) acc[keys[j] - low] *= -1.0;
+        for (int64_t j = 0; j < length; j++) acc[ids[j]] *= -1.0;
         for (int64_t j = 0; j < n_comb; j++) active[j] = scratch_ids[j];
         return n_comb;
     }
@@ -493,46 +550,39 @@ static int64_t fold_step_body(const int64_t *keys, const double *values,
 }
 
 /* FoldState steps after the first, over a run of n_sketches sketches
-   laid end to end (lengths == NULL: one sketch of n keys); state =
-   {n_active, n_zero}.  The keys start keys_at bytes into keys_buf and the
-   values values_at bytes into values_buf: a frame body and its two column
-   offsets, or two array addresses at offset 0.  A status other than
-   FOLD_OK stops the run with that step's state untouched, and *applied
+   laid end to end (lengths == NULL: one sketch of n keys).  The keys
+   start keys_at bytes into keys_buf and the values values_at bytes into
+   values_buf: a frame body and its two column offsets, or two array
+   addresses at offset 0.  Each step compacts a full table and interns all
+   of its keys before it folds.  A status other than FOLD_OK stops the run
+   with that step's fold untouched (its keys stay interned); state[3]
    counts the steps folded before it.  The live counters are scanned for
    NaN once: a step over NaN-free input leaves none live. */
 int64_t repro_fold_step(const char *keys_buf, int64_t keys_at,
                         const char *values_buf, int64_t values_at, int64_t n,
                         const int64_t *lengths, int64_t n_sketches,
-                        int64_t low, int64_t domain, int64_t size, double *acc,
-                        int64_t *active, int64_t *scratch_ids,
-                        double *scratch_vals, const int64_t *zero_live,
-                        int64_t *state, int64_t *applied) {
+                        const Fold *f) {
     const int64_t *keys = (const int64_t *) (keys_buf + keys_at);
     const double *values = (const double *) (values_buf + values_at);
-    /* The id space never ends past the int64 range, so last is exact. */
-    int64_t last = low + (domain - 1);
+    int64_t *state = f->state;
     int live_nan = 0;
     for (int64_t j = 0; j < state[0]; j++)
-        if (acc[active[j]] != acc[active[j]]) live_nan = 1;
-    *applied = 0;
+        if (f->acc[f->active[j]] != f->acc[f->active[j]]) live_nan = 1;
+    state[3] = 0;
     for (int64_t step = 0; step < n_sketches; step++) {
         int64_t length = lengths ? lengths[step] : n;
-        int64_t live = live_nan ? -1 : fold_step_body(
-            keys, values, length, low, last, size, acc, active, state[0],
-            scratch_ids, scratch_vals, zero_live, state[1]);
+        if (state[2] > FOLD_TABLE_FACTOR * f->size) fold_compact(f);
+        repro_fold_intern(keys, length, f);
+        int64_t live = live_nan ? -1 : fold_step_body(values, length, f);
         if (live < 0) {
             /* Why it was refused, in precedence order. */
-            int negative = 0;
-            for (int64_t j = 0; j < length; j++) {
-                if (keys[j] < low || keys[j] > last) return FOLD_RANGE;
-                if (values[j] < 0.0) negative = 1;
-            }
-            if (negative) return FOLD_NEGATIVE;
+            for (int64_t j = 0; j < length; j++)
+                if (values[j] < 0.0) return FOLD_NEGATIVE;
             return live == -2 ? FOLD_REPEAT : FOLD_NAN;
         }
         state[0] = live;
         state[1] = 0;
-        *applied = step + 1;
+        state[3] = step + 1;
         keys += length;
         values += length;
     }

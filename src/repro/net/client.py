@@ -44,6 +44,7 @@ from .backoff import Backoff, retry_async
 from .protocol import (
     BYE,
     HELLO,
+    IN_LINE_REFUSAL,
     OK,
     PUSH,
     RELEASE,
@@ -142,10 +143,12 @@ class AggregatorClient:
         except (ConnectionError, EOFError) as error:
             await self._abort()
             raise NetworkError(f"{what} failed: {error}") from None
-        except RemoteError:
-            # The server rejected the session and is closing it; drop our
-            # side too so the error propagates without leaking a transport.
-            await self._abort()
+        except RemoteError as error:
+            # Unless refused in-line, the server rejected the session and is
+            # closing it: drop our side too so the error propagates without
+            # leaking a transport.
+            if (what, error.code) != IN_LINE_REFUSAL:
+                await self._abort()
             raise
 
     async def connect(self) -> "AggregatorClient":
@@ -208,7 +211,7 @@ class AggregatorClient:
             return
         if bye:
             try:
-                await self._guard(self._say_bye(), "bye")
+                await self._guard(self._say_bye(), BYE)
             except NetworkError:
                 pass
         await self._abort()
@@ -220,7 +223,7 @@ class AggregatorClient:
         strict form resilient pushers need: until the ack arrives the
         session is not durably committed and the push must be retried.
         """
-        await self._guard(self._say_bye(), "bye")
+        await self._guard(self._say_bye(), BYE)
         await self._abort()
 
     async def _say_bye(self) -> None:
@@ -266,12 +269,12 @@ class AggregatorClient:
             if isinstance(payload, FrequencySketch):
                 payload = wire_module.encode_sketch(payload)
             encoded.append(framing.encode_payload_frame(payload))
-        return await self._guard(self._push_bodies(encoded), "push")
+        return await self._guard(self._push_bodies(encoded), PUSH)
 
     async def push_raw(self, frame_bodies: Iterable[bytes]) -> int:
         """Push already-encoded payload frame bodies verbatim."""
         encoded = [framing.encode_frame(body) for body in frame_bodies]
-        return await self._guard(self._push_bodies(encoded), "push")
+        return await self._guard(self._push_bodies(encoded), PUSH)
 
     async def push_encoded(self, frames: List[bytes]) -> int:
         """Push fully wire-encoded frames (``framing.encode_frame`` output).
@@ -280,7 +283,7 @@ class AggregatorClient:
         each payload once and shares the bytes across thousands of
         simulated clients instead of re-encoding per session.
         """
-        return await self._guard(self._push_bodies(frames), "push")
+        return await self._guard(self._push_bodies(frames), PUSH)
 
     async def abort_mid_push(self, frame: bytes) -> None:
         """Declare a 2-frame burst, send one frame, drop the connection.
@@ -356,7 +359,7 @@ class AggregatorClient:
         not a decode/re-encode round trip through ``PrivateHistogram``.
         """
         release_start = self.metrics.clock()
-        payload = await self._guard(self._request_release(seed), "release")
+        payload = await self._guard(self._request_release(seed), RELEASE)
         self.metrics.observe("client.release_seconds",
                              self.metrics.clock() - release_start)
         return payload
@@ -377,7 +380,7 @@ class AggregatorClient:
 
     async def stats(self) -> Dict[str, object]:
         """The server's aggregate counters (STATS verb)."""
-        return await self._guard(self._stats(), "stats")
+        return await self._guard(self._stats(), STATS)
 
     async def _stats(self) -> Dict[str, object]:
         channel = self._require_channel()

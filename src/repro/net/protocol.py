@@ -94,6 +94,10 @@ BYE = "bye"
 OK = "ok"
 ERROR = "error"
 
+#: The one ``(verb, code)`` refusal that keeps the session open: a RELEASE
+#: whose budget charge or forward batch the server's store failed to write.
+IN_LINE_REFUSAL = (RELEASE, "wal_commit_failed")
+
 #: Default per-read ceiling of :class:`FrameChannel` (bytes).
 DEFAULT_CHUNK_SIZE = 1 << 16
 

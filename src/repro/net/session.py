@@ -52,7 +52,7 @@ from typing import List, Optional, Tuple
 from ..api.framing import FRAMING_VERSION, FrameHeader, StreamingMerger, origin_frames
 from ..api.wire import WirePayload
 from ..exceptions import FramingError, ProtocolError, ReproError
-from .protocol import BYE, ERROR, HELLO, OK, PUSH, RELEASE, STATS, FrameChannel
+from .protocol import BYE, ERROR, HELLO, IN_LINE_REFUSAL, OK, PUSH, RELEASE, STATS, FrameChannel
 
 #: HELLO ``role`` values a server understands.  ``client`` (the default)
 #: folds all pushed frames into one release part; ``relay`` marks each
@@ -282,7 +282,7 @@ class Session:
 
     async def _handle_push(self, message: dict) -> None:
         declared = message.get("frames")
-        if not isinstance(declared, int) or declared < 0:
+        if type(declared) is not int or declared < 0:  # bool too
             raise ProtocolError(f"push must declare a frame count, got {declared!r}")
         if self._server.k is None:
             raise ProtocolError(
@@ -364,12 +364,12 @@ class Session:
 
     async def _handle_release(self, message: dict) -> None:
         seed = message.get("seed")
-        if seed is not None and not isinstance(seed, int):
+        if seed is not None and type(seed) is not int:  # bool too
             raise ProtocolError(f"release seed must be an integer, got {seed!r}")
         try:
             envelope = await self._server.handle_release(seed)
         except ReproError as error:
-            if getattr(error, "code", None) != "wal_commit_failed":
+            if (RELEASE, getattr(error, "code", None)) != IN_LINE_REFUSAL:
                 raise
             # The server's disk failed, not this session: refuse the verb
             # with its code and keep the session.
@@ -459,7 +459,7 @@ class Session:
     def _check_k(self, declared, source: str) -> None:
         if declared is None:
             return
-        if not isinstance(declared, int) or declared <= 0:
+        if type(declared) is not int or declared <= 0:  # bool too
             raise ProtocolError(f"{source} declares a bad sketch size {declared!r}")
         agreed = self._server.adopt_k(declared)
         if agreed != declared:

@@ -14,10 +14,10 @@ Performance
 -----------
 :func:`merge_many` is the aggregator hot path of the distributed setting
 (``m`` users each ship a size-``k`` sketch).  It runs the sketches through
-:class:`FoldState`, the one fold engine: keys map to integer ids (a dense
-offset for bounded integer universes, a key table otherwise), the counters
-live in one dense float array, and each fold step is a handful of NumPy
-bulk operations (fancy-indexed add, ``np.partition`` for the (k+1)-th
+:class:`FoldState`, the one fold engine: keys map to integer ids through
+one first-seen key table (compiled for int64 keys), the counters live in
+one dense float array, and each fold step is a handful of NumPy bulk
+operations (fancy-indexed add, ``np.partition`` for the (k+1)-th
 largest, one mask) or one call into the compiled fold kernel.  The result
 is equal — same key set, same order, exactly equal float values — to the
 seed dict-based left fold, which is preserved verbatim in
@@ -25,10 +25,8 @@ seed dict-based left fold, which is preserved verbatim in
 implementation in ``tests/property/test_merge_equivalence.py``.  The
 batch merge folds its sketches as one :meth:`FoldState.run`; the served
 :class:`~repro.api.framing.StreamingMerger` one :meth:`FoldState.step`
-per frame.  A sketch may also arrive as a ``(keys, values)`` array pair
-(what :meth:`repro.api.wire.WirePayload.columnar` returns): integer key
-arrays concatenate with no per-key Python.  A sketch that lists a key
-twice is malformed and refused (code ``repeated_key``).
+per frame.  A sketch that lists a key twice is malformed and refused
+(code ``repeated_key``).
 
 For very large ``m``, :func:`merge_tree` performs the same reduction as a
 balanced pairwise tree (any merge order keeps the Lemma 29 guarantee); tree
@@ -39,13 +37,14 @@ counters.
 from __future__ import annotations
 
 import itertools
+import secrets
 from collections import Counter
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import kernels as _kernels
-from ..kernels._c_src import FOLD_NAN, FOLD_NEGATIVE, FOLD_OK, FOLD_RANGE, FOLD_REPEAT
+from ..kernels._c_src import FOLD_OK, FOLD_TABLE_FACTOR as _TABLE_FACTOR
 from .._validation import check_positive_int
 from ..exceptions import ParameterError, SketchStateError
 from .base import FrequencySketch
@@ -151,22 +150,6 @@ def _first_step(counters: Dict[Hashable, float], size: int) -> Dict[Hashable, fl
 # Key columns
 # ---------------------------------------------------------------------------
 
-#: Widest offset id space (``key - low``) a :class:`FoldState` grows to
-#: before it switches to a key table; it also spans at most
-#: ``_SPAN_PER_SLOT`` ids per counter a step holds (``max(size, keys)``),
-#: which bounds a long-lived merger's ``acc`` at 512 bytes per counter.
-_DENSE_SPAN_LIMIT = 1 << 23
-_SPAN_PER_SLOT = 64
-
-#: A key table is compacted to the live keys once it holds more than this
-#: many times ``size`` keys.
-_TABLE_FACTOR = 4
-
-#: The int64 key range; an offset id space never reaches beyond it.
-_INT64_MIN = -(1 << 63)
-_INT64_END = 1 << 63
-
-
 def _as_int_key_array(all_keys: List[Hashable]) -> Optional[np.ndarray]:
     """``all_keys`` as an integer ndarray, or ``None`` when that is unsafe.
 
@@ -196,7 +179,7 @@ def _key_column(keys) -> Union[np.ndarray, List[Hashable]]:
         if array is None:
             return keys
     if array.dtype.kind == "i" or (array.dtype.kind == "u" and (
-            not array.size or int(array.max()) < _INT64_END)):
+            not array.size or int(array.max()) < 1 << 63)):
         return array.astype(np.int64, copy=False)
     return array.tolist()
 
@@ -251,12 +234,11 @@ def _columns(sketches: Sequence[SketchLike]):
 class FoldState:
     """The Agarwal left fold, one step at a time, over its own key ids.
 
-    While every key is a plain int and the live keys span few enough ids
-    (see ``_DENSE_SPAN_LIMIT``), a key's id is its offset ``key - low``.  A
-    step whose keys offsets cannot cover switches to a first-seen key
-    table, a dict (dict semantics: ``1``, ``1.0`` and ``True`` are one
-    key).  The switch and the compaction of a table past
-    ``_TABLE_FACTOR * size`` keys are one relabel: the live keys take ids
+    Keys map to ids through one first-seen key table: the compiled
+    ``fold_step``'s own while every key is an int64 and the kernel
+    resolves, else a dict (``1``, ``1.0`` and ``True`` are one key).  Both
+    give every key the same id.  Before every step, a table of more than
+    ``_TABLE_FACTOR * size`` keys is compacted: the live keys take ids
     ``0..n-1`` in active order, the dead ones leave the table.
 
     ``acc`` is a dense float array over the ids, with the invariant
@@ -276,55 +258,57 @@ class FoldState:
       ``zero_live`` so the second step does not take them for fresh keys;
     * its negative counters are let through and raise at the second step.
 
-    :meth:`step` folds one sketch and :meth:`run` a run of sketches laid
-    end to end.  After the first step both call the compiled ``fold_step``
-    kernel when one resolves (bound once to this state's buffers), which
-    folds a run in one call; the numpy step below is the no-compiler path
-    and the route for NaN counters.  Both are bit-identical.
+    Later steps run in the compiled ``fold_step`` while its table serves,
+    else in the bit-identical numpy step.
     """
 
     def __init__(self, size: int) -> None:
         self.size = size
         #: Whether the next step is the fold's first.
         self.first = True
-        #: Smallest key of the offset id space (0 under a key table);
-        #: ``acc`` is ``None`` until the first non-empty sketch places it.
-        self.low = 0
-        self.acc: Optional[np.ndarray] = None
-        # The key table: ``None`` while ids are offsets, else each key's
-        # id, with the key of every id in ``_id_keys``.
+        #: Empty until the first non-empty sketch starts the key table.
+        self.acc = np.zeros(0)
+        # The dict table (``None`` under the kernel's): key -> id, id -> key.
         self._index: Optional[Dict[Hashable, int]] = None
-        self._id_keys: List[Hashable] = []
+        self._dict_keys: List[Hashable] = []
+        # The kernel's table: the key of every id, and its probe slots.
+        self._table = np.empty(0, dtype=np.int64)
+        self._slots = np.empty(0, dtype=np.int32)
         self._first_negative = False
-        # [live count, count of first-sketch zero counters still live]
-        self._state = np.zeros(2, dtype=np.int64)
+        # [live count, count of first-sketch zero counters still live,
+        #  table ids, steps the kernel's last run applied]
+        self._state = np.zeros(4, dtype=np.int64)
         self._zero_live = np.empty(0, dtype=np.int64)
-        # ``active`` and the kernel's scratch share one capacity, at least
-        # the live count plus the frame length.
-        self._capacity = 0
+        # ``active`` and the kernel's scratch hold the live ids and a
+        # sketch's; a step's ids are as long as the table.
         self._active = np.empty(0, dtype=np.int64)
         self._scratch_ids = np.empty(0, dtype=np.int64)
         self._scratch_vals = np.empty(0, dtype=np.float64)
+        self._ids = np.empty(0, dtype=np.int64)
         self._binder = _kernels.get_kernel("fold_step")
         self._kernel = None
+        # The kernel table's own hash multiplier: no client can pick colliding keys.
+        self._multiplier = secrets.randbits(64) | 1
 
     @property
     def active(self) -> np.ndarray:
         """Live ids in the seed dict's insertion order (a view)."""
         return self._active[:int(self._state[0])]
 
+    @property
+    def _id_keys(self) -> Union[np.ndarray, List[Hashable]]:
+        """The key of every table id, in id order."""
+        return (self._table[:int(self._state[2])] if self._index is None
+                else self._dict_keys)
+
     def arrays(self) -> Tuple[Union[np.ndarray, List[Hashable]], np.ndarray]:
         """The folded summary as fresh (keys, values), in dict order; the
-        keys are an int64 array under offset ids, else a list."""
-        if self.acc is None:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        keys are an int64 array under the kernel's table, else a list."""
         active = self.active
         return self._keys_of(active), self.acc[active]
 
     def counters(self) -> Dict[Hashable, float]:
         """The folded summary as the seed fold's dict."""
-        if self.acc is None:
-            return {}
         active = self.active
         return dict(zip(_as_list(self._keys_of(active)),
                         self.acc[active].tolist()))
@@ -343,88 +327,45 @@ class FoldState:
         """
         keys = _key_column(keys)
         n = len(keys)
-        if self.acc is None and not n:
-            # No id space yet: an empty sketch only uses up the first step.
+        if not (self.acc.size or n):
+            # No key table yet: an empty sketch only uses up the first step.
             self.first = False
             return
-        self._reserve(int(self._state[0]) + n)
-        if self._index is None and isinstance(keys, np.ndarray):
-            # Offset ids: the compiled step range-checks the keys itself,
-            # so the id space grows only when it refuses them.
-            status = (FOLD_RANGE if self._numpy_only()
-                      else self._call(keys, values, frame))
-            if status != FOLD_RANGE:
-                self._settle(status, keys, values)
-                return
-            if self._grow(keys):
-                self._fold(keys, values, frame)
-                return
-        self._fold(self._intern(keys, compact=True), values)
+        self._prepare(keys, n)
+        if self._index is not None or self.first or self._first_negative:
+            self._numpy_step(self._intern(keys), values)
+        elif self._bound()(keys, values, frame) != FOLD_OK:
+            # Refused: the numpy step raises the same error or folds NaNs.
+            self._numpy_step(self._ids[:n], values)
 
     def run(self, keys, values: np.ndarray, lengths: Sequence[int]) -> None:
         """:meth:`step` on each sketch laid end to end in ``keys``/``values``
         (sketch ``i`` is the next ``lengths[i]`` entries), the compiled steps
-        in one kernel call.  It stops at a sketch it refuses, which is
-        folded on its own before the run resumes.  The whole run's keys are
-        covered before it starts: the offset id space grows once, or the
-        key table interns them in one call (and is not compacted inside a
-        run).
+        in one kernel call, which compacts the key table before a step as
+        :meth:`step` does.  It stops at a sketch it refuses, which is
+        folded on its own before the run resumes.
         """
         keys = _key_column(keys)
         lengths = np.ascontiguousarray(lengths, dtype=np.int64)
         spans = lengths.tolist()
         ends = list(itertools.accumulate(spans))
-        if spans:
-            # No step leaves more than ``size`` ids live: room for them all.
-            self._reserve(self.size + max(spans))
-        if not (self._index is None and isinstance(keys, np.ndarray)
-                and self._grow(keys)):
-            keys = self._intern(keys, compact=False)
+        longest = max(spans, default=0)
         done = 0
         while done < len(ends):
             start = ends[done - 1] if done else 0
-            if not self._numpy_only():
+            self._prepare(keys[start:ends[done]], longest)
+            if self._index is not None or self.first or self._first_negative:
+                ids = self._intern(keys[start:ends[done]])
+            else:
                 status, applied = self._bound().run(
-                    keys[start:], values[start:], self.low, lengths[done:])
+                    keys[start:], values[start:], lengths[done:])
                 done += applied
                 if status == FOLD_OK:
                     break
                 start = ends[done - 1] if done else 0
-            self._fold(keys[start:ends[done]], values[start:ends[done]])
+                ids = self._ids[:ends[done] - start]  # the refused step's
+            self._numpy_step(ids, values[start:ends[done]])
             done += 1
-
-    def _numpy_only(self) -> bool:
-        """Whether the next step must run in numpy."""
-        return (self._binder is None or self.first or self._first_negative
-                or self.acc is None)
-
-    def _call(self, keys: np.ndarray, values: np.ndarray,
-              frame: Optional[Tuple[bytes, int]] = None) -> int:
-        """One compiled step; ``frame`` goes along only when there is one,
-        so array input keeps the binder's three-argument call."""
-        bound = self._bound()
-        if frame is None:
-            return bound(keys, values, self.low)
-        return bound(keys, values, self.low, frame)
-
-    def _fold(self, keys: np.ndarray, values: np.ndarray,
-              frame: Optional[Tuple[bytes, int]] = None) -> None:
-        """One step over keys the id space covers."""
-        self._settle(FOLD_NAN if self._numpy_only()
-                     else self._call(keys, values, frame), keys, values)
-
-    def _settle(self, status: int, keys: np.ndarray,
-                values: np.ndarray) -> None:
-        """Finish a step the compiled kernel did not fold (``FOLD_NAN``:
-        the numpy step folds it)."""
-        if status == FOLD_OK:
-            return
-        ids = keys - self.low if self.low else keys
-        if status == FOLD_NEGATIVE:
-            raise self._negative(ids, values)
-        if status == FOLD_REPEAT:
-            raise _repeated_key(_as_list(self._keys_of(ids)))
-        self._numpy_step(ids, values)
 
     # -- buffers ------------------------------------------------------------
 
@@ -433,76 +374,55 @@ class FoldState:
         if self._kernel is None:
             self._kernel = self._binder(
                 self.size, self.acc, self._active, self._scratch_ids,
-                self._scratch_vals, self._zero_live, self._state)
+                self._scratch_vals, self._zero_live, self._state,
+                self._table, self._slots, self._ids, self._multiplier)
         return self._kernel
 
-    def _reserve(self, needed: int) -> None:
-        """Make room for ``needed`` ids: the live ones plus a sketch."""
-        if needed <= self._capacity:
-            return
-        capacity = max(needed, 2 * self._capacity)
-        active = np.empty(capacity, dtype=np.int64)
-        active[:self._state[0]] = self.active
-        self._active = active
-        self._scratch_ids = np.empty(capacity, dtype=np.int64)
-        self._scratch_vals = np.empty(capacity, dtype=np.float64)
-        self._capacity = capacity
-        self._kernel = None
-
-    def _grow(self, keys: np.ndarray) -> bool:
-        """Extend the offset id space to cover ``keys`` (ids shift with
-        ``low``); ``False`` when even the live keys and ``keys`` span more
-        ids than the limit allows."""
-        if not keys.size:
-            return True
-        low, high = int(keys.min()), int(keys.max()) + 1
-        limit = min(_DENSE_SPAN_LIMIT,
-                    _SPAN_PER_SLOT * max(self.size, keys.size))
-        if self.acc is None:
-            if high - low > limit:
-                return False
-            self.low = low
-            self.acc = np.zeros(high - low, dtype=np.float64)
+    def _prepare(self, keys: Union[np.ndarray, List[Hashable]],
+                 longest: int) -> None:
+        """Start, switch (to a dict, for keys not int64) or compact the key
+        table for ``keys``, with room for sketches of ``longest`` keys."""
+        if not self.acc.size:
+            if self._binder is None or not isinstance(keys, np.ndarray):
+                self._index = {}
+        elif self._index is None and not isinstance(keys, np.ndarray):
+            # Every id keeps its key: the dict takes over the table.
+            self._dict_keys = self._id_keys.tolist()
+            self._index = dict(zip(self._dict_keys, itertools.count()))
+        if self._index is not None and self._state[2] > _TABLE_FACTOR * self.size:
+            self._relabel()  # the kernel compacts its table before a step
+        # Room up to the next compaction and a sketch past it: a served
+        # table is sized once.
+        room = _TABLE_FACTOR * self.size + max(longest, self.size)
+        if room > self.acc.size:
+            self._size_table(max(room, 2 * self.acc.size))
+        # No step leaves more than ``size`` ids live.
+        needed = self.size + longest
+        if needed > self._active.size:
+            capacity = max(needed, 2 * self._active.size)
+            active = np.empty(capacity, dtype=np.int64)
+            active[:self._state[0]] = self.active
+            self._active = active
+            self._scratch_ids = np.empty(capacity, dtype=np.int64)
+            self._scratch_vals = np.empty(capacity)
             self._kernel = None
-            return True
-        old_low, old_high = self.low, self.low + self.acc.size
-        if old_low <= low and high <= old_high:
-            return True
-        down, up = low < old_low, high > old_high
-        if max(high, old_high) - min(low, old_low) <= limit:
-            low, high = min(low, old_low), max(high, old_high)
-        else:
-            # Only the live keys must stay covered: drop the dead rest of
-            # the old space and put the headroom on both sides.
-            active = self.active
-            if active.size:
-                low = min(low, int(active.min()) + old_low)
-                high = max(high, int(active.max()) + 1 + old_low)
-            down = up = True
-        needed = high - low
-        if needed > limit:
-            return False
-        # Grow geometrically (at least double the span, capped at the limit
-        # and the int64 key range) with the headroom on the side(s) that
-        # forced the growth, so a stream of expanding key ranges
-        # reallocates O(log) times instead of copying on every frame.
-        slack = min(limit, max(needed, 2 * self.acc.size)) - needed
-        low_slack = slack // 2 if (down and up) else (slack if down else 0)
-        low = max(low - low_slack, _INT64_MIN)
-        high = min(high + slack - low_slack, _INT64_END)
-        grown = np.zeros(high - low, dtype=np.float64)
-        # Every live id lies where the old and new id spaces overlap.
-        start, end = max(old_low, low), min(old_high, high)
-        if start < end:
-            grown[start - low:end - low] = self.acc[start - old_low:
-                                                    end - old_low]
-        if old_low != low:
-            self._active[:self._state[0]] += old_low - low
-            self._zero_live += old_low - low
-        self.low = low
-        self.acc = grown
+
+    def _size_table(self, size: int) -> None:
+        """Room for ``size`` table ids in ``acc`` and the kernel's table,
+        whose slots (half full at most: short probes) are rebuilt."""
+        acc = np.zeros(size)
+        acc[:self.acc.size] = self.acc
+        self.acc = acc
         self._kernel = None
-        return True
+        if self._index is None:
+            keys = self._id_keys
+            self._table = np.empty(size, dtype=np.int64)
+            self._ids = np.empty(size, dtype=np.int64)
+            self._slots = np.zeros(1 << (2 * size - 1).bit_length(),
+                                   dtype=np.int32)
+            # Interned again into the empty slots, the keys keep their ids.
+            self._state[2] = 0
+            self._bound().intern(keys)
 
     def _set_active(self, ids: np.ndarray) -> None:
         self._active[:ids.size] = ids
@@ -512,22 +432,18 @@ class FoldState:
     # -- the key table ------------------------------------------------------
 
     def _keys_of(self, ids: np.ndarray) -> Union[np.ndarray, List[Hashable]]:
-        """The keys of ``ids``: an int64 array of offsets, or a list from
-        the key table."""
+        """The keys of ``ids``: an int64 array, or a list under the dict."""
         if self._index is None:
-            return ids + self.low
-        id_keys = self._id_keys
-        return [id_keys[key_id] for key_id in ids.tolist()]
+            return self._table[ids]
+        dict_keys = self._dict_keys
+        return [dict_keys[key_id] for key_id in ids.tolist()]
 
-    def _intern(self, keys: Union[np.ndarray, List[Hashable]],
-                compact: bool) -> np.ndarray:
-        """The ids of ``keys`` in the key table, which new keys join; the
-        state switches to the table first, or ``compact`` compacts it."""
-        if self._index is None or (
-                compact and len(self._id_keys) > _TABLE_FACTOR * self.size):
-            self._relabel()
-        setdefault, add_key = self._index.setdefault, self._id_keys.append
-        count = len(self._id_keys)
+    def _intern(self, keys: Union[np.ndarray, List[Hashable]]) -> np.ndarray:
+        """The ids of ``keys``, which new keys join the table with."""
+        if self._index is None:
+            return self._bound().intern(keys)
+        setdefault, add_key = self._index.setdefault, self._dict_keys.append
+        count = int(self._state[2])
         ids = []
         for key in _as_list(keys):
             key_id = setdefault(key, count)
@@ -535,30 +451,23 @@ class FoldState:
                 add_key(key)
                 count += 1
             ids.append(key_id)
-        if count > self.acc.size:
-            grown = np.zeros(max(count, 2 * self.acc.size))
-            grown[:self.acc.size] = self.acc
-            self.acc = grown
-            self._kernel = None
+        self._state[2] = count
         return np.array(ids, dtype=np.int64)
 
     def _relabel(self) -> None:
-        """Start a key table holding only the live keys, with ids
-        ``0..n-1`` in active order."""
+        """Compact the dict table to the live keys, with ids ``0..n-1`` in
+        active order, as the kernel compacts its own.  No zero counter of
+        the first sketch is live: it left too few ids."""
         active = self.active
-        self._id_keys = _as_list(self._keys_of(active))
-        self._index = {key: key_id for key_id, key in enumerate(self._id_keys)}
-        # Room for a table about to be compacted again: no regrowth (and
-        # no kernel rebinding) between two compactions of a served fold.
-        acc = np.zeros(max(active.size, (_TABLE_FACTOR + 1) * self.size))
-        if active.size:
-            acc[:active.size] = self.acc[active]
-        self.acc = acc
-        self._zero_live = np.flatnonzero(
-            np.isin(active, self._zero_live[:int(self._state[1])]))
-        self._active[:active.size] = np.arange(active.size)
-        self.low = 0
-        self._kernel = None
+        count = active.size
+        live = self._keys_of(active)
+        values = self.acc[active]
+        self.acc[active] = 0.0  # dead ids are zero already
+        self.acc[:count] = values
+        self._active[:count] = np.arange(count)
+        self._dict_keys = live
+        self._index = {key: key_id for key_id, key in enumerate(live)}
+        self._state[2] = count
 
     # -- the numpy step -----------------------------------------------------
 

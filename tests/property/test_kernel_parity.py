@@ -16,7 +16,7 @@ the pure-python engines on every input.  Hypothesis drives every kernel:
   :class:`~repro.sketches.merge.FoldState` with the cc step and the numpy
   step: same outcome per frame (the same summary or the same error), same
   live order, same accumulator bits, same zero-valued first-frame counters,
-  across the switch from offset ids to the key table.
+  the kernel's key table giving every key the id the dict table gives.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.api import framing, wire
 from repro.exceptions import SketchStateError
 from repro.sketches import MisraGriesSketch
 from repro.sketches._reference_merge import reference_merge_many
-from repro.sketches.merge import _DENSE_SPAN_LIMIT, FoldState, merge_many, merge_tree
+from repro.sketches.merge import _TABLE_FACTOR, FoldState, merge_many, merge_tree
 
 COMPILED = kernels.available()
 
@@ -281,7 +281,7 @@ def _fold_trace(frames, size, binder):
             snapshot = (state.first, None)
         else:
             zeros = int(state._state[1])
-            snapshot = (state.first, state.low, state.active.tolist(),
+            snapshot = (state.first, state.active.tolist(),
                         state.acc.view(np.int64).tolist(),
                         state._zero_live[:zeros].tolist())
         trace.append((_summary(state), snapshot))
@@ -376,8 +376,10 @@ def test_repeated_key_frame_and_pair_share_one_error(backend, first):
     assert errors == [("repeated_key", "key 7 appears twice in one sketch")] * 2
 
 
-def test_fold_step_span_limit_switches_to_the_key_table():
-    far = _DENSE_SPAN_LIMIT
+def test_fold_step_keys_far_apart_fold_like_the_seed():
+    """Keys 2**23 apart (past any dense id range) fold equal to the seed,
+    and int keys stay int."""
+    far = 1 << 23
     expected = reference_merge_many([{0: 1.0, 1: 2.0}, {2: 1.0}, {far: 1.0}],
                                     4)
     for name, binder in _step_binders().items():
@@ -386,13 +388,59 @@ def test_fold_step_span_limit_switches_to_the_key_table():
         state.step(np.array([0, 1], dtype=np.int64), np.array([1.0, 2.0]))
         state.step(np.array([2], dtype=np.int64), np.array([1.0]))
         keys, values = state.arrays()
-        assert keys.tolist() == [0, 1, 2] and values.tolist() == [1.0, 2.0, 1.0]
-        assert state._index is None, name  # offset ids
+        assert _as_list(keys) == [0, 1, 2] and values.tolist() == [1.0, 2.0, 1.0]
         state.step(np.array([far], dtype=np.int64), np.array([1.0]))
-        assert state._id_keys == [0, 1, 2, far], name  # the key table
+        assert _as_list(state._id_keys) == [0, 1, 2, far], name  # the key table
+        assert (state._index is None) == (binder is not None), name  # compiled
         assert all(type(key) is int for key in state.counters()), name
-        assert state.low == 0, name
         assert list(state.counters().items()) == list(expected.items()), name
+
+
+def _as_list(keys):
+    return keys.tolist() if isinstance(keys, np.ndarray) else keys
+
+
+@given(k=st.integers(1, 4),
+       frames=st.lists(st.dictionaries(
+           st.integers(0, 200).map(lambda key: key * (1 << 40)), _STEP_VALUES,
+           min_size=1, max_size=6), min_size=8, max_size=24))
+@settings(max_examples=40, deadline=None)
+def test_served_fold_backends_agree_across_table_compactions(k, frames):
+    """A served fold (binary frames into a ``StreamingMerger``) whose keys
+    keep coming fresh compacts its key table mid-fold; both backends keep
+    the same table, accumulator bits and summary across every
+    compaction, and so does one batch run of the same frames (which the
+    compiled run compacts inside its kernel call)."""
+    bodies = [framing.payload_frame_body(wire.encode_counters(counters, k=k))
+              for counters in frames]
+    keys = np.array([key for counters in frames for key in counters])
+    values = np.array([value for counters in frames
+                       for value in counters.values()])
+    traces = {}
+    for backend in ("python", "cc") if COMPILED else ("python",):
+        trace, compactions, table = [], 0, 0
+        with _kernels_env(backend):
+            merger = framing.StreamingMerger(k)
+            for body in bodies:
+                merger.add(framing.decode_payload_body(body))
+                fold = merger._fold
+                compactions += len(fold._id_keys) < table
+                table = len(fold._id_keys)
+                trace.append((_summary(fold), list(_as_list(fold._id_keys)),
+                              fold.acc.view(np.int64).tolist()))
+            batch = FoldState(k)
+            batch.run(keys, values, [len(counters) for counters in frames])
+            trace.append((_summary(batch), list(_as_list(batch._id_keys)),
+                          batch.acc.view(np.int64).tolist()))
+        traces[backend] = trace
+    fresh = len({key for counters in frames for key in counters})
+    if fresh > _TABLE_FACTOR * k + 6:
+        assert compactions >= 1
+    expected = traces.pop("python")
+    for name, trace in traces.items():
+        assert trace == expected, name
+    assert list(merger.merged().items()) == list(
+        reference_merge_many(frames, k).items())
 
 
 @needs_compiled
@@ -416,9 +464,10 @@ def test_served_fold_runs_every_later_frame_in_the_cc_step(frames, k):
         def bind(*buffers):
             bound = binder(*buffers)
 
-            def step(keys, values, low):
+            def step(keys, values, *frame):
                 calls.append(keys.size)
-                return bound(keys, values, low)
+                return bound(keys, values, *frame)
+            step.intern = bound.intern
             return step
         return bind
 

@@ -2,9 +2,12 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import kernels
+from repro.api import framing, wire
 from repro.core import PrivacyAwareMisraGries, reduce_sensitivity
 from repro.dp.sensitivity import l1_distance
 from repro.sketches import MisraGriesSketch
@@ -79,6 +82,110 @@ def test_corollary18_merged_counters_differ_by_at_most_one(stream, k, num_parts,
     positive = any(diff > 1e-9 for diff in diffs)
     negative = any(diff < -1e-9 for diff in diffs)
     assert not (positive and negative)
+
+
+_BACKENDS = pytest.mark.parametrize("backend", [
+    "python",
+    pytest.param("cc", marks=pytest.mark.skipif(
+        not kernels.available(), reason="no C toolchain on this host")),
+])
+
+# Sessions of frames of element indices; an index maps to a key through the
+# drawn layout: dense, or spread past 2**23 (and over most of int64).
+histories = st.lists(
+    st.lists(st.lists(st.integers(min_value=0, max_value=8), max_size=30),
+             min_size=1, max_size=4),
+    min_size=1, max_size=4)
+layouts = st.sampled_from([(0, 1), (-5, 1), (0, (1 << 23) + 1),
+                           (-(1 << 62), 1 << 59)])
+
+
+def _neighbouring_histories(history, session, frame, position):
+    """``history`` and a copy with one element deleted from one frame of
+    one session (none when that frame is empty)."""
+    neighbour = [[list(part) for part in frames] for frames in history]
+    frames = neighbour[session % len(neighbour)]
+    part = frames[frame % len(frames)]
+    if part:
+        del part[position % len(part)]
+    return history, neighbour
+
+
+def _frame_columns(history, k, layout):
+    """Each session's frames as int64 ``(keys, values)`` Misra-Gries
+    sketches of size ``k``, keys laid out as ``base + index * step``."""
+    base, step = layout
+    sessions = []
+    for frames in history:
+        columns = []
+        for part in frames:
+            counters = MisraGriesSketch.from_stream(k, part).counters()
+            keys = np.array([base + index * step for index in counters],
+                            dtype=np.int64)
+            columns.append((keys, np.array(list(counters.values()))))
+        sessions.append(columns)
+    return sessions
+
+
+def _assert_neighbouring(merged, merged_neighbour, k):
+    """Lemma 17 / Corollary 18: at most ``k`` counters differ, each by at
+    most 1, all in one direction."""
+    keys = set(merged) | set(merged_neighbour)
+    diffs = [merged.get(key, 0.0) - merged_neighbour.get(key, 0.0)
+             for key in keys]
+    changed = [diff for diff in diffs if abs(diff) > 1e-9]
+    assert all(abs(diff) <= 1.0 + 1e-9 for diff in changed)
+    assert all(diff > 0 for diff in changed) or all(diff < 0 for diff in changed)
+    assert len(changed) <= k
+    assert all(type(key) is int for key in keys)
+
+
+@_BACKENDS
+@given(history=histories, layout=layouts, k=small_k,
+       session=st.integers(min_value=0, max_value=3),
+       frame=st.integers(min_value=0, max_value=3),
+       position=st.integers(min_value=0, max_value=29))
+@settings(max_examples=120, deadline=None)
+def test_corollary18_flat_merge_of_column_pairs(backend, history, layout, k,
+                                                session, frame, position):
+    """The batch merge of int64 column pairs over neighbouring histories."""
+    merged = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(kernels.ENV_VAR, backend)
+        for variant in _neighbouring_histories(history, session, frame,
+                                               position):
+            pairs = [pair for columns in _frame_columns(variant, k, layout)
+                     for pair in columns]
+            merged.append(merge_many(pairs, k))
+    _assert_neighbouring(*merged, k)
+
+
+@_BACKENDS
+@given(history=histories, layout=layouts, k=small_k,
+       session=st.integers(min_value=0, max_value=3),
+       frame=st.integers(min_value=0, max_value=3),
+       position=st.integers(min_value=0, max_value=29))
+@settings(max_examples=120, deadline=None)
+def test_corollary18_served_two_level_fold(backend, history, layout, k,
+                                           session, frame, position):
+    """The served fold over neighbouring histories: each session's binary
+    frames into its own ``StreamingMerger``, the sessions combined."""
+    merged = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(kernels.ENV_VAR, backend)
+        for variant in _neighbouring_histories(history, session, frame,
+                                               position):
+            mergers = []
+            for columns in _frame_columns(variant, k, layout):
+                merger = framing.StreamingMerger(k)
+                for keys, values in columns:
+                    envelope = wire.encode_counters(
+                        dict(zip(keys.tolist(), values.tolist())), k=k)
+                    merger.add(framing.decode_payload_body(
+                        framing.payload_frame_body(envelope)))
+                mergers.append(merger)
+            merged.append(framing.combine_mergers(mergers, k).merged())
+    _assert_neighbouring(*merged, k)
 
 
 @given(stream=streams, k=small_k, num_parts=st.integers(min_value=2, max_value=4))

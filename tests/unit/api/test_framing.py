@@ -486,15 +486,16 @@ class TestDenseGrowth:
         merger = StreamingMerger(4)
         for counters in frames:
             merger.add(encode_counters(counters, k=4))
-        assert merger._fold._index is None  # still offset ids, no key table
+        assert all(type(key) is int for key in merger.merged())
+        # The compiled key table serves wherever the kernel resolves.
+        fold = merger._fold
+        assert (fold._index is None) == (fold._binder is not None)
         assert merger.merged() == merge_many(frames, 4)
         assert list(merger.merged()) == list(merge_many(frames, 4))
 
-    def test_offset_ids_follow_the_live_keys(self):
-        """The offset id space covers the live keys and the next frame, not
-        every key ever seen: windows sliding past the span limit (64 ids
-        per counter at k=4), or jumping past a state with no live counter,
-        stay on offset ids."""
+    def test_sliding_and_emptied_key_windows_fold_like_the_seed(self):
+        """Windows sliding over ever larger keys, or jumping past a state
+        with no live counter, fold equal to the seed with int keys."""
         from repro.sketches._reference_merge import reference_merge_many
 
         sliding = [{100 * index + offset: 10.0 * (index + 1)
@@ -504,7 +505,9 @@ class TestDenseGrowth:
             merger = StreamingMerger(k)
             for counters in frames:
                 merger.add(encode_counters(counters, k=k))
-            assert merger._fold._index is None
+            assert all(type(key) is int for key in merger.merged())
+            fold = merger._fold
+            assert (fold._index is None) == (fold._binder is not None)
             expected = reference_merge_many(frames, k)
             assert list(merger.merged().items()) == list(expected.items())
 

@@ -223,6 +223,7 @@ def test_flipping_the_env_between_mergers_switches_the_backend(monkeypatch):
         def counting_step(*args):
             steps.append(args)
             return bound(*args)
+        counting_step.intern = bound.intern
         return counting_step
 
     monkeypatch.setitem(table, "fold_step", counting_binder)

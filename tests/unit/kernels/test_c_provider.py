@@ -11,12 +11,16 @@ from __future__ import annotations
 import ctypes
 import os
 import re
+import time
 
 import numpy as np
 import pytest
 
 from repro import kernels
 from repro.kernels import _c_provider, _c_src
+
+#: A fold's hash multiplier (any odd one: the ids do not depend on it).
+_MULTIPLIER = 0x9E3779B97F4A7C15
 
 pytestmark = pytest.mark.skipif(
     _c_provider._find_compiler() is None,
@@ -107,6 +111,36 @@ def test_served_frames_fold_without_address_lookups(monkeypatch):
     assert merger.merged() == {1: 10.0, 2: 5.0, 3: 20.0}
 
 
+def test_keys_crafted_to_collide_fold_as_fast_as_random_keys(monkeypatch):
+    """Keys ``j * inverse(golden ratio) mod 2**64`` all hash to one slot
+    under a fixed Fibonacci multiplier, where each new key walks the whole
+    cluster and a frame of n such keys costs O(n**2) probes.  Every fold
+    draws its own odd multiplier, so they fold about as fast as random
+    keys."""
+    from repro.sketches.merge import FoldState
+
+    monkeypatch.setenv(kernels.ENV_VAR, "cc")
+    k = 1 << 14
+    inverse = pow(0x9E3779B97F4A7C15, -1, 1 << 64)
+    crafted = np.array([j * inverse % (1 << 64) for j in range(1, 2 * k + 1)],
+                       dtype=np.uint64).view(np.int64)
+    spread = np.random.default_rng(0).integers(-2**63, 2**63 - 1, 2 * k)
+
+    def seconds(keys):
+        best = float("inf")
+        for _ in range(3):
+            state = FoldState(k)
+            start = time.perf_counter()
+            state.step(keys[:k], np.ones(k))  # numpy, ids from the C table
+            state.step(keys[k:], np.ones(k))  # the compiled step
+            best = min(best, time.perf_counter() - start)
+            assert state._index is None
+            assert state._id_keys.tolist() == keys.tolist()  # first seen
+        return best
+
+    assert seconds(crafted) < 4 * seconds(spread) + 0.01
+
+
 def test_ptr_is_the_data_address_of_any_accepted_array():
     """The cheap lookup for writable buffers and ``ndarray.ctypes`` for
     read-only ones give the same address, views and empty arrays too."""
@@ -188,12 +222,21 @@ class TestBindingChecks:
                 self._refused(lambda: mg_update(*arrays, chunk))
                 assert all(not array.any() for array in arrays)
 
+    @staticmethod
+    def _fold_buffers(domain, capacity):
+        """acc, active, scratch ids and values, zero_live, state, the key
+        table, its slots and a step's ids."""
+        return [np.zeros(domain), np.zeros(capacity, dtype=np.int64),
+                np.zeros(capacity, dtype=np.int64), np.zeros(capacity),
+                np.zeros(2, dtype=np.int64), np.zeros(4, dtype=np.int64),
+                np.zeros(domain, dtype=np.int64),
+                np.zeros(2 * domain, dtype=np.int32),
+                np.zeros(domain, dtype=np.int64)]
+
     def test_fold_run(self, tmp_path, monkeypatch):
         binder = self._table(tmp_path, monkeypatch)["fold_step"]
-        args = [np.zeros(8), np.zeros(6, dtype=np.int64),
-                np.zeros(6, dtype=np.int64), np.zeros(6),
-                np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64)]
-        run = binder(3, *args).run
+        args = self._fold_buffers(8, 6)
+        run = binder(3, *args, _MULTIPLIER).run
         keys = np.array([0, 1, 1, 2], dtype=np.int64)
         values = np.array([1.0, 2.0, 3.0, 4.0])
         lengths = np.array([2, 2], dtype=np.int64)
@@ -203,26 +246,32 @@ class TestBindingChecks:
                              lambda a: a.tolist()):
                 bad = [keys, values, lengths]
                 bad[slot] = make_bad(bad[slot])
-                self._refused(lambda: run(bad[0], bad[1], 0, bad[2]))
+                self._refused(lambda: run(bad[0], bad[1], bad[2]))
         for bad_keys, bad_values, bad_lengths in (
                 (keys, values, np.array([2, 3])),    # past both arrays
                 (keys[:3], values, lengths),         # past the keys
                 (keys, values[:3], lengths),         # past the values
                 (keys, values, np.array([-1, 5]))):  # a negative length
             with pytest.raises(ValueError, match="run lengths"):
-                run(bad_keys, bad_values, 0, bad_lengths)
+                run(bad_keys, bad_values, bad_lengths)
         # After one step up to 3 ids stay live, so a later 4-key sketch
         # needs 7 slots of the 6 bound.
         with pytest.raises(ValueError, match="too small for this run"):
-            run(np.arange(5, dtype=np.int64), np.ones(5), 0,
+            run(np.arange(5, dtype=np.int64), np.ones(5),
                 np.array([1, 4], dtype=np.int64))
         assert not any(array.any() for array in args)
-        assert run(keys, values, 0, lengths) == (_c_src.FOLD_OK, 2)
-        assert args[5].tolist() == [3, 0]
+        assert run(keys, values, lengths) == (_c_src.FOLD_OK, 2)
+        assert args[5].tolist() == [3, 0, 3, 2]
         assert args[0].tolist()[:3] == [1.0, 5.0, 4.0]
+        assert args[6].tolist()[:3] == [0, 1, 2]  # the key of each id
         args[0][0] = np.nan  # a live NaN refuses the run's first step
-        assert run(keys, values, 0, lengths) == (_c_src.FOLD_NAN, 0)
-        assert args[5].tolist() == [3, 0] and args[0].tolist()[1:3] == [5.0, 4.0]
+        assert run(keys, values, lengths) == (_c_src.FOLD_NAN, 0)
+        assert args[5].tolist() == [3, 0, 3, 0]
+        assert args[0].tolist()[1:3] == [5.0, 4.0]
+        # A run of 6 more keys could overrun the 8-id key table.
+        with pytest.raises(ValueError, match="too small for this run"):
+            run(np.arange(10, 16, dtype=np.int64), np.ones(6),
+                np.array([3, 3], dtype=np.int64))
 
     def test_fold_run_stops_at_a_nan_sketch_and_resumes(self, tmp_path,
                                                         monkeypatch):
@@ -239,7 +288,8 @@ class TestBindingChecks:
 
         def bits(state):
             keys, values = state.arrays()
-            return keys.tolist(), values.view(np.int64).tolist()
+            keys = keys.tolist() if isinstance(keys, np.ndarray) else keys
+            return keys, values.view(np.int64).tolist()
 
         def folded(ids, values, lengths):
             state = merge.FoldState(3)
@@ -251,11 +301,10 @@ class TestBindingChecks:
         expected = folded(ids, values, lengths)
         monkeypatch.setenv(kernels.ENV_VAR, "cc")
         state = merge.FoldState(3)
-        assert state._grow(ids)  # the id space the whole run covers
         state.step(ids[:3], values[:3])  # the first step: numpy
-        state._reserve(3 + 3)
+        state._prepare(ids[3:], 3)  # room for sketches of 3 keys
         status, applied = state._bound().run(
-            ids[3:], values[3:], 0, np.array(lengths[1:], dtype=np.int64))
+            ids[3:], values[3:], np.array(lengths[1:], dtype=np.int64))
         assert (status, applied) == (_c_src.FOLD_NAN, 1)
         assert bits(state) == after_one
         state.run(ids[5:], values[5:], lengths[2:])
@@ -265,21 +314,29 @@ class TestBindingChecks:
         binder = self._table(tmp_path, monkeypatch)["fold_step"]
 
         def buffers():
-            return [np.zeros(4), np.zeros(4, dtype=np.int64),
-                    np.zeros(4, dtype=np.int64), np.zeros(4),
-                    np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64)]
+            return self._fold_buffers(4, 4)
 
         dtypes = [np.float64, np.int64, np.int64, np.float64, np.int64,
-                  np.int64]
+                  np.int64, np.int64, np.int32, np.int64]
         for slot, dtype in enumerate(dtypes):
-            wrong = np.float32 if dtype is np.float64 else np.int32
+            wrong = {np.float64: np.float32, np.int64: np.int32,
+                     np.int32: np.int64}[dtype]
             for make_bad in (lambda a: a.astype(wrong),
                              lambda a: np.repeat(a, 2)[::2]):
                 args = buffers()
                 args[slot] = make_bad(args[slot])
-                self._refused(lambda: binder(2, *args))
+                self._refused(lambda: binder(2, *args, _MULTIPLIER))
+        for slots in (np.zeros(4, dtype=np.int32),   # no more than 4
+                      np.zeros(12, dtype=np.int32)):  # not a power of 2
+            args = buffers()
+            args[7] = slots
+            with pytest.raises(ValueError, match="slots"):
+                binder(2, *args, _MULTIPLIER)
+        for multiplier in (0, 2, 1 << 64, -1):
+            with pytest.raises(ValueError, match="multiplier"):
+                binder(2, *buffers(), multiplier)
         args = buffers()
-        step = binder(2, *args)
+        step = binder(2, *args, _MULTIPLIER)
         keys = np.array([0, 1], dtype=np.int64)
         values = np.array([1.0, 2.0])
         for bad_keys, bad_values in (
@@ -288,17 +345,26 @@ class TestBindingChecks:
                 (np.repeat(keys, 2)[::2], values),
                 (keys, np.repeat(values, 2)[::2]),
                 (keys.tolist(), values)):
-            self._refused(lambda: step(bad_keys, bad_values, 0))
+            self._refused(lambda: step(bad_keys, bad_values))
         with pytest.raises(ValueError):
-            step(keys, values[:1], 0)
+            step(keys, values[:1])
         body = b"pad" + keys.tobytes() + values.tobytes()
         for bad_frame in ((bytearray(body), 3), (memoryview(body), 3)):
-            self._refused(lambda: step(keys, values, 0, bad_frame))
+            self._refused(lambda: step(keys, values, bad_frame))
         for bad_at in (-1, 4, len(body)):
             with pytest.raises(ValueError):
-                step(keys, values, 0, (body, bad_at))
+                step(keys, values, (body, bad_at))
         assert not any(array.any() for array in args)
-        assert step(keys, values, 0, (body, 3)) == 0
-        assert args[5].tolist() == [2, 0] and args[0].tolist()[:2] == [1.0, 2.0]
-        assert step(keys, values, 0) == 0
-        assert args[5].tolist() == [2, 0] and args[0].tolist()[:2] == [2.0, 4.0]
+        assert step(keys, values, (body, 3)) == 0
+        assert args[5].tolist() == [2, 0, 2, 1]
+        assert args[0].tolist()[:2] == [1.0, 2.0]
+        assert step(keys, values) == 0
+        assert args[5].tolist() == [2, 0, 2, 1]
+        assert args[0].tolist()[:2] == [2.0, 4.0]
+        # Interning alone: known keys keep their ids, a new one takes the
+        # next; a step that could overrun the 4-id table is refused.
+        assert step.intern(np.array([-2**63, 1])).tolist() == [2, 1]
+        assert args[6].tolist()[:3] == [0, 1, -2**63]
+        assert args[5].tolist() == [2, 0, 3, 1]
+        with pytest.raises(ValueError, match="too small for this frame"):
+            step(np.array([5, 6], dtype=np.int64), values)

@@ -491,7 +491,11 @@ class TestForwardQueueDurability:
                         assert root.stats()["sessions_committed"] == 0
                         assert relay._batches == []
                         assert relay.stats()["forward"]["queued"] == 1
-                    store.armed = False
+                        # The refusal kept the session: once the store
+                        # heals, the same client's release goes through.
+                        store.armed = False
+                        again = await client.request_release(seed=3)
+                        assert again.metadata.stream_length == 9
                     async with AggregatorClient(relay.address) as client:
                         histogram = await client.request_release(seed=3)
                     assert histogram.metadata.stream_length == 9

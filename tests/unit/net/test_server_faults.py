@@ -11,7 +11,7 @@ import asyncio
 import pytest
 
 from repro.api import framing
-from repro.api.framing import FrameHeader
+from repro.api.framing import FrameHeader, StreamingMerger, summary_payload
 from repro.api.wire import encode_counters
 from repro.exceptions import NetworkError, RemoteError
 from repro.net import AggregatorClient, AggregatorServer
@@ -263,6 +263,96 @@ class TestSessionRejection:
         kind, value = _run(scenario())
         assert kind == "control" and value["verb"] == "error"
         assert "hello" in value["message"]
+
+
+class TestBooleanCounts:
+    """``true`` is a JSON boolean, not a count: every integer field of a
+    control or relay frame refuses it, as HELLO ``ordinal`` does."""
+
+    def test_boolean_hello_k_is_refused_and_not_adopted(self):
+        async def scenario():
+            server = AggregatorServer(epsilon=EPSILON, delta=DELTA, k=None)
+            await server.start("127.0.0.1:0")
+            async with server:
+                reader, writer = await asyncio.open_connection(
+                    *server.address.split(":"))
+                channel = FrameChannel(reader, writer)
+                await channel.send_prefix(FrameHeader(
+                    framing=framing.FRAMING_VERSION, frames=None, k=None))
+                await channel.send_control("hello", k=True, ordinal=0)
+                await channel.read_prefix()
+                kind, value = await channel.next_event()
+                await channel.close()
+                adopted = server.k
+                # A standard client still reads the greeting and agrees.
+                async with AggregatorClient(server.address, k=32,
+                                            ordinal=1) as client:
+                    await client.push([encode_counters({1: 2.0}, k=32)])
+                    agreed = client.server_k
+                return kind, value, adopted, agreed
+        kind, value, adopted, agreed = _run(scenario())
+        assert kind == "control" and value["verb"] == "error"
+        assert "bad sketch size True" in value["message"]
+        assert adopted is None and agreed == 32
+
+    def test_boolean_push_frame_count_is_refused(self):
+        async def scenario():
+            async with await _started_server() as server:
+                channel = await _raw_channel(server)
+                await channel.send_control("hello", k=K, ordinal=0)
+                await channel.read_prefix()
+                await channel.next_event()  # ok re=hello
+                await channel.send_bytes(
+                    framing.encode_control_frame({"verb": "push",
+                                                  "frames": True})
+                    + framing.encode_payload_frame(_export({5: 500.0})))
+                kind, value = await channel.next_event()
+                await channel.close()
+                histogram = await _healthy_roundtrip(server)
+                return kind, value, histogram
+        kind, value, histogram = _run(scenario())
+        assert kind == "control" and value["verb"] == "error"
+        assert "frame count, got True" in value["message"]
+        assert 5 not in histogram
+
+    def test_boolean_release_seed_is_refused(self):
+        async def scenario():
+            async with await _started_server() as server:
+                await _healthy_roundtrip(server)
+                channel = await _raw_channel(server)
+                await channel.send_control("hello")
+                await channel.read_prefix()
+                await channel.next_event()  # ok re=hello
+                await channel.send_control("release", seed=True)
+                kind, value = await channel.next_event()
+                await channel.close()
+                return kind, value, server.stats()
+        kind, value, stats = _run(scenario())
+        assert kind == "control" and value["verb"] == "error"
+        assert "seed must be an integer, got True" in value["message"]
+        assert stats["releases"] == 1  # only the liveness probe's
+
+    def test_boolean_relay_origin_frame_count_is_refused(self):
+        async def scenario():
+            async with await _started_server(accept_relays=True) as server:
+                merger = StreamingMerger(K)
+                merger.add(_export({5: 500.0}))
+                summary = summary_payload(merger)
+                summary["meta"]["relay"]["frames"] = True
+                channel = await _raw_channel(server)
+                await channel.send_control("hello", k=K, role="relay")
+                await channel.read_prefix()
+                await channel.next_event()  # ok re=hello
+                await channel.send_control("push", frames=1)
+                await channel.send_payload(summary)
+                kind, value = await channel.next_event()
+                await channel.close()
+                histogram = await _healthy_roundtrip(server)
+                return kind, value, histogram
+        kind, value, histogram = _run(scenario())
+        assert kind == "control" and value["verb"] == "error"
+        assert "bad origin frame count True" in value["message"]
+        assert 5 not in histogram
 
 
 class TestReleaseSemantics:
